@@ -145,10 +145,6 @@ class Tape:
         return out
 
 
-def backward(tape: Tape, loss: Node) -> dict[str, np.ndarray]:
-    return tape.backward(loss)
-
-
 def _unbroadcast(g, shape):
     """Sum a broadcasted gradient back down to the original shape."""
     while g.ndim > len(shape):

@@ -20,7 +20,7 @@ from .circuit import Circuit
 from .errors import NumericError
 from .quadrature import QuadratureRule, make_rule
 from .runtime import LOG_2PI, latent_tree_loglik
-from .structures import LatentTree, bn_to_pic
+from .structures import LatentTree, bn_to_pic, top_down_order
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,18 +68,6 @@ class LinearGaussianLTM:
         )
         return LatentTree(self.latent_parent, self.obs_parent, latent_cond, obs_cond)
 
-    def top_down_order(self) -> list[int]:
-        children = [[] for _ in range(self.num_latents)]
-        for i, p in enumerate(self.latent_parent):
-            if p is not None:
-                children[p].append(i)
-        order = [self.root]
-        i = 0
-        while i < len(order):
-            order.extend(children[order[i]])
-            i += 1
-        return order
-
 
 def random_model(num_nodes: int, seed) -> LinearGaussianLTM:
     """A random model with num_nodes total nodes (half latent, half observed).
@@ -116,7 +104,7 @@ def sample(model: LinearGaussianLTM, n: int, seed) -> np.ndarray:
     """Ancestral sampling of n observation rows."""
     rng = np.random.default_rng(seed)
     z = np.empty((n, model.num_latents))
-    for i in model.top_down_order():
+    for i in top_down_order(model.latent_parent):
         p = model.latent_parent[i]
         mean = model.b[i] if p is None else model.a[i] * z[:, p] + model.b[i]
         z[:, i] = mean + model.sigma[i] * rng.standard_normal(n)
@@ -152,7 +140,7 @@ def exact_loglik(model: LinearGaussianLTM, x: np.ndarray) -> np.ndarray:
         acc_b[p] += c * r / (tau * tau)
         acc_c[p] += -r * r / (2 * tau * tau) - np.log(tau) - 0.5 * LOG_2PI
 
-    for i in model.top_down_order()[::-1]:
+    for i in top_down_order(model.latent_parent)[::-1]:
         a, b, s = model.a[i], model.b[i], model.sigma[i]
         s2 = s * s
         p_coef = 1.0 / (2 * s2) - acc_a[i]
@@ -188,7 +176,7 @@ def joint_gaussian(model: LinearGaussianLTM) -> tuple[np.ndarray, np.ndarray]:
     intended for small models and as the cross-check for exact_loglik.
     """
     n = model.num_latents
-    order = model.top_down_order()
+    order = top_down_order(model.latent_parent)
     mu_z = np.zeros(n)
     cov_z = np.zeros((n, n))
     for i in order:
@@ -223,7 +211,7 @@ def select_domains(model: LinearGaussianLTM, n: int, kind: str = "trapezoidal") 
     """
     domains: dict[int, tuple[float, float]] = {}
     points: dict[int, np.ndarray] = {}
-    for i in model.top_down_order():
+    for i in top_down_order(model.latent_parent):
         p = model.latent_parent[i]
         if p is None:
             lo = model.b[i] - 3 * model.sigma[i]

@@ -12,6 +12,13 @@ Neural conditionals are first materialized into log-space parameter
 tensors: S[i][j][k] = log(w_k p(z_k | z_j)) with the normalizer of the
 energy model approximated by the same rule, which makes every row
 logsumexp to exactly zero, and I[i][j] = decoder params at point j.
+The tape nodes ``sum_param_node`` and ``input_param_node`` are the one
+definition of both; the ndarray tensors are their data.
+
+``streamed_loglik`` evaluates a batch without building the concrete
+circuit: it is a thin caller of the latent-tree engine
+(``runtime.upward_pass``) that materializes each latent's sum rows inside
+the engine's ``contract`` step.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .circuit import Circuit, CircuitBuilder, InputDist, check_structure, post_o
 from .errors import CircuitError, NumericError, SizeError, UnsupportedStructureError
 from .nets import ParamNets, decoder_forward
 from .quadrature import QuadratureRule
-from .runtime import LOG_2PI, _input_log_prob, _lse_matmul
+from .runtime import LOG_2PI, _lse_matmul, evidence_rows, upward_pass
 
 
 @dataclass(frozen=True)
@@ -92,39 +99,26 @@ def input_param_node(tape: Tape, net, pnodes, z: np.ndarray) -> Node:
     return net.squash(raw)
 
 
-def _logsumexp_vec(v: np.ndarray) -> float:
-    m = np.max(v)
-    if not np.isfinite(m):
-        return m
-    return m + np.log(np.exp(v - m).sum())
-
-
 def materialize_sum_params(nets: ParamNets, z, w, norm_rule: QuadratureRule | None = None) -> SumParamTensor:
-    """All latents' sum-weight grids, stacked into one (D', N, N) tensor."""
+    """All latents' sum-weight grids, stacked into one (D', N, N) tensor.
+
+    Each latent's block is the data of its sum_param_node (the root's
+    prior row broadcast along j).  With positive weights a cell can only be
+    non-finite when an energy in its row is, which raises NumericError.
+    """
     z = np.asarray(z, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    if np.any(np.abs(z) > 1.0 + 1e-12):
-        raise ValueError("energy-model latents live on [-1, 1]; got points outside")
     n = len(z)
     tape = Tape()
     pnodes = nets.register(tape)
     out = np.empty((len(nets.energy), n, n))
     for i, net in enumerate(nets.energy):
-        mine = nets.net_pnodes(net, pnodes)
-        grid = _energy_grid(tape, net, mine, z, z).data
-        bad = np.argwhere(~np.isfinite(grid))
+        s = sum_param_node(tape, net, nets.net_pnodes(net, pnodes), z, w, norm_rule).data
+        bad = np.argwhere(~np.isfinite(s))
         if bad.size:
             j, k = bad[0]
             raise NumericError(f"non-finite energy for latent {i} at (j={j}, k={k})")
-        raw = np.log(w) - grid
-        if norm_rule is None:
-            target = raw
-        else:
-            fine = _energy_grid(tape, net, mine, norm_rule.points, z[: grid.shape[0]]).data
-            target = np.log(norm_rule.weights) - fine
-        m = target.max(axis=1, keepdims=True)
-        lognorm = m + np.log(np.exp(target - m).sum(axis=1, keepdims=True))
-        out[i] = np.broadcast_to(raw - lognorm, (n, n))
+        out[i] = np.broadcast_to(s, (n, n))
     return SumParamTensor(s=out, z=z, w=w)
 
 
@@ -380,7 +374,7 @@ def _nested_neural_density(net, rule: QuadratureRule, parent_value) -> np.ndarra
     pnodes = net.register(tape)
     parent = np.zeros(0) if parent_value is None else np.array([parent_value])
     energy = _energy_grid(tape, net, pnodes, rule.points, parent).data[0]
-    lognorm = _logsumexp_vec(np.log(rule.weights) - energy)
+    lognorm = ad._logsumexp_data(np.log(rule.weights) - energy, None, False)
     return -energy - lognorm
 
 
@@ -412,61 +406,23 @@ def pic_tree_maps(pic: Circuit) -> tuple[tuple, tuple]:
     return latent_parent, tuple(obs_owner[v] for v in range(pic.num_vars))
 
 
-def evidence_rows(table_row: np.ndarray, family: str, num_states, x_col: np.ndarray, var: int = -1) -> np.ndarray:
-    """Per-point evidence log-likelihoods of one observable, shape (N, B).
-
-    table_row is that observable's (N, I) materialized parameter block;
-    x_col the batch column.  NaN marks a marginalized value (contributes 0).
-    """
-    n = table_row.shape[0]
-    b = len(x_col)
-    out = np.empty((n, b))
-    for j in range(n):
-        dist = InputDist(family, num_states=num_states, params=table_row[j])
-        out[j] = _input_log_prob(dist, var, x_col)
-    return out
-
-
 def streamed_loglik(pic: Circuit, rule: QuadratureRule, nets: ParamNets, x: np.ndarray) -> np.ndarray:
     """Batch log-likelihood without building the concrete circuit.
 
-    Regions are materialized latent by latent, consumed by the upward
-    message pass, and dropped immediately, so peak memory stays at one
-    (N, N) block plus the per-latent accumulators regardless of depth.
+    A thin caller of the latent-tree engine: evidence rows are produced
+    one observable at a time, and each latent's sum rows are materialized
+    inside ``contract`` and dropped right after, so peak memory stays at
+    one (N, N) block plus the per-latent accumulators regardless of depth.
     """
     latent_parent, obs_parent = pic_tree_maps(pic)
     x = np.asarray(x, dtype=np.float64)
     tape = Tape()
     pnodes = nets.register(tape)
-
     ip = materialize_input_params(nets, rule.points)
-    acc: list[np.ndarray | None] = [None] * len(latent_parent)
-    for j, p in enumerate(obs_parent):
-        rows = evidence_rows(ip.table[j], ip.family, ip.num_states, x[:, j], var=j)
-        acc[p] = rows if acc[p] is None else acc[p] + rows
+    obs_rows = (evidence_rows(ip.table[j], ip.family, ip.num_states, x[:, j], var=j) for j in range(len(obs_parent)))
 
-    children = [[] for _ in latent_parent]
-    root = None
-    for i, p in enumerate(latent_parent):
-        if p is None:
-            root = i
-        else:
-            children[p].append(i)
-    order = [root]
-    k = 0
-    while k < len(order):
-        order.extend(children[order[k]])
-        k += 1
-
-    for i in order[::-1]:
-        if acc[i] is None:
-            raise UnsupportedStructureError(f"latent {i} has no children")
+    def contract(i, acc):
         net = nets.energy[i]
-        s = sum_param_node(tape, net, nets.net_pnodes(net, pnodes), rule.points, rule.weights).data
-        up = _lse_matmul(s, acc[i])
-        acc[i] = None
-        p = latent_parent[i]
-        if p is None:
-            return up[0]
-        acc[p] = up if acc[p] is None else acc[p] + up
-    raise AssertionError("unreachable: root handled inside the loop")
+        return _lse_matmul(sum_param_node(tape, net, nets.net_pnodes(net, pnodes), rule.points, rule.weights).data, acc)
+
+    return upward_pass(latent_parent, obs_parent, obs_rows, contract)[0]

@@ -21,6 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node, Tape
 from .errors import SchemaError
+from .structures import top_down_order
 
 TWO_PI = 2.0 * np.pi
 
@@ -342,9 +343,23 @@ def load_checkpoint(path) -> ParamNets:
         _restore_net(net, rec)
         decoder_by_id[nid] = net
         decoder.append(net)
+    latent_parent = tuple(doc["latent_parent"])
+    obs_parent = tuple(doc["obs_parent"])
+    if len(latent_parent) != len(energy) or len(obs_parent) != len(decoder):
+        raise SchemaError(
+            f"checkpoint has {len(energy)} energy and {len(decoder)} decoder nets for "
+            f"{len(latent_parent)} latents and {len(obs_parent)} observables"
+        )
+    try:
+        top_down_order(latent_parent)
+        bad = [j for j, p in enumerate(obs_parent) if not 0 <= p < len(latent_parent)]
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"checkpoint tree maps: {e}") from e
+    if bad:
+        raise SchemaError(f"checkpoint tree maps: observable {bad[0]} has parent latent {obs_parent[bad[0]]} out of range")
     return ParamNets(
-        latent_parent=tuple(None if p is None else int(p) for p in doc["latent_parent"]),
-        obs_parent=tuple(doc["obs_parent"]),
+        latent_parent=latent_parent,
+        obs_parent=obs_parent,
         energy=energy,
         decoder=decoder,
         family=family,

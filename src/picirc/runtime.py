@@ -1,10 +1,13 @@
 """Numerically stable evaluation of materialized circuits.
 
 Everything here works in log space.  ``log_forward`` is the single-pass
-bottom-up evaluator over an explicit circuit; ``latent_tree_loglik`` is an
-equivalent fused evaluator for circuits in latent-tree tensor form (the
-shape produced by materialization), used where building the explicit unit
-graph would dominate runtime.  Marginalization uses NaN as the
+bottom-up evaluator over an explicit circuit.  Circuits in latent-tree
+tensor form (the shape produced by materialization) are evaluated by the
+one latent-tree engine, ``upward_pass``, fed by the one vectorized
+evidence kernel, ``evidence_rows``.  The engine only adds blocks and
+hands them to a per-latent ``contract`` callback, so it serves ndarrays
+here (``latent_tree_loglik``), streamed materialization and the tape
+paths of ``training`` alike.  Marginalization uses NaN as the
 "marginalized out" marker in evidence arrays.
 """
 
@@ -15,58 +18,57 @@ import time
 import numpy as np
 from scipy.special import gammaln
 
+from .autodiff import _logsumexp_data
 from .circuit import Circuit, post_order
 from .errors import NumericError, UnsupportedStructureError
+from .structures import top_down_order
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def _input_log_prob(dist, var: int, x: np.ndarray) -> np.ndarray:
-    """Log density/mass of one input distribution at evidence column x; NaN
-    entries are marginalized out and contribute log 1 = 0."""
-    observed = ~np.isnan(x)
-    out = np.zeros_like(x)
-    if not observed.any():
-        return out
-    xv = x[observed]
-    if dist.family == "categorical":
-        k = dist.num_states
-        xi = xv.astype(np.int64)
-        if np.any(xi != xv) or np.any((xi < 0) | (xi >= k)):
-            raise ValueError(
-                f"evidence for variable {var} outside categorical({k}) support"
-            )
-        out[observed] = dist.params[xi]
-    elif dist.family == "binomial":
-        k = dist.num_states
-        xi = xv.astype(np.int64)
-        if np.any(xi != xv) or np.any((xi < 0) | (xi > k)):
-            raise ValueError(
-                f"evidence for variable {var} outside binomial({k}) support"
-            )
-        p = dist.params[0]
-        out[observed] = (
-            gammaln(k + 1)
-            - gammaln(xi + 1)
-            - gammaln(k - xi + 1)
-            + xi * np.log(p)
-            + (k - xi) * np.log1p(-p)
-        )
-    else:
+def observed_evidence(family: str, num_states, x_col: np.ndarray, var=None) -> tuple[np.ndarray, np.ndarray]:
+    """Observed-cell mask of one evidence column and its checked values.
+
+    NaN marks a marginalized cell.  Observed values must lie in the
+    family's support: integers in [0, k) for categorical(k) and [0, k]
+    for binomial(k), returned as int64; finite reals for gaussian.
+    """
+    observed = ~np.isnan(x_col)
+    xv = x_col[observed]
+    where = "" if var is None else f" for variable {var}"
+    if family == "gaussian":
         if not np.isfinite(xv).all():
-            raise ValueError(f"evidence for variable {var} must be finite")
-        mu, log_sigma = dist.params
-        z = (xv - mu) * np.exp(-log_sigma)
-        out[observed] = -0.5 * z * z - log_sigma - 0.5 * LOG_2PI
+            raise ValueError(f"evidence{where} must be finite")
+        return observed, xv
+    k = num_states
+    xi = xv.astype(np.int64)
+    top = k if family == "binomial" else k - 1
+    if np.any(xi != xv) or np.any((xi < 0) | (xi > top)):
+        raise ValueError(f"evidence{where} outside {family}({k}) support")
+    return observed, xi
+
+
+def evidence_rows(table: np.ndarray, family: str, num_states, x_col: np.ndarray, var=None) -> np.ndarray:
+    """Evidence log-likelihoods of one observable under N parameter rows, (N, B).
+
+    table is the observable's (N, I) parameter block: log-probabilities
+    for categorical, the success probability for binomial, (mu, log sigma)
+    for gaussian.  x_col is the batch column; NaN cells are marginalized
+    out and contribute log 1 = 0.
+    """
+    observed, v = observed_evidence(family, num_states, x_col, var)
+    out = np.zeros((table.shape[0], len(x_col)))
+    if family == "categorical":
+        out[:, observed] = table[:, v]
+    elif family == "binomial":
+        k = num_states
+        p = table[:, :1]
+        out[:, observed] = gammaln(k + 1) - gammaln(v + 1) - gammaln(k - v + 1) + v * np.log(p) + (k - v) * np.log1p(-p)
+    else:
+        log_sigma = table[:, 1:2]
+        z = (v - table[:, :1]) * np.exp(-log_sigma)
+        out[:, observed] = -0.5 * z * z - log_sigma - 0.5 * LOG_2PI
     return out
-
-
-def _logsumexp_rows(stacked: np.ndarray) -> np.ndarray:
-    """logsumexp over axis 0; all-(-inf) columns give -inf, never NaN."""
-    m = stacked.max(axis=0)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(stacked - safe).sum(axis=0)) + np.where(np.isfinite(m), safe, m)
 
 
 def _check_concrete(qpc: Circuit) -> None:
@@ -89,12 +91,12 @@ def forward_values(qpc: Circuit, ev: np.ndarray, order=None) -> np.ndarray:
     for uid in order:
         u = qpc.units[uid]
         if u.kind == "input":
-            vals = _input_log_prob(u.dist, u.var, ev[:, u.var])
+            d = u.dist
+            vals = evidence_rows(d.params[None, :], d.family, d.num_states, ev[:, u.var], u.var)[0]
         elif u.kind == "product":
             vals = values[list(u.children)].sum(axis=0)
         else:
-            stacked = values[list(u.children)] + u.weights[:, None]
-            vals = _logsumexp_rows(stacked)
+            vals = _logsumexp_data(values[list(u.children)] + u.weights[:, None], 0, False)
         if np.isnan(vals).any() or np.isposinf(vals).any():
             raise NumericError(f"non-finite value at unit {uid}")
         values[uid] = vals
@@ -142,7 +144,7 @@ def sample_pc(qpc: Circuit, n: int, seed: int) -> np.ndarray:
     child_probs = {}
     for u in qpc.units:
         if u.kind == "sum":
-            p = np.exp(u.weights - _logsumexp_rows(u.weights[:, None])[0])
+            p = np.exp(u.weights - _logsumexp_data(u.weights, 0, False))
             child_probs[u.uid] = p / p.sum()
     for row in range(n):
         stack = [qpc.root]
@@ -186,8 +188,36 @@ def _lse_matmul(log_w: np.ndarray, log_v: np.ndarray) -> np.ndarray:
         return np.log(prod) + m1 + m2
 
 
+def upward_pass(latent_parent, obs_parent, obs_rows, contract):
+    """The latent-tree engine: one bottom-up message pass.
+
+    Adds each observable's evidence block obs_rows[j] into the
+    accumulator of its latent obs_parent[j], then visits the latents
+    children first: ``contract(i, acc)`` turns latent i's accumulated
+    (N_i, B) block into its (J, B) message, which is added into the
+    parent's accumulator.  Returns the root's message.  Blocks are only
+    added and handed on, so the same pass runs on ndarrays and on tape
+    nodes; obs_rows may be a generator.
+    """
+    order = top_down_order(latent_parent)
+    acc = [None] * len(latent_parent)
+    for j, (p, rows) in enumerate(zip(obs_parent, obs_rows, strict=True)):
+        if not 0 <= p < len(acc):
+            raise ValueError(f"observable {j}: parent latent {p} out of range")
+        acc[p] = rows if acc[p] is None else acc[p] + rows
+    for i in reversed(order):
+        if acc[i] is None:
+            raise ValueError(f"latent {i} has no children")
+        up = contract(i, acc[i])
+        acc[i] = None
+        p = latent_parent[i]
+        if p is None:
+            return up
+        acc[p] = up if acc[p] is None else acc[p] + up
+
+
 def latent_tree_loglik(latent_parent, obs_parent, sum_rows, obs_loglik) -> np.ndarray:
-    """Fused log-likelihood of a latent-tree circuit in tensor form.
+    """Fused log-likelihood (B,) of a latent-tree circuit in tensor form.
 
     sum_rows[i] is the (N_parent, N_i) log-weight matrix of latent i
     (row j: log of quadrature weight times conditional density at parent
@@ -195,32 +225,7 @@ def latent_tree_loglik(latent_parent, obs_parent, sum_rows, obs_loglik) -> np.nd
     (N_parent, B) per-point evidence log-likelihood of observable j.
     Equivalent to log_forward over the fully materialized circuit.
     """
-    n_latents = len(latent_parent)
-    roots = [i for i, p in enumerate(latent_parent) if p is None]
-    if len(roots) != 1:
-        raise ValueError("latent_parent must define exactly one root")
-    children = [[] for _ in range(n_latents)]
-    for i, p in enumerate(latent_parent):
-        if p is not None:
-            children[p].append(i)
-    order = [roots[0]]
-    i = 0
-    while i < len(order):
-        order.extend(children[order[i]])
-        i += 1
-
-    acc: list[np.ndarray | None] = [None] * n_latents
-    for j, p in enumerate(obs_parent):
-        acc[p] = obs_loglik[j] if acc[p] is None else acc[p] + obs_loglik[j]
-    for i in order[::-1]:
-        if acc[i] is None:
-            raise ValueError(f"latent {i} has no children")
-        up = _lse_matmul(sum_rows[i], acc[i])
-        p = latent_parent[i]
-        if p is None:
-            return up[0]
-        acc[p] = up if acc[p] is None else acc[p] + up
-    raise AssertionError("unreachable: root handled inside the loop")
+    return upward_pass(latent_parent, obs_parent, obs_loglik, lambda i, acc: _lse_matmul(sum_rows[i], acc))[0]
 
 
 def benchmark_eval(qpc: Circuit, batch: np.ndarray, iters: int) -> dict:

@@ -18,6 +18,36 @@ from .circuit import Circuit, CircuitBuilder, InputDist, _decode_cond, _encode_c
 from .errors import SchemaError
 
 
+def top_down_order(latent_parent) -> list[int]:
+    """Breadth-first latent order from the root, children in index order.
+
+    The one tree order of the package: reversed, it visits children before
+    parents.  Raises ValueError unless ``latent_parent`` is a single tree:
+    exactly one root, every parent index in range, every latent reached
+    from the root (an unreached latent sits on or below a cycle).
+    """
+    n = len(latent_parent)
+    roots = [i for i, p in enumerate(latent_parent) if p is None]
+    if len(roots) != 1:
+        raise ValueError(f"latent tree must have exactly one root, found {len(roots)}")
+    children: list[list[int]] = [[] for _ in range(n)]
+    for i, p in enumerate(latent_parent):
+        if p is None:
+            continue
+        if not 0 <= p < n:
+            raise ValueError(f"latent {i}: parent {p} out of range")
+        children[p].append(i)
+    order = roots
+    k = 0
+    while k < len(order):
+        order.extend(children[order[k]])
+        k += 1
+    if len(order) != n:
+        missing = min(set(range(n)) - set(order))
+        raise ValueError(f"latent parent map has a cycle: latent {missing} is not reachable from the root")
+    return order
+
+
 @dataclass(frozen=True)
 class LatentTree:
     """A tree-shaped model: latents form the skeleton, observables are leaves.
@@ -50,26 +80,11 @@ class LatentTree:
 
     @property
     def root(self) -> int:
-        roots = [i for i, p in enumerate(self.latent_parent) if p is None]
-        if len(roots) != 1:
-            raise ValueError(f"latent tree must have exactly one root, found {len(roots)}")
-        return roots[0]
+        return top_down_order(self.latent_parent)[0]
 
     def validate(self) -> None:
-        root = self.root
         n = self.num_latents
-        for i, p in enumerate(self.latent_parent):
-            if p is None:
-                continue
-            if not 0 <= p < n:
-                raise ValueError(f"latent {i}: parent {p} out of range")
-            steps = 0
-            k = i
-            while k is not None:
-                k = self.latent_parent[k]
-                steps += 1
-                if steps > n:
-                    raise ValueError(f"latent parent map has a cycle through {i}")
+        top_down_order(self.latent_parent)
         for j, p in enumerate(self.obs_parent):
             if not 0 <= p < n:
                 raise ValueError(f"observable {j}: parent latent {p} out of range")
@@ -82,15 +97,6 @@ class LatentTree:
         if self.num_latents != self.num_observables:
             return False
         return all(p == j for j, p in enumerate(self.obs_parent))
-
-    def elimination_order(self) -> list[int]:
-        """Default order: reverse breadth-first, children before parents."""
-        order = [self.root]
-        i = 0
-        while i < len(order):
-            order.extend(self.latent_children(order[i]))
-            i += 1
-        return order[::-1]
 
 
 def tree_to_json(tree: LatentTree) -> bytes:
@@ -270,7 +276,7 @@ def bn_to_pic(tree: LatentTree, order="default") -> Circuit:
     tree.validate()
     n = tree.num_latents
     if order == "default":
-        order = tree.elimination_order()
+        order = top_down_order(tree.latent_parent)[::-1]
     else:
         order = list(order)
         if sorted(order) != list(range(n)):

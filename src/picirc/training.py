@@ -9,8 +9,12 @@ The latent-tree baseline with free categorical parameters is trained
 either by mini-batch Expectation-Maximization on the explicit circuit or
 by Adam on log-softmax reparameterized tensors.
 
-Both share the cosine-annealed step size with warm restarts and
-best-validation early stopping.
+Both tape losses (``batch_loglik_node`` and ``hclt_adam_step``) are thin
+callers of the latent-tree engine, ``runtime.upward_pass``; the
+unit-by-unit ``unitwise_loglik_node`` stays independent of it as the
+test oracle.  ``train_pic`` and ``train_hclt_adam`` share one mini-batch
+loop with the cosine-annealed step size and best-validation early
+stopping; ``train_hclt_em`` keeps its own loop.
 """
 
 from __future__ import annotations
@@ -21,20 +25,14 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import autodiff as ad
-from .autodiff import Node, Tape
+from .autodiff import Node, Tape, _logsumexp_data
 from .circuit import Circuit, CircuitBuilder, InputDist, post_order
 from .errors import NumericError
-from .materialize import (
-    evidence_rows,
-    input_param_node,
-    materialize_input_params,
-    materialize_sum_params,
-    sum_param_node,
-)
+from .materialize import input_param_node, materialize_input_params, materialize_sum_params, sum_param_node
 from .nets import ParamNets
 from .quadrature import QuadratureRule, make_rule
-from .runtime import LOG_2PI, bpd, forward_values, latent_tree_loglik
-from .structures import LatentTree
+from .runtime import LOG_2PI, bpd, evidence_rows, forward_values, latent_tree_loglik, observed_evidence, upward_pass
+from .structures import LatentTree, top_down_order
 
 
 @dataclass
@@ -124,17 +122,12 @@ def evidence_node(tape: Tape, table: Node, family: str, num_states, x_col: np.nd
     """
     if np.isnan(x_col).any():
         raise ValueError("training evidence must be fully observed")
+    _, v = observed_evidence(family, num_states, x_col)
     if family == "categorical":
-        idx = x_col.astype(np.int64)
-        if np.any(idx != x_col) or idx.min() < 0 or idx.max() >= num_states:
-            raise ValueError(f"evidence outside categorical({num_states}) support")
-        return ad.gather(table, idx, axis=1)
+        return ad.gather(table, v, axis=1)
     if family == "binomial":
         k = num_states
-        idx = x_col.astype(np.int64)
-        if np.any(idx != x_col) or idx.min() < 0 or idx.max() > k:
-            raise ValueError(f"evidence outside binomial({k}) support")
-        comb = gammaln(k + 1) - gammaln(idx + 1) - gammaln(k - idx + 1)
+        comb = gammaln(k + 1) - gammaln(v + 1) - gammaln(k - v + 1)
         xs = tape.const(x_col[None, :])
         ks = tape.const((k - x_col)[None, :])
         return tape.const(comb[None, :]) + xs * ad.log(table) + ks * ad.log(tape.const(1.0) - table)
@@ -144,47 +137,24 @@ def evidence_node(tape: Tape, table: Node, family: str, num_states, x_col: np.nd
     return tape.const(-0.5) * z * z - log_sigma - tape.const(0.5 * LOG_2PI)
 
 
-def _traversal(latent_parent) -> list[int]:
-    children = [[] for _ in latent_parent]
-    root = None
-    for i, p in enumerate(latent_parent):
-        if p is None:
-            root = i
-        else:
-            children[p].append(i)
-    order = [root]
-    k = 0
-    while k < len(order):
-        order.extend(children[order[k]])
-        k += 1
-    return order
-
-
 def batch_loglik_node(tape: Tape, nets: ParamNets, pnodes, rule: QuadratureRule, x: np.ndarray) -> Node:
     """Batch log-likelihood (B,) through the circuit materialized on the tape.
 
-    Region by region: each latent's sum rows and each observable's
-    parameter block exist only as tape nodes; the upward pass consumes
-    them immediately (the concrete circuit is never assembled).
+    A thin caller of the latent-tree engine: each observable's parameter
+    block and each latent's sum rows exist only as tape nodes, and the
+    engine consumes them region by region (the concrete circuit is never
+    assembled).
     """
-    acc: list[Node | None] = [None] * len(nets.latent_parent)
-    for j, p in enumerate(nets.obs_parent):
-        net = nets.decoder[j]
-        table = input_param_node(tape, net, nets.net_pnodes(net, pnodes), rule.points)
-        rows = evidence_node(tape, table, nets.family, nets.num_states, x[:, j])
-        acc[p] = rows if acc[p] is None else acc[p] + rows
+    obs_rows = [
+        evidence_node(tape, input_param_node(tape, net, nets.net_pnodes(net, pnodes), rule.points), nets.family, nets.num_states, x[:, j])
+        for j, net in enumerate(nets.decoder)
+    ]
 
-    for i in _traversal(nets.latent_parent)[::-1]:
-        if acc[i] is None:
-            raise ValueError(f"latent {i} has no children")
+    def contract(i, acc):
         net = nets.energy[i]
-        s = sum_param_node(tape, net, nets.net_pnodes(net, pnodes), rule.points, rule.weights)
-        up = lse_matmul_node(tape, s, acc[i])
-        p = nets.latent_parent[i]
-        if p is None:
-            return ad.reshape(up, (x.shape[0],))
-        acc[p] = up if acc[p] is None else acc[p] + up
-    raise AssertionError("unreachable: root handled inside the loop")
+        return lse_matmul_node(tape, sum_param_node(tape, net, nets.net_pnodes(net, pnodes), rule.points, rule.weights), acc)
+
+    return ad.reshape(upward_pass(nets.latent_parent, nets.obs_parent, obs_rows, contract), (x.shape[0],))
 
 
 def _row(node: Node, j: int) -> Node:
@@ -295,23 +265,20 @@ def dataset_nll(nets: ParamNets, rule: QuadratureRule, x: np.ndarray, chunk: int
     return float(-total / len(x))
 
 
-def train_pic(nets: ParamNets, train_x: np.ndarray, valid_x: np.ndarray, config: TrainConfig) -> TrainResult:
-    """Mini-batch gradient training with periodic validation and early stop.
+def _fit(opt: Adam, take_step, valid_nll, train_x: np.ndarray, config: TrainConfig) -> TrainResult:
+    """The mini-batch loop shared by train_pic and train_hclt_adam.
 
-    Keeps the best-validation parameter snapshot and restores it into the
-    nets before returning.  History rows: step, lr, mean train NLL since
-    the previous evaluation, validation bpd.  Training stops once the
-    validation NLL has not improved for ``patience`` steps (checked at
-    each evaluation) or at max_steps.
+    ``take_step(batch)`` takes one optimizer step and returns the batch mean
+    NLL; ``valid_nll()`` scores the current parameters.  History rows:
+    step, lr, mean train NLL since the previous evaluation, validation
+    bpd.  Training stops once the validation NLL has not improved for
+    ``patience`` steps (checked at each evaluation) or at max_steps; the
+    best-validation snapshot is then copied back into ``opt.params``.
     """
-    config.validate()
-    rule = make_rule(config.rule_kind, config.n, -1.0, 1.0)
-    opt = Adam(nets.param_arrays(), config)
     rng = np.random.default_rng(config.seed)
     num_vars = train_x.shape[1]
-
-    best_nll = dataset_nll(nets, rule, valid_x)
-    best_params = {k: v.copy() for k, v in nets.param_arrays().items()}
+    best_nll = valid_nll()
+    best_params = {k: v.copy() for k, v in opt.params.items()}
     best_step = 0
     history = [
         {"step": 0, "lr": lr_schedule(0, config), "train_nll": float("nan"), "valid_bpd": float(bpd(-best_nll, num_vars))}
@@ -324,12 +291,11 @@ def train_pic(nets: ParamNets, train_x: np.ndarray, valid_x: np.ndarray, config:
         if cursor + config.batch_size > len(train_x):
             perm = rng.permutation(len(train_x))
             cursor = 0
-        batch = train_x[perm[cursor : cursor + config.batch_size]]
+        window.append(take_step(train_x[perm[cursor : cursor + config.batch_size]]))
         cursor += config.batch_size
-        window.append(train_pic_step(nets, batch, rule, opt))
         steps_run = step
         if step % config.eval_interval == 0:
-            nll = dataset_nll(nets, rule, valid_x)
+            nll = valid_nll()
             history.append(
                 {
                     "step": step,
@@ -341,12 +307,25 @@ def train_pic(nets: ParamNets, train_x: np.ndarray, valid_x: np.ndarray, config:
             window = []
             if nll < best_nll:
                 best_nll = nll
-                best_params = {k: v.copy() for k, v in nets.param_arrays().items()}
+                best_params = {k: v.copy() for k, v in opt.params.items()}
                 best_step = step
             elif step - best_step >= config.patience:
                 break
-    nets.apply_params(best_params)
+    for k, v in best_params.items():
+        opt.params[k][...] = v
     return TrainResult(params=best_params, history=history, best_valid_nll=best_nll, steps=steps_run)
+
+
+def train_pic(nets: ParamNets, train_x: np.ndarray, valid_x: np.ndarray, config: TrainConfig) -> TrainResult:
+    """Mini-batch gradient training of the nets with periodic validation.
+
+    Runs the shared loop (see ``_fit``) with ``train_pic_step`` and
+    ``dataset_nll``; the best-validation parameters end up in the nets.
+    """
+    config.validate()
+    rule = make_rule(config.rule_kind, config.n, -1.0, 1.0)
+    opt = Adam(nets.param_arrays(), config)
+    return _fit(opt, lambda batch: train_pic_step(nets, batch, rule, opt), lambda: dataset_nll(nets, rule, valid_x), train_x, config)
 
 
 def copy_circuit(pc: Circuit) -> Circuit:
@@ -392,18 +371,13 @@ def em_step(pc: Circuit, batch: np.ndarray, eta: float) -> float:
         if total <= 0.0:
             continue
         u = pc.units[uid]
-        theta = np.exp(u.weights - _log_norm(u.weights))
+        theta = np.exp(u.weights - _logsumexp_data(u.weights, None, False))
         theta = (1.0 - eta) * theta + eta * (cnt / total)
         with np.errstate(divide="ignore"):
             w = np.log(theta)
         w.setflags(write=False)
         pc.units[uid] = replace(u, weights=w)
     return float(values[pc.root].mean())
-
-
-def _log_norm(w: np.ndarray) -> float:
-    m = w.max()
-    return m + np.log(np.exp(w - m).sum())
 
 
 def train_hclt_em(pc: Circuit, data: np.ndarray, config: TrainConfig, valid_x: np.ndarray | None = None, step_size: float | None = None):
@@ -492,18 +466,13 @@ class HcltTensors:
 
     def _squash_input(self, raw: np.ndarray) -> np.ndarray:
         if self.family == "categorical":
-            m = raw.max(axis=1, keepdims=True)
-            return raw - (m + np.log(np.exp(raw - m).sum(axis=1, keepdims=True)))
+            return raw - _logsumexp_data(raw, 1, True)
         if self.family == "binomial":
             return np.where(raw >= 0, 1.0 / (1.0 + np.exp(-raw)), np.exp(raw) / (1.0 + np.exp(raw)))
         return raw
 
     def sum_rows(self) -> list[np.ndarray]:
-        rows = []
-        for logits in self.sum_logits:
-            m = logits.max(axis=1, keepdims=True)
-            rows.append(logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))))
-        return rows
+        return [logits - _logsumexp_data(logits, 1, True) for logits in self.sum_logits]
 
     def loglik(self, x: np.ndarray) -> np.ndarray:
         obs_rows = [
@@ -525,7 +494,7 @@ class HcltTensors:
             pending[p].append(region)
         rows = self.sum_rows()
         root_unit = None
-        for i in _traversal(self.latent_parent)[::-1]:
+        for i in top_down_order(self.latent_parent)[::-1]:
             groups = pending[i]
             if not groups:
                 raise ValueError(f"latent {i} has no children")
@@ -544,11 +513,14 @@ class HcltTensors:
 
 
 def hclt_adam_step(tensors: HcltTensors, batch: np.ndarray, opt: Adam) -> float:
-    """One Adam step on the log-softmax reparameterized tensors."""
+    """One Adam step on the log-softmax reparameterized tensors.
+
+    A thin caller of the latent-tree engine on a fresh tape.
+    """
     tape = Tape()
     pnodes = {k: tape.param(k, v) for k, v in tensors.param_arrays().items()}
-    acc: list[Node | None] = [None] * len(tensors.latent_parent)
-    for j, p in enumerate(tensors.obs_parent):
+    obs_rows = []
+    for j in range(len(tensors.obs_parent)):
         raw = pnodes[f"i{j}"]
         if tensors.family == "categorical":
             table = raw - ad.logsumexp(raw, axis=1, keepdims=True)
@@ -556,17 +528,13 @@ def hclt_adam_step(tensors: HcltTensors, batch: np.ndarray, opt: Adam) -> float:
             table = ad.sigmoid(raw)
         else:
             table = raw
-        rows = evidence_node(tape, table, tensors.family, tensors.num_states, batch[:, j])
-        acc[p] = rows if acc[p] is None else acc[p] + rows
-    for i in _traversal(tensors.latent_parent)[::-1]:
+        obs_rows.append(evidence_node(tape, table, tensors.family, tensors.num_states, batch[:, j]))
+
+    def contract(i, acc):
         logits = pnodes[f"s{i}"]
-        s = logits - ad.logsumexp(logits, axis=1, keepdims=True)
-        up = lse_matmul_node(tape, s, acc[i])
-        p = tensors.latent_parent[i]
-        if p is None:
-            loglik = ad.reshape(up, (batch.shape[0],))
-            break
-        acc[p] = up if acc[p] is None else acc[p] + up
+        return lse_matmul_node(tape, logits - ad.logsumexp(logits, axis=1, keepdims=True), acc)
+
+    loglik = ad.reshape(upward_pass(tensors.latent_parent, tensors.obs_parent, obs_rows, contract), (batch.shape[0],))
     loss = ad.neg(ad.mean(loglik))
     grads = tape.backward(loss)
     opt.step(grads)
@@ -574,47 +542,7 @@ def hclt_adam_step(tensors: HcltTensors, batch: np.ndarray, opt: Adam) -> float:
 
 
 def train_hclt_adam(tensors: HcltTensors, train_x: np.ndarray, valid_x: np.ndarray, config: TrainConfig) -> TrainResult:
-    """Adam training of the free-tensor baseline; mirrors train_pic."""
+    """Adam training of the free-tensor baseline: the loop of train_pic."""
     config.validate()
     opt = Adam(tensors.param_arrays(), config)
-    rng = np.random.default_rng(config.seed)
-    num_vars = train_x.shape[1]
-    best_nll = float(-tensors.loglik(valid_x).mean())
-    best_params = {k: v.copy() for k, v in tensors.param_arrays().items()}
-    best_step = 0
-    history = [
-        {"step": 0, "lr": lr_schedule(0, config), "train_nll": float("nan"), "valid_bpd": float(bpd(-best_nll, num_vars))}
-    ]
-    perm = rng.permutation(len(train_x))
-    cursor = 0
-    window: list[float] = []
-    steps_run = 0
-    for step in range(1, config.max_steps + 1):
-        if cursor + config.batch_size > len(train_x):
-            perm = rng.permutation(len(train_x))
-            cursor = 0
-        batch = train_x[perm[cursor : cursor + config.batch_size]]
-        cursor += config.batch_size
-        window.append(hclt_adam_step(tensors, batch, opt))
-        steps_run = step
-        if step % config.eval_interval == 0:
-            nll = float(-tensors.loglik(valid_x).mean())
-            history.append(
-                {
-                    "step": step,
-                    "lr": lr_schedule(step, config),
-                    "train_nll": float(np.mean(window)),
-                    "valid_bpd": float(bpd(-nll, num_vars)),
-                }
-            )
-            window = []
-            if nll < best_nll:
-                best_nll = nll
-                best_params = {k: v.copy() for k, v in tensors.param_arrays().items()}
-                best_step = step
-            elif step - best_step >= config.patience:
-                break
-    live = tensors.param_arrays()
-    for k, v in best_params.items():
-        live[k][...] = v
-    return TrainResult(params=best_params, history=history, best_valid_nll=best_nll, steps=steps_run)
+    return _fit(opt, lambda batch: hclt_adam_step(tensors, batch, opt), lambda: float(-tensors.loglik(valid_x).mean()), train_x, config)

@@ -400,18 +400,39 @@ class TestMaterializeNested:
             materialize_nested(qpc, constant_selector(rule), nets=nets)
 
 
+def family_data(family, k, rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    if family == "gaussian":
+        return rng.normal(0.0, 1.5, (rows, cols))
+    top = k if family == "binomial" else k - 1
+    return rng.integers(0, top + 1, (rows, cols)).astype(np.float64)
+
+
+FAMILY_STATES = [("categorical", 4), ("binomial", 5), ("gaussian", None)]
+
+
 class TestStreamedLoglik:
-    def test_matches_explicit_circuit(self):
-        tree = neural_tree((None, 0, 0), (0, 1, 1, 2), k=4)
+    @pytest.mark.parametrize("family, k", FAMILY_STATES)
+    def test_matches_explicit_circuit(self, family, k):
+        tree = neural_tree((None, 0, 0), (0, 1, 1, 2), family=family, k=k)
         pic = bn_to_pic(tree)
-        nets = small_nets(tree, k=4, seed=30)
+        nets = small_nets(tree, family=family, k=k, seed=30)
         rule = make_rule("trapezoidal", 8, -1.0, 1.0)
         qpc = materialize_qpc(pic, rule, tensors_for(nets, rule))
-        rng = np.random.default_rng(3)
-        x = rng.integers(0, 4, (40, 4)).astype(np.float64)
+        x = family_data(family, k, 40, 4, 3)
+        x[np.random.default_rng(4).random(x.shape) < 0.25] = np.nan
         np.testing.assert_allclose(
             streamed_loglik(pic, rule, nets, x), log_forward(qpc, x), rtol=1e-10, atol=1e-10
         )
+
+    @pytest.mark.parametrize("family, k, value", [("categorical", 4, 4.0), ("binomial", 5, 2.5), ("gaussian", None, np.inf)])
+    def test_out_of_support_evidence_raises(self, family, k, value):
+        tree = neural_tree((None, 0), (0, 1), family=family, k=k)
+        nets = small_nets(tree, family=family, k=k, seed=31)
+        x = family_data(family, k, 3, 2, 5)
+        x[1, 1] = value
+        with pytest.raises(ValueError, match="variable 1"):
+            streamed_loglik(bn_to_pic(tree), make_rule("trapezoidal", 4, -1.0, 1.0), nets, x)
 
     def test_tree_maps_recovered_from_circuit(self):
         tree = neural_tree((None, 0, 0), (0, 1, 1, 2), k=4)

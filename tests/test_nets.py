@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,25 @@ class TestCheckpoints:
         wrong.write_text('{"format": "something-else"}')
         with pytest.raises(SchemaError, match="format"):
             load_checkpoint(wrong)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("latent_parent", [None, 3, 1, 2], "not reachable"),
+            ("latent_parent", [None, 0, 0, 7], "out of range"),
+            ("latent_parent", [None, 0, 0], "4 energy and 4 decoder nets for 3 latents"),
+            ("obs_parent", [0, 1, 2, 4], "observable 3 has parent latent 4"),
+        ],
+    )
+    def test_rejects_malformed_tree_maps(self, tmp_path, field, value, message):
+        nets = ParamNets.for_tree(small_tree(), "binomial", num_frequencies=4, hidden=(8, 8), seed=16)
+        path = tmp_path / "nets.json"
+        save_checkpoint(nets, path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=message):
+            load_checkpoint(path)
 
     def test_apply_params_overwrites_in_place(self):
         nets = ParamNets.for_tree(small_tree(), "binomial", num_frequencies=4, hidden=(8, 8), seed=15)

@@ -8,7 +8,7 @@ from scipy import stats
 
 from picirc.circuit import Circuit, CircuitBuilder, InputDist, Unit
 from picirc.errors import UnsupportedStructureError
-from picirc.runtime import benchmark_eval, bpd, log_forward, marginal, sample_pc
+from picirc.runtime import benchmark_eval, bpd, evidence_rows, latent_tree_loglik, log_forward, marginal, sample_pc
 
 
 def cat(probs):
@@ -93,6 +93,26 @@ class TestLogForward:
         want = stats.binom(7, 0.3).logpmf(4) + stats.norm(0.5, 1.3).logpdf(-0.2)
         assert log_forward(c, x) == pytest.approx(want, abs=1e-12)
 
+        # The same kernel on an (N, B) block of parameter rows, NaN cells marginalized.
+        rng = np.random.default_rng(8)
+        p = rng.uniform(0.05, 0.95, (5, 1))
+        counts = np.array([0.0, 3.0, np.nan, 7.0, 5.0, np.nan])
+        got = evidence_rows(p, "binomial", 7, counts, var=0)
+        assert got.shape == (5, 6)
+        seen = ~np.isnan(counts)
+        np.testing.assert_allclose(got[:, seen], stats.binom(7, p).logpmf(counts[seen]), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(got[:, ~seen], 0.0)
+        # Row by row, as log_forward calls it, the kernel gives the same bits.
+        np.testing.assert_array_equal(got, np.vstack([evidence_rows(p[j : j + 1], "binomial", 7, counts) for j in range(5)]))
+        mu_logsigma = np.column_stack([rng.normal(0, 1, 5), rng.normal(0, 0.5, 5)])
+        reals = np.array([np.nan, -0.2, 1.7, np.nan, 3.1, -2.5])
+        got = evidence_rows(mu_logsigma, "gaussian", None, reals, var=1)
+        seen = ~np.isnan(reals)
+        want = stats.norm(mu_logsigma[:, :1], np.exp(mu_logsigma[:, 1:])).logpdf(reals[seen])
+        np.testing.assert_allclose(got[:, seen], want, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(got[:, ~seen], 0.0)
+        np.testing.assert_array_equal(got, np.vstack([evidence_rows(mu_logsigma[j : j + 1], "gaussian", None, reals) for j in range(5)]))
+
     def test_zero_probability_gives_neg_inf(self):
         b = CircuitBuilder()
         b.add_input(0, cat([1.0, 0.0]))
@@ -141,6 +161,35 @@ class TestLogForward:
         c = b.finish()
         with pytest.raises(UnsupportedStructureError, match="materialize"):
             log_forward(c, np.array([0.0]))
+
+
+def tree_tensors(latent_parent, obs_parent):
+    """Random sum rows and evidence blocks (3 points, 4 rows) for latent_tree_loglik."""
+    rng = np.random.default_rng(0)
+    sum_rows = [rng.normal(size=(1 if p is None else 3, 3)) for p in latent_parent]
+    obs = [rng.normal(size=(3, 4)) for _ in obs_parent]
+    return sum_rows, obs
+
+
+class TestLatentTreeLoglik:
+    @pytest.mark.parametrize(
+        "latent_parent, obs_parent, message",
+        [
+            ((None, 2, 1), (0, 1, 2), "latent 1 is not reachable"),
+            ((None, 5, 0), (0, 1, 2), "parent 5 out of range"),
+            ((None, 0, 0), (0, 1, 3), "observable 2: parent latent 3 out of range"),
+            ((None, 0, 0), (0, 1, -1), "observable 2: parent latent -1 out of range"),
+        ],
+    )
+    def test_malformed_maps_raise(self, latent_parent, obs_parent, message):
+        sum_rows, obs = tree_tensors(latent_parent, obs_parent)
+        with pytest.raises(ValueError, match=message):
+            latent_tree_loglik(latent_parent, obs_parent, sum_rows, obs)
+
+    def test_evidence_list_must_match_observables(self):
+        sum_rows, obs = tree_tensors((None,), (0, 0))
+        with pytest.raises(ValueError):
+            latent_tree_loglik((None,), (0, 0), sum_rows, obs[:1])
 
 
 class TestMarginal:

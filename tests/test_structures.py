@@ -13,6 +13,7 @@ from picirc.structures import (
     hclt_structure,
     max_spanning_tree,
     mutual_information,
+    top_down_order,
     tree_from_json,
     tree_to_json,
 )
@@ -166,6 +167,33 @@ def fig_c1_tree():
         latent_cond=(lg(), lg(), lg(), lg()),
         obs_cond=(obs(), obs(), obs(), obs()),
     )
+
+
+class TestTopDownOrder:
+    def test_breadth_first_children_in_index_order(self):
+        assert top_down_order((3, 3, 0, None, 2)) == [3, 0, 1, 2, 4]
+        assert top_down_order((None,)) == [0]
+
+    @pytest.mark.parametrize(
+        "latent_parent, message",
+        [
+            ((0, 1), "exactly one root, found 0"),
+            ((None, None), "exactly one root, found 2"),
+            ((None, 2), "parent 2 out of range"),
+            ((None, -1), "parent -1 out of range"),
+            ((None, 2, 1), "latent 1 is not reachable"),
+            ((None, 0, 3, 2, 3), "latent 2 is not reachable"),
+        ],
+    )
+    def test_malformed_maps_raise(self, latent_parent, message):
+        with pytest.raises(ValueError, match=message):
+            top_down_order(latent_parent)
+
+    def test_tree_validate_rejects_cycles(self):
+        tree = fig_c1_tree()
+        cyclic = LatentTree((None, 3, 0, 1), tree.obs_parent, tree.latent_cond, tree.obs_cond)
+        with pytest.raises(ValueError, match="cycle"):
+            cyclic.validate()
 
 
 class TestBnToPic:

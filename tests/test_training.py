@@ -5,9 +5,10 @@ import picirc.autodiff as ad
 from picirc.autodiff import Tape
 from picirc.circuit import CircuitBuilder, InputDist
 from picirc.errors import NumericError
+from picirc.materialize import streamed_loglik
 from picirc.nets import ParamNets, load_checkpoint, save_checkpoint
 from picirc.quadrature import make_rule
-from picirc.runtime import log_forward
+from picirc.runtime import latent_tree_loglik, log_forward
 from picirc.structures import LatentTree, bn_to_pic
 from picirc.training import (
     Adam,
@@ -42,10 +43,18 @@ def neural_tree(latent_parent, obs_parent, family="categorical", k=3):
     )
 
 
-def small_nets(tree, k=3, seed=0):
+def small_nets(tree, k=3, seed=0, family="categorical"):
     return ParamNets.for_tree(
-        tree, "categorical", num_states=k, num_frequencies=2, hidden=(6, 6), decoder_hidden=(6,), seed=seed
+        tree, family, num_states=k, num_frequencies=2, hidden=(6, 6), decoder_hidden=(6,), seed=seed
     )
+
+
+def family_data(family, k, rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    if family == "gaussian":
+        return rng.normal(0.0, 1.5, (rows, cols))
+    top = k if family == "binomial" else k - 1
+    return rng.integers(0, top + 1, (rows, cols)).astype(float)
 
 
 def two_component_mixture(prior=(0.3, 0.7)):
@@ -160,11 +169,12 @@ class TestPicStep:
             np.testing.assert_array_equal(arrays[k], snapshot[k])
         assert opt.t == 0
 
-    def test_region_and_unitwise_paths_agree(self):
-        tree = neural_tree((None, 0), (0, 1, 1))
-        nets = small_nets(tree, seed=1)
+    @pytest.mark.parametrize("family, k", [("categorical", 3), ("binomial", 4), ("gaussian", None)])
+    def test_region_and_unitwise_paths_agree(self, family, k):
+        tree = neural_tree((None, 0), (0, 1, 1), family=family, k=k)
+        nets = small_nets(tree, k=k, seed=1, family=family)
         rule = make_rule("trapezoidal", 5, -1.0, 1.0)
-        x = np.random.default_rng(0).integers(0, 3, size=(8, 3)).astype(float)
+        x = family_data(family, k, 8, 3, 0)
 
         tape_a = Tape()
         nodes_a = nets.register(tape_a)
@@ -181,6 +191,56 @@ class TestPicStep:
         assert grads_a.keys() == grads_b.keys()
         for k in grads_a:
             np.testing.assert_allclose(grads_a[k], grads_b[k], rtol=0, atol=1e-12)
+
+
+def childless_latent_pic():
+    """Symbolic circuit whose tree maps are ((None, 0, 0), (0, 2)): latent 1,
+    recorded as a child of 0, holds only latent 2, which names 0 as parent."""
+    b = CircuitBuilder()
+    obs = [
+        b.add_input(j, InputDist("categorical", num_states=3, conditional={"type": "neural", "net": j, "family": "categorical", "k": 3}))
+        for j in range(2)
+    ]
+    z2 = b.add_integral(obs[1], var=2, parent=0, cond=NEURAL)
+    z1 = b.add_integral(z2, var=1, parent=0, cond=NEURAL)
+    return b.finish(root=b.add_integral(b.add_product([obs[0], z1]), var=0, parent=None, cond=NEURAL))
+
+
+def engine_callers(tree, x):
+    """Every caller of the latent-tree engine, as a thunk over the same tree maps.
+
+    streamed_loglik reads its maps from a circuit; only childless_latent_pic
+    has the childless tree's maps, so that caller serves that tree alone.
+    """
+    rule = make_rule("trapezoidal", 4, -1.0, 1.0)
+    nets = small_nets(tree, seed=2)
+    tensors = HcltTensors.random(tree, 4, "categorical", 3, seed=2)
+    tape = Tape()
+    obs_rows = [np.zeros((4, len(x))) for _ in tree.obs_parent]
+    return {
+        "latent_tree_loglik": lambda: latent_tree_loglik(tree.latent_parent, tree.obs_parent, tensors.sum_rows(), obs_rows),
+        "streamed_loglik": lambda: streamed_loglik(childless_latent_pic(), rule, nets, x),
+        "batch_loglik_node": lambda: batch_loglik_node(tape, nets, nets.register(tape), rule, x),
+        "dataset_nll": lambda: dataset_nll(nets, rule, x),
+        "hclt_adam_step": lambda: hclt_adam_step(tensors, x, Adam(tensors.param_arrays(), TrainConfig())),
+        "loglik": lambda: tensors.loglik(x),
+    }
+
+
+class TestEngineCallers:
+    @pytest.mark.parametrize("caller", ["latent_tree_loglik", "streamed_loglik", "batch_loglik_node", "dataset_nll", "hclt_adam_step", "loglik"])
+    def test_childless_latent_raises_value_error(self, caller):
+        tree = neural_tree((None, 0, 0), (0, 2))
+        thunk = engine_callers(tree, np.zeros((3, 2)))[caller]
+        with pytest.raises(ValueError, match="latent 1 has no children"):
+            thunk()
+
+    @pytest.mark.parametrize("caller", ["dataset_nll", "batch_loglik_node", "hclt_adam_step", "loglik"])
+    def test_out_of_support_evidence_raises(self, caller):
+        tree = neural_tree((None, 0), (0, 1))
+        thunk = engine_callers(tree, np.array([[0.0, 1.0], [2.0, 3.0]]))[caller]
+        with pytest.raises(ValueError, match=r"categorical\(3\) support"):
+            thunk()
 
 
 class TestTrainPic:
