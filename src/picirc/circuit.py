@@ -27,6 +27,36 @@ KINDS = ("input", "sum", "product", "integral")
 FAMILIES = ("categorical", "binomial", "gaussian")
 
 
+def param_width(family: str, num_states=None) -> int:
+    """Parameter count of one input distribution of a family.
+
+    k log-probabilities for categorical(k), one success probability for
+    binomial(k), (mean, log stddev) for gaussian.  An unknown family, or
+    a discrete family without a positive integer state count, raises
+    ValueError.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown input family {family!r}")
+    if family == "gaussian":
+        return 2
+    if not isinstance(num_states, (int, np.integer)) or num_states < 1:
+        raise ValueError(f"{family} needs a positive state count")
+    return num_states if family == "categorical" else 1
+
+
+def in_support(family: str, num_states, x: np.ndarray) -> np.ndarray:
+    """Elementwise test that values lie in a family's support.
+
+    The integers 0..k-1 for categorical(k), 0..k for binomial(k), any
+    finite real for gaussian; NaN is outside.  Only float comparisons are
+    used, so an infinite or huge value is rejected, never overflowed.
+    """
+    if family == "gaussian":
+        return np.isfinite(x)
+    top = num_states - 1 if family == "categorical" else num_states
+    return (x == np.floor(x)) & (x >= 0) & (x <= top)
+
+
 @dataclass(frozen=True, eq=False)
 class InputDist:
     """Distribution descriptor for an input unit.
@@ -49,28 +79,25 @@ class InputDist:
         return self.params is None
 
     def validate(self) -> None:
-        if self.family not in FAMILIES:
-            raise CircuitError(f"unknown input family {self.family!r}")
-        if self.family in ("categorical", "binomial"):
-            if self.num_states is None or self.num_states < 1:
-                raise CircuitError(f"{self.family} needs a positive state count")
+        try:
+            width = param_width(self.family, self.num_states)
+        except ValueError as e:
+            raise CircuitError(str(e)) from None
         if (self.params is None) == (self.conditional is None):
             raise CircuitError("input dist needs exactly one of params / conditional")
         if self.params is None:
             return
         p = self.params
+        if p.shape != (width,):
+            raise CircuitError(f"{self.family} needs {width} parameters, got shape {p.shape}")
         if self.family == "categorical":
-            if p.shape != (self.num_states,):
-                raise CircuitError(f"categorical({self.num_states}) needs {self.num_states} log-probs")
             mass = np.exp(p).sum()
             if abs(mass - 1.0) > 1e-9:
                 raise CircuitError(f"categorical log-probs sum to {mass}, not 1")
-        elif self.family == "binomial":
-            if p.shape != (1,) or not (0.0 < p[0] < 1.0):
-                raise CircuitError("binomial needs one success probability in (0, 1)")
-        else:
-            if p.shape != (2,) or not np.isfinite(p).all():
-                raise CircuitError("gaussian needs finite (mean, log stddev)")
+        elif self.family == "binomial" and not 0.0 < p[0] < 1.0:
+            raise CircuitError("binomial needs one success probability in (0, 1)")
+        elif self.family == "gaussian" and not np.isfinite(p).all():
+            raise CircuitError("gaussian needs finite (mean, log stddev)")
 
 
 @dataclass(frozen=True, eq=False)

@@ -276,13 +276,10 @@ def _cmd_bench(args) -> int:
 
 
 def build_parser() -> _Parser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--threads", type=int, default=None, help="worker cap (default: PICIRC_THREADS or 1)")
-
     parser = _Parser(prog="picirc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("gen-gaussian", parents=[shared], help="sample a random linear-Gaussian tree model to CSV")
+    p = sub.add_parser("gen-gaussian", help="sample a random linear-Gaussian tree model to CSV")
     p.add_argument("--nodes", type=int, default=16)
     p.add_argument("--rows", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
@@ -290,29 +287,30 @@ def build_parser() -> _Parser:
     p.add_argument("--model-out", help="also write the generating tree as LatentTree JSON")
     p.set_defaults(func=_cmd_gen_gaussian)
 
-    p = sub.add_parser("sanity-check", parents=[shared], help="exact-vs-quadrature MSE grid over random models")
+    p = sub.add_parser("sanity-check", help="exact-vs-quadrature MSE grid over random models")
     p.add_argument("--nodes", type=int, default=16)
     p.add_argument("--models", type=int, default=20)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--n-list", default="32,64,128,256,512")
     p.add_argument("--rule", choices=RULES, default="trapezoidal")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threads", type=int, default=None, help="worker cap (default: PICIRC_THREADS or 1)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sanity_check)
 
-    p = sub.add_parser("clt", parents=[shared], help="learn a latent tree from discrete data")
+    p = sub.add_parser("clt", help="learn a latent tree from discrete data")
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True, help="column family, e.g. categorical:4")
     p.add_argument("--smoothing", type=float, default=0.01)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_clt)
 
-    p = sub.add_parser("compile", parents=[shared], help="compile a latent tree into a symbolic circuit")
+    p = sub.add_parser("compile", help="compile a latent tree into a symbolic circuit")
     p.add_argument("--tree", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_compile)
 
-    p = sub.add_parser("materialize", parents=[shared], help="replace integral units by quadrature sums")
+    p = sub.add_parser("materialize", help="replace integral units by quadrature sums")
     p.add_argument("--pic", required=True)
     p.add_argument("--rule", choices=RULES, default="trapezoidal")
     p.add_argument("--n", type=int, required=True)
@@ -322,7 +320,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dump-out")
     p.set_defaults(func=_cmd_materialize)
 
-    p = sub.add_parser("train", parents=[shared], help="fit a model by gradient descent or EM")
+    p = sub.add_parser("train", help="fit a model by gradient descent or EM")
     p.add_argument("--mode", choices=("pic", "hclt-em", "hclt-adam"), required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--valid", required=True)
@@ -339,13 +337,13 @@ def build_parser() -> _Parser:
     p.add_argument("--progress", help="progress CSV path (default: <out>.progress.csv)")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", parents=[shared], help="per-row log-likelihood of a concrete circuit")
+    p = sub.add_parser("eval", help="per-row log-likelihood of a concrete circuit")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", help="per-row log-likelihood CSV")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("bench", parents=[shared], help="evaluation throughput of a concrete circuit")
+    p = sub.add_parser("bench", help="evaluation throughput of a concrete circuit")
     p.add_argument("--model", required=True)
     p.add_argument("--batch", type=int, default=256)
     p.add_argument("--iters", type=int, default=50)

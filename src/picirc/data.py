@@ -14,16 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .circuit import FAMILIES, in_support, param_width
 from .errors import SchemaError
-
-_FAMILIES = ("categorical", "binomial", "gaussian")
 
 
 def parse_family(text: str) -> tuple[str, int | None]:
     """One column descriptor: 'categorical:4', 'binomial:10', 'gaussian'."""
     name, sep, arg = text.strip().partition(":")
-    if name not in _FAMILIES:
-        raise SchemaError(f"unknown column family {name!r} (expected one of {', '.join(_FAMILIES)})")
+    if name not in FAMILIES:
+        raise SchemaError(f"unknown column family {name!r} (expected one of {', '.join(FAMILIES)})")
     if name == "gaussian":
         if sep:
             raise SchemaError("gaussian columns take no state count")
@@ -63,7 +62,19 @@ class Dataset:
         if len(self.columns) != self.num_cols or len(self.families) != self.num_cols:
             raise SchemaError("columns, families, and value width must agree")
         for j, (family, k) in enumerate(self.families):
-            _check_column(self.values[:, j], family, k, self.columns[j])
+            try:
+                param_width(family, k)
+            except ValueError as e:
+                raise SchemaError(f"column {self.columns[j]!r}: {e}") from None
+            col = self.values[:, j]
+            bad = np.flatnonzero(~(np.isnan(col) | in_support(family, k, col)))
+            if bad.size:
+                r = bad[0]
+                detail = "" if family == "gaussian" else f" (valid range 0..{k - 1 if family == 'categorical' else k})"
+                raise SchemaError(
+                    f"row {r}, column {self.columns[j]!r}: value {col[r]:g} outside {family}"
+                    f"{f'({k})' if k else ''} support{detail}"
+                )
         taken: set[int] = set()
         for name, idx in self.splits.items():
             rows = set(int(i) for i in idx)
@@ -72,29 +83,6 @@ class Dataset:
             if taken & rows:
                 raise SchemaError(f"split {name!r} overlaps another split")
             taken |= rows
-
-
-def _support_text(family: str, k: int | None) -> str:
-    return f"valid range 0..{k - 1}" if family == "categorical" else f"valid range 0..{k}"
-
-
-def _value_ok(v: float, family: str, k: int | None) -> bool:
-    if np.isnan(v):
-        return True
-    if family == "gaussian":
-        return bool(np.isfinite(v))
-    top = k - 1 if family == "categorical" else k
-    return v == int(v) and 0 <= v <= top
-
-
-def _check_column(col: np.ndarray, family: str, k: int | None, name: str) -> None:
-    for r, v in enumerate(col):
-        if not _value_ok(v, family, k):
-            detail = f" ({_support_text(family, k)})" if family != "gaussian" else ""
-            raise SchemaError(
-                f"row {r}, column {name!r}: value {v:g} outside {family}"
-                f"{f'({k})' if k else ''} support{detail}"
-            )
 
 
 def _broadcast_schema(schema, width: int) -> list[tuple[str, int | None]]:

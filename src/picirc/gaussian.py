@@ -20,7 +20,7 @@ from scipy.special import ndtri
 from .circuit import Circuit
 from .errors import NumericError
 from .quadrature import QuadratureRule, make_rule
-from .runtime import LOG_2PI, latent_tree_loglik
+from .runtime import LOG_2PI, gaussian_logpdf, latent_tree_loglik
 from .structures import LatentTree, bn_to_pic, top_down_order
 
 
@@ -238,11 +238,6 @@ def domain_rules(model: LinearGaussianLTM, n: int, kind: str = "trapezoidal") ->
     }
 
 
-def _gaussian_logpdf(x, mean, std):
-    z = (x - mean) / std
-    return -0.5 * z * z - np.log(std) - 0.5 * LOG_2PI
-
-
 def gaussian_region_tensors(model: LinearGaussianLTM, rules: dict[int, QuadratureRule], x: np.ndarray):
     """Tensor form of the quadrature approximation of a model.
 
@@ -261,13 +256,13 @@ def gaussian_region_tensors(model: LinearGaussianLTM, rules: dict[int, Quadratur
             means = np.array([model.b[i]])
         else:
             means = model.a[i] * rules[p].points + model.b[i]
-        dens = _gaussian_logpdf(z[None, :], means[:, None], model.sigma[i])
+        dens = gaussian_logpdf(z[None, :], means[:, None], np.log(model.sigma[i]))
         sum_rows.append(log_w[i][None, :] + dens)
     obs_loglik = []
     for j, p in enumerate(model.obs_parent):
         z = rules[p].points
         mean = model.c[j] * z[:, None] + model.d[j]
-        obs_loglik.append(_gaussian_logpdf(x[None, :, j], mean, model.tau[j]))
+        obs_loglik.append(gaussian_logpdf(x[None, :, j], mean, np.log(model.tau[j])))
     return sum_rows, obs_loglik
 
 

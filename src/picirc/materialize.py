@@ -33,7 +33,7 @@ from .circuit import Circuit, CircuitBuilder, InputDist, check_structure, post_o
 from .errors import CircuitError, NumericError, SizeError, UnsupportedStructureError
 from .nets import ParamNets, decoder_forward
 from .quadrature import QuadratureRule
-from .runtime import LOG_2PI, _lse_matmul, evidence_rows, upward_pass
+from .runtime import _lse_matmul, evidence_rows, gaussian_logpdf, upward_pass
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,9 @@ def _rule_map(pic: Circuit, rules) -> dict[int, QuadratureRule]:
     return {i: rules[i] for i in latents}
 
 
-def _gaussian_logpdf(x, mean, sigma):
-    return -0.5 * ((x - mean) / sigma) ** 2 - np.log(sigma) - 0.5 * LOG_2PI
+def _linear_gaussian_input(cond: dict, z: float) -> InputDist:
+    """Concrete input of a linear-Gaussian observable at latent point z."""
+    return InputDist("gaussian", params=np.array([cond["c"] * z + cond["d"], np.log(cond["tau"])]))
 
 
 def _input_dist_at(dist: InputDist, var: int, z: float, j: int, ip: InputParamTensor | None) -> InputDist:
@@ -181,19 +182,23 @@ def _input_dist_at(dist: InputDist, var: int, z: float, j: int, ip: InputParamTe
         return dist
     cond = dist.conditional
     if cond["type"] == "linear-gaussian":
-        mean = cond["c"] * z + cond["d"]
-        return InputDist("gaussian", params=np.array([mean, np.log(cond["tau"])]))
+        return _linear_gaussian_input(cond, z)
     if ip is None:
         raise ValueError("neural input conditionals need a materialized parameter tensor")
     row = ip.table[var, j]
     return InputDist(dist.family, num_states=dist.num_states, params=row.copy())
 
 
-def _cond_log_density(cond: dict, z_child: np.ndarray, z_parent) -> np.ndarray:
+def _linear_gaussian_rows(cond: dict, rule: QuadratureRule, parent_points) -> np.ndarray:
+    """(J, N) log-weight block of a linear-Gaussian latent under one rule.
+
+    Row j is log w_k + log p(z_k | parent point j); parent_points is None
+    at the root, which gets its single prior row.
+    """
     if cond.get("type") != "linear-gaussian":
         raise ValueError("only linear-gaussian conditionals have a closed form; pass parameter tensors")
-    mean = cond["b"] if z_parent is None else cond["a"] * z_parent + cond["b"]
-    return _gaussian_logpdf(z_child, mean, cond["sigma"])
+    means = np.array([cond["b"]]) if parent_points is None else cond["a"] * np.asarray(parent_points) + cond["b"]
+    return np.log(rule.weights) + gaussian_logpdf(rule.points[None, :], means[:, None], np.log(cond["sigma"]))
 
 
 def materialize_qpc(pic: Circuit, rules, params=None) -> Circuit:
@@ -235,25 +240,12 @@ def materialize_qpc(pic: Circuit, rules, params=None) -> Circuit:
             ]
         elif u.kind == "integral":
             i = u.latent["var"]
-            parent = u.latent["parent"]
-            rule = rule_of[i]
             child_region = regions[u.children[0]]
-            if len(child_region) != rule.n:
+            if len(child_region) != rule_of[i].n:
                 raise CircuitError(
-                    f"latent {i}: child region has {len(child_region)} units, rule has {rule.n} points"
+                    f"latent {i}: child region has {len(child_region)} units, rule has {rule_of[i].n} points"
                 )
-            if parent is None:
-                parent_points = [None]
-            else:
-                parent_points = rule_of[parent].points
-            region = []
-            for j, zj in enumerate(parent_points):
-                if sp is not None:
-                    row = sp.s[i, 0 if zj is None else j]
-                else:
-                    row = np.log(rule.weights) + _cond_log_density(u.latent["cond"], rule.points, zj)
-                region.append(builder.add_sum(child_region, row))
-            regions[u.uid] = region
+            regions[u.uid] = [builder.add_sum(child_region, row) for row in sum_region_rows(pic, rule_of, i, params)]
         else:
             groups = [regions[c] for c in u.children]
             width = len(groups[0])
@@ -270,22 +262,17 @@ def materialize_qpc(pic: Circuit, rules, params=None) -> Circuit:
 def sum_region_rows(pic: Circuit, rules, latent: int, params=None) -> np.ndarray:
     """The (J, N) log-weight block the sum region of one latent receives.
 
-    Row j is the weight vector of the region's j-th sum unit under
-    materialize_qpc with the same rules and tensors (J = 1 at the root).
+    Row j is the weight vector of the region's j-th sum unit (J = 1 at
+    the root); materialize_qpc builds every sum region from this block.
     """
     unit = next((u for u in pic.integral_units() if u.latent["var"] == latent), None)
     if unit is None:
         raise ValueError(f"no integral unit for latent {latent}")
     rule_of = _rule_map(pic, rules)
-    rule = rule_of[latent]
     parent = unit.latent["parent"]
-    if params is not None:
-        block = params[0].s[latent]
-        return block[:1] if parent is None else block
-    parent_points = [None] if parent is None else rule_of[parent].points
-    return np.vstack(
-        [np.log(rule.weights) + _cond_log_density(unit.latent["cond"], rule.points, zj) for zj in parent_points]
-    )
+    if params is not None and params[0] is not None:
+        return params[0].s[latent, :1] if parent is None else params[0].s[latent]
+    return _linear_gaussian_rows(unit.latent["cond"], rule_of[latent], None if parent is None else rule_of[parent].points)
 
 
 def _latent_levels(pic: Circuit) -> dict[int, int]:
@@ -351,17 +338,17 @@ def materialize_nested(pic: Circuit, point_selector, nets: ParamNets | None = No
         inputs, integrals = direct_parts(int_unit.children[0])
         cond = int_unit.latent["cond"]
         if cond.get("type") == "linear-gaussian":
-            log_density = _cond_log_density(cond, rule.points, parent_value)
+            row = _linear_gaussian_rows(cond, rule, None if parent_value is None else [parent_value])[0]
         else:
             if nets is None:
                 raise ValueError("neural conditionals need the parameter nets")
-            log_density = _nested_neural_density(nets.energy[var], rule, parent_value)
+            row = np.log(rule.weights) + _nested_neural_density(nets.energy[var], rule, parent_value)
         children = []
         for zn in rule.points:
             parts = [builder.add_input(u.var, _nested_input_dist(u.dist, u.var, zn, nets)) for u in inputs]
             parts.extend(quad(c, zn) for c in integrals)
             children.append(parts[0] if len(parts) == 1 else builder.add_product(parts))
-        return builder.add_sum(children, np.log(rule.weights) + log_density)
+        return builder.add_sum(children, row)
 
     return builder.finish(root=quad(pic.units[pic.root], None))
 
@@ -383,7 +370,7 @@ def _nested_input_dist(dist: InputDist, var: int, z: float, nets: ParamNets | No
         return dist
     cond = dist.conditional
     if cond["type"] == "linear-gaussian":
-        return InputDist("gaussian", params=np.array([cond["c"] * z + cond["d"], np.log(cond["tau"])]))
+        return _linear_gaussian_input(cond, z)
     if nets is None:
         raise ValueError("neural input conditionals need the parameter nets")
     row = decoder_forward(nets.decoder[var], float(z))

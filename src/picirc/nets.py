@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, Tape
+from .circuit import param_width
 from .errors import SchemaError
 from .structures import top_down_order
 
@@ -105,23 +106,29 @@ class EnergyNet(_Mlp):
         return ad.reshape(out, (x.shape[0],))
 
 
+def squash(family: str, raw: Node) -> Node:
+    """Raw (N, I) head to input parameters, one row per point.
+
+    Log-softmax into categorical log-probabilities, sigmoid into a
+    binomial success probability, identity into a gaussian (mean, log
+    stddev) pair.
+    """
+    if family == "categorical":
+        return raw - ad.logsumexp(raw, axis=-1, keepdims=True)
+    if family == "binomial":
+        return ad.sigmoid(raw)
+    return raw
+
+
 class DecoderNet(_Mlp):
     """Maps a latent point to input-distribution parameters.
 
-    The raw head is squashed per family at materialization: log-softmax
-    into categorical log-probabilities, sigmoid into a binomial success
-    probability, identity into a gaussian (mean, log stddev) pair.
+    The raw head is squashed per family at materialization (see
+    ``squash``).
     """
 
     def __init__(self, net_id, family, num_states=None, num_frequencies=32, hidden=(64,), ff_scale=1.0, rng=None):
-        if family == "categorical":
-            out_dim = num_states
-        elif family == "binomial":
-            out_dim = 1
-        elif family == "gaussian":
-            out_dim = 2
-        else:
-            raise ValueError(f"unknown input family {family!r}")
+        out_dim = param_width(family, num_states)
         super().__init__(net_id, "g", 1, (*hidden, out_dim), num_frequencies, ff_scale, rng)
         self.family = family
         self.num_states = num_states
@@ -131,11 +138,7 @@ class DecoderNet(_Mlp):
         return self._body(tape, pnodes, z)
 
     def squash(self, raw: Node) -> Node:
-        if self.family == "categorical":
-            return raw - ad.logsumexp(raw, axis=-1, keepdims=True)
-        if self.family == "binomial":
-            return ad.sigmoid(raw)
-        return raw
+        return squash(self.family, raw)
 
 
 def _check_latent_range(x: np.ndarray) -> None:
@@ -302,10 +305,19 @@ def load_checkpoint(path) -> ParamNets:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise SchemaError(f"malformed checkpoint JSON at byte {e.pos}: {e.msg}") from e
-    if doc.get("format") != "picirc-nets-v1":
-        raise SchemaError(f"unrecognized checkpoint format {doc.get('format')!r}")
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != "picirc-nets-v1":
+        raise SchemaError(f"unrecognized checkpoint format {fmt!r}")
+    try:
+        return _nets_from_doc(doc)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as e:
+        raise SchemaError(f"checkpoint field missing or mistyped: {type(e).__name__}: {e}") from e
+
+
+def _nets_from_doc(doc: dict) -> ParamNets:
     family = doc["family"]
     num_states = doc["num_states"]
+    param_width(family, num_states)
     share = doc["share"]
 
     energy_by_id: dict[int, EnergyNet] = {}

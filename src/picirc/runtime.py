@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .autodiff import _logsumexp_data
-from .circuit import Circuit, post_order
+from .circuit import Circuit, in_support, post_order
 from .errors import NumericError, UnsupportedStructureError
 from .structures import top_down_order
 
@@ -36,16 +36,15 @@ def observed_evidence(family: str, num_states, x_col: np.ndarray, var=None) -> t
     observed = ~np.isnan(x_col)
     xv = x_col[observed]
     where = "" if var is None else f" for variable {var}"
-    if family == "gaussian":
-        if not np.isfinite(xv).all():
-            raise ValueError(f"evidence{where} must be finite")
-        return observed, xv
-    k = num_states
-    xi = xv.astype(np.int64)
-    top = k if family == "binomial" else k - 1
-    if np.any(xi != xv) or np.any((xi < 0) | (xi > top)):
-        raise ValueError(f"evidence{where} outside {family}({k}) support")
-    return observed, xi
+    if not in_support(family, num_states, xv).all():
+        raise ValueError(f"evidence{where} outside {family}{f'({num_states})' if num_states else ''} support")
+    return observed, xv if family == "gaussian" else xv.astype(np.int64)
+
+
+def gaussian_logpdf(x, mean, log_sigma):
+    """Gaussian log-density log N(x; mean, exp(log_sigma)^2), broadcasting."""
+    z = (x - mean) * np.exp(-log_sigma)
+    return -0.5 * z * z - log_sigma - 0.5 * LOG_2PI
 
 
 def evidence_rows(table: np.ndarray, family: str, num_states, x_col: np.ndarray, var=None) -> np.ndarray:
@@ -65,9 +64,7 @@ def evidence_rows(table: np.ndarray, family: str, num_states, x_col: np.ndarray,
         p = table[:, :1]
         out[:, observed] = gammaln(k + 1) - gammaln(v + 1) - gammaln(k - v + 1) + v * np.log(p) + (k - v) * np.log1p(-p)
     else:
-        log_sigma = table[:, 1:2]
-        z = (v - table[:, :1]) * np.exp(-log_sigma)
-        out[:, observed] = -0.5 * z * z - log_sigma - 0.5 * LOG_2PI
+        out[:, observed] = gaussian_logpdf(v, table[:, :1], table[:, 1:2])
     return out
 
 

@@ -26,10 +26,10 @@ from scipy.special import gammaln
 
 from . import autodiff as ad
 from .autodiff import Node, Tape, _logsumexp_data
-from .circuit import Circuit, CircuitBuilder, InputDist, post_order
+from .circuit import Circuit, CircuitBuilder, InputDist, param_width, post_order
 from .errors import NumericError
 from .materialize import input_param_node, materialize_input_params, materialize_sum_params, sum_param_node
-from .nets import ParamNets
+from .nets import ParamNets, squash
 from .quadrature import QuadratureRule, make_rule
 from .runtime import LOG_2PI, bpd, evidence_rows, forward_values, latent_tree_loglik, observed_evidence, upward_pass
 from .structures import LatentTree, top_down_order
@@ -448,10 +448,8 @@ class HcltTensors:
 
     @classmethod
     def random(cls, tree: LatentTree, n: int, family: str, num_states=None, seed: int = 0, scale: float = 0.1):
+        out_dim = param_width(family, num_states)
         rng = np.random.default_rng(seed)
-        out_dim = {"categorical": num_states, "binomial": 1, "gaussian": 2}[family]
-        if out_dim is None:
-            raise ValueError("categorical tensors need num_states")
         sum_logits = []
         for i, p in enumerate(tree.latent_parent):
             rows = 1 if p is None else n
@@ -464,20 +462,18 @@ class HcltTensors:
         out.update({f"i{j}": a for j, a in enumerate(self.input_raw)})
         return out
 
-    def _squash_input(self, raw: np.ndarray) -> np.ndarray:
-        if self.family == "categorical":
-            return raw - _logsumexp_data(raw, 1, True)
-        if self.family == "binomial":
-            return np.where(raw >= 0, 1.0 / (1.0 + np.exp(-raw)), np.exp(raw) / (1.0 + np.exp(raw)))
-        return raw
+    def input_tables(self) -> list[np.ndarray]:
+        """Squashed (N, I) parameter block of every observable."""
+        tape = Tape()
+        return [squash(self.family, tape.const(raw)).data for raw in self.input_raw]
 
     def sum_rows(self) -> list[np.ndarray]:
         return [logits - _logsumexp_data(logits, 1, True) for logits in self.sum_logits]
 
     def loglik(self, x: np.ndarray) -> np.ndarray:
         obs_rows = [
-            evidence_rows(self._squash_input(self.input_raw[j]), self.family, self.num_states, x[:, j], var=j)
-            for j in range(len(self.obs_parent))
+            evidence_rows(table, self.family, self.num_states, x[:, j], var=j)
+            for j, table in enumerate(self.input_tables())
         ]
         return latent_tree_loglik(self.latent_parent, self.obs_parent, self.sum_rows(), obs_rows)
 
@@ -485,8 +481,7 @@ class HcltTensors:
         builder = CircuitBuilder()
         n = self.sum_logits[0].shape[1]
         pending: dict[int, list[list[int]]] = {i: [] for i in range(len(self.latent_parent))}
-        for j, p in enumerate(self.obs_parent):
-            block = self._squash_input(self.input_raw[j])
+        for j, (p, block) in enumerate(zip(self.obs_parent, self.input_tables())):
             region = [
                 builder.add_input(j, InputDist(self.family, num_states=self.num_states, params=block[k].copy()))
                 for k in range(n)
@@ -519,16 +514,10 @@ def hclt_adam_step(tensors: HcltTensors, batch: np.ndarray, opt: Adam) -> float:
     """
     tape = Tape()
     pnodes = {k: tape.param(k, v) for k, v in tensors.param_arrays().items()}
-    obs_rows = []
-    for j in range(len(tensors.obs_parent)):
-        raw = pnodes[f"i{j}"]
-        if tensors.family == "categorical":
-            table = raw - ad.logsumexp(raw, axis=1, keepdims=True)
-        elif tensors.family == "binomial":
-            table = ad.sigmoid(raw)
-        else:
-            table = raw
-        obs_rows.append(evidence_node(tape, table, tensors.family, tensors.num_states, batch[:, j]))
+    obs_rows = [
+        evidence_node(tape, squash(tensors.family, pnodes[f"i{j}"]), tensors.family, tensors.num_states, batch[:, j])
+        for j in range(len(tensors.obs_parent))
+    ]
 
     def contract(i, acc):
         logits = pnodes[f"s{i}"]

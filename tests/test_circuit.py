@@ -176,6 +176,9 @@ class TestValidate:
             InputDist("gaussian", params=np.array([0.0, np.inf])).validate()
         with pytest.raises(CircuitError, match="exactly one"):
             InputDist("gaussian", params=np.array([0.0, 0.0]), conditional={"type": "neural", "net": 0}).validate()
+        for family, k, params in (("categorical", 3, np.log([0.5, 0.5])), ("binomial", 5, np.array([0.2, 0.3])), ("gaussian", None, np.zeros(3))):
+            with pytest.raises(CircuitError, match="parameters, got shape"):
+                InputDist(family, k, params=params).validate()
 
 
 class TestSerialization:
@@ -237,6 +240,14 @@ class TestSerialization:
     def test_missing_field(self):
         with pytest.raises(SchemaError, match="missing"):
             deserialize(b'{"root": 0, "units": []}')
+
+    def test_non_integer_state_count(self):
+        doc = (
+            b'{"num_vars": 1, "root": 0, "units": [{"id": 0, "kind": "input", "children": [], "scope": [0],'
+            b' "dist": {"family": "categorical", "k": "1", "params": ["0.0"]}}]}'
+        )
+        with pytest.raises(CircuitError, match="positive state count"):
+            deserialize(doc)
 
 
 def test_builder_scope_union():

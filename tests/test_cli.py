@@ -45,6 +45,31 @@ class TestExitCodes:
         assert code == 1
         assert "valid range 0..3" in capsys.readouterr().err
 
+    def test_infinite_value_is_user_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a\n1\ninf\n")
+        code = run(["clt", "--data", str(bad), "--schema", "categorical:4", "--out", str(tmp_path / "t.json")])
+        assert code == 1
+        assert "error: row 1, column 'a': value inf outside categorical(4) support" in capsys.readouterr().err
+
+    def test_malformed_checkpoint_is_user_error(self, tmp_path, capsys):
+        data = write_categorical(tmp_path / "d.csv", rows=30, seed=1)
+        tree_path, pic_path, nets_path = tmp_path / "t.json", tmp_path / "p.json", tmp_path / "n.json"
+        run(["clt", "--data", str(data), "--schema", "categorical:3", "--out", str(tree_path)])
+        run(["compile", "--tree", str(tree_path), "--out", str(pic_path)])
+        nets_path.write_text('{"format": "picirc-nets-v1"}')
+        capsys.readouterr()
+        code = run(["materialize", "--pic", str(pic_path), "--n", "4", "--nets", str(nets_path), "--out", str(tmp_path / "q.json")])
+        assert code == 1
+        assert "checkpoint field missing or mistyped" in capsys.readouterr().err
+
+    def test_threads_belongs_to_sanity_check_only(self, tmp_path, capsys):
+        code = run(["compile", "--tree", str(tmp_path / "t.json"), "--out", str(tmp_path / "p.json"), "--threads", "2"])
+        assert code == 1
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert run(["sanity-check", "--nodes", "4", "--models", "2", "--samples", "30", "--n-list", "8",
+                    "--threads", "2", "--out", str(tmp_path / "m.csv")]) == 0
+
 
 class TestGenGaussian:
     def test_deterministic_under_seed(self, tmp_path):

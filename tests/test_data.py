@@ -45,6 +45,12 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match=r"valid range 0\.\.5"):
             load_csv(write(tmp_path / "u.csv", "x\n6\n"), "binomial:5")
 
+    @pytest.mark.parametrize("schema, cell", [("categorical:4", "inf"), ("binomial:3", "-inf"), ("gaussian", "inf")])
+    def test_infinite_value_rejected(self, tmp_path, schema, cell):
+        path = write(tmp_path / "t.csv", f"x\n1\n{cell}\n")
+        with pytest.raises(SchemaError, match=rf"row 1, column 'x': value {cell} outside"):
+            load_csv(path, schema)
+
     def test_fractional_categorical_value_rejected(self, tmp_path):
         path = write(tmp_path / "t.csv", "x\n1.5\n")
         with pytest.raises(SchemaError, match="row 0, column 'x'"):
@@ -78,6 +84,12 @@ class TestLoadCsv:
         path = write(tmp_path / "t.csv", "a,b\n2,-1.5\n")
         dataset = load_csv(path, ["categorical:3", "gaussian"])
         assert dataset.families == [("categorical", 3), ("gaussian", None)]
+
+    @pytest.mark.parametrize("family, message", [(("categorical", None), "categorical needs a positive state count"), (("poisson", 3), "unknown input family 'poisson'")])
+    def test_invalid_family_rejected(self, family, message):
+        dataset = Dataset(columns=["a"], families=[family], values=np.zeros((2, 1)))
+        with pytest.raises(SchemaError, match=f"column 'a': {message}"):
+            dataset.validate()
 
 
 class TestRoundTrip:

@@ -18,6 +18,7 @@ from picirc.nets import (
     save_checkpoint,
 )
 from picirc.structures import LatentTree
+from picirc.training import HcltTensors
 
 
 def small_tree():
@@ -127,7 +128,7 @@ class TestDecoderNet:
         np.testing.assert_allclose(np.exp(logp).sum(axis=1), 1.0, atol=1e-12)
 
     def test_binomial_head_stays_interior(self):
-        net = DecoderNet(0, "binomial", num_frequencies=4, hidden=(8,), rng=7)
+        net = DecoderNet(0, "binomial", num_states=5, num_frequencies=4, hidden=(8,), rng=7)
         # Inflate the head so the raw logits get large; sigmoid must stay in (0, 1).
         net.params["w1"] = net.params["w1"] * 40.0
         z = np.linspace(-1, 1, 1001)
@@ -146,7 +147,7 @@ class TestDecoderNet:
         np.testing.assert_array_equal(net.squash(raw).data, raw.data)
 
     def test_family_mismatch_and_domain_errors(self):
-        net = DecoderNet(0, "binomial", num_frequencies=4, hidden=(8,), rng=9)
+        net = DecoderNet(0, "binomial", num_states=5, num_frequencies=4, hidden=(8,), rng=9)
         with pytest.raises(ValueError, match="family"):
             decoder_forward(net, 0.1, family="categorical")
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
@@ -173,7 +174,7 @@ class TestParamNets:
         assert len(names) == 8 * 3 + 4 * 2 * 2
 
     def test_registration_names_every_parameter_once(self):
-        nets = ParamNets.for_tree(small_tree(), "binomial", num_frequencies=4, hidden=(8, 8), seed=1)
+        nets = ParamNets.for_tree(small_tree(), "binomial", num_states=5, num_frequencies=4, hidden=(8, 8), seed=1)
         tape = Tape()
         pnodes = nets.register(tape)
         assert set(pnodes) == set(nets.param_arrays())
@@ -181,9 +182,9 @@ class TestParamNets:
         assert set(fs) == set(nets.energy[2].params)
 
     def test_seed_controls_initialization(self):
-        a = ParamNets.for_tree(small_tree(), "binomial", num_frequencies=4, hidden=(8, 8), seed=5)
-        b = ParamNets.for_tree(small_tree(), "binomial", num_frequencies=4, hidden=(8, 8), seed=5)
-        c = ParamNets.for_tree(small_tree(), "binomial", num_frequencies=4, hidden=(8, 8), seed=6)
+        a = ParamNets.for_tree(small_tree(), "binomial", num_states=5, num_frequencies=4, hidden=(8, 8), seed=5)
+        b = ParamNets.for_tree(small_tree(), "binomial", num_states=5, num_frequencies=4, hidden=(8, 8), seed=5)
+        c = ParamNets.for_tree(small_tree(), "binomial", num_states=5, num_frequencies=4, hidden=(8, 8), seed=6)
         for k, v in a.param_arrays().items():
             np.testing.assert_array_equal(v, b.param_arrays()[k])
         assert any(
@@ -201,7 +202,7 @@ class TestParamNets:
         assert len(pnodes) == 6 + 6 + 4
 
     def test_gradients_reach_every_parameter(self):
-        nets = ParamNets.for_tree(small_tree(), "binomial", num_frequencies=2, hidden=(4, 4), seed=3)
+        nets = ParamNets.for_tree(small_tree(), "binomial", num_states=5, num_frequencies=2, hidden=(4, 4), seed=3)
         tape = Tape()
         pnodes = nets.register(tape)
         rng = np.random.default_rng(0)
@@ -220,6 +221,16 @@ class TestParamNets:
         assert all(np.all(np.isfinite(g)) for g in grads.values())
         nonzero = [k for k, g in grads.items() if np.any(g != 0)]
         assert len(nonzero) == len(grads)
+
+
+@pytest.mark.parametrize("family, k", [("binomial", None), ("categorical", None), ("binomial", 0), ("categorical", -1), ("categorical", "4")])
+def test_discrete_family_needs_a_positive_state_count(family, k):
+    with pytest.raises(ValueError, match="positive state count"):
+        DecoderNet(0, family, num_states=k)
+    with pytest.raises(ValueError, match="positive state count"):
+        ParamNets.for_tree(small_tree(), family, num_states=k)
+    with pytest.raises(ValueError, match="positive state count"):
+        HcltTensors.random(small_tree(), 4, family, k)
 
 
 class TestCheckpoints:
@@ -244,7 +255,7 @@ class TestCheckpoints:
             np.testing.assert_array_equal(freq, loaded.frequency_arrays()[name])
 
     def test_round_trip_preserves_forward_values_exactly(self, tmp_path):
-        nets = ParamNets.for_tree(small_tree(), "binomial", num_frequencies=4, hidden=(8, 8), seed=13)
+        nets = ParamNets.for_tree(small_tree(), "binomial", num_states=5, num_frequencies=4, hidden=(8, 8), seed=13)
         path = tmp_path / "nets.json"
         save_checkpoint(nets, path)
         loaded = load_checkpoint(path)
@@ -262,7 +273,7 @@ class TestCheckpoints:
             )
 
     def test_round_trip_preserves_sharing(self, tmp_path):
-        nets = ParamNets.for_tree(small_tree(), "binomial", num_frequencies=4, hidden=(8, 8), seed=14, share=True)
+        nets = ParamNets.for_tree(small_tree(), "binomial", num_states=5, num_frequencies=4, hidden=(8, 8), seed=14, share=True)
         path = tmp_path / "shared.json"
         save_checkpoint(nets, path)
         loaded = load_checkpoint(path)
@@ -281,6 +292,26 @@ class TestCheckpoints:
             load_checkpoint(wrong)
 
     @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: {"format": doc["format"]},
+            lambda doc: [doc],
+            lambda doc: {**doc, "energy": 3},
+            lambda doc: {**doc, "decoder": [{k: v for k, v in doc["decoder"][0].items() if k != "shapes"}]},
+            lambda doc: {**doc, "decoder": [{k: v for k, v in doc["decoder"][0].items() if k != "k"}]},
+            lambda doc: {**doc, "num_states": "five"},
+        ],
+        ids=["format-only", "not-an-object", "energy-not-a-list", "decoder-without-shapes", "binomial-decoder-without-k", "num-states-not-a-number"],
+    )
+    def test_rejects_missing_or_mistyped_fields(self, tmp_path, edit):
+        nets = ParamNets.for_tree(small_tree(), "binomial", num_states=5, num_frequencies=4, hidden=(8, 8), seed=17)
+        path = tmp_path / "nets.json"
+        save_checkpoint(nets, path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(SchemaError, match="mistyped|format"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
         "field, value, message",
         [
             ("latent_parent", [None, 3, 1, 2], "not reachable"),
@@ -290,7 +321,7 @@ class TestCheckpoints:
         ],
     )
     def test_rejects_malformed_tree_maps(self, tmp_path, field, value, message):
-        nets = ParamNets.for_tree(small_tree(), "binomial", num_frequencies=4, hidden=(8, 8), seed=16)
+        nets = ParamNets.for_tree(small_tree(), "binomial", num_states=5, num_frequencies=4, hidden=(8, 8), seed=16)
         path = tmp_path / "nets.json"
         save_checkpoint(nets, path)
         doc = json.loads(path.read_text())
@@ -300,7 +331,7 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_apply_params_overwrites_in_place(self):
-        nets = ParamNets.for_tree(small_tree(), "binomial", num_frequencies=4, hidden=(8, 8), seed=15)
+        nets = ParamNets.for_tree(small_tree(), "binomial", num_states=5, num_frequencies=4, hidden=(8, 8), seed=15)
         arrays = {k: np.zeros_like(v) for k, v in nets.param_arrays().items()}
         nets.apply_params(arrays)
         assert all(np.all(v == 0) for v in nets.param_arrays().values())

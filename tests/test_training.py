@@ -406,12 +406,17 @@ class TestEm:
 
 
 class TestHcltAdam:
-    def test_tensor_loglik_matches_explicit_circuit(self):
-        tree = neural_tree((None, 0, 0), (0, 1, 2, 2), k=3)
-        tensors = HcltTensors.random(tree, n=4, family="categorical", num_states=3, seed=8)
-        rng = np.random.default_rng(2)
-        x = rng.integers(0, 3, size=(25, 4)).astype(float)
-        np.testing.assert_allclose(tensors.loglik(x), log_forward(tensors.to_circuit(), x), rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("family, k", [("categorical", 3), ("binomial", 4), ("gaussian", None)])
+    def test_tensor_loglik_matches_explicit_circuit(self, family, k):
+        tree = neural_tree((None, 0, 0), (0, 1, 2, 2), family=family, k=k)
+        tensors = HcltTensors.random(tree, n=4, family=family, num_states=k, seed=8)
+        x = family_data(family, k, 25, 4, 2)
+        loglik = tensors.loglik(x)
+        np.testing.assert_allclose(loglik, log_forward(tensors.to_circuit(), x), rtol=0, atol=1e-12)
+        # The tape step squashes the same raw blocks, so its loss is the pre-update mean NLL.
+        loss = hclt_adam_step(tensors, x, Adam(tensors.param_arrays(), TrainConfig(batch_size=25, n=4)))
+        assert np.isfinite(loss)
+        np.testing.assert_allclose(loss, -loglik.mean(), rtol=0, atol=1e-12)
 
     def test_training_improves_fit(self):
         tree = neural_tree((None,), (0, 0), k=2)
