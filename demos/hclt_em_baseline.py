@@ -1,8 +1,10 @@
-"""Expectation-maximization on a concrete hidden Chow-Liu tree circuit.
+"""Expectation-maximization on a hidden Chow-Liu tree.
 
 The same synthetic data as the gradient-trained demo, but the latents are
-categorical with explicit sum weights and the updates are EM flows instead
-of gradients.  Full-batch EM with step size 1 is monotone in training
+categorical with free sum weights and the updates are EM instead of
+gradient steps.  The expected counts come from one backward pass through
+the latent-tree engine; ``em_step`` computes the same update on the
+explicit circuit.  Full-batch EM with step size 1 is monotone in training
 log-likelihood; mini-batch EM anneals the step size.  An Adam-trained
 version of the same tensor parameterization is run for comparison.
 """
@@ -11,7 +13,7 @@ import numpy as np
 
 from picirc.runtime import bpd
 from picirc.structures import chow_liu_tree, hclt_structure
-from picirc.training import HcltTensors, TrainConfig, em_step, train_hclt_adam, train_hclt_em
+from picirc.training import HcltTensors, TrainConfig, hclt_em_step, train_hclt_adam, train_hclt_em
 
 rng = np.random.default_rng(5)
 
@@ -36,16 +38,16 @@ pc = tensors.to_circuit()
 print(f"circuit: {len(pc.units)} units, {pc.num_edges} edges")
 
 print("\nfull-batch EM (step size 1), training bpd per iteration:")
-trace = [em_step(pc, train_x, 1.0) for _ in range(8)]
-print(" ".join(f"{bpd(v, 8):.4f}" for v in trace))
+trace = [hclt_em_step(tensors, train_x, 1.0) for _ in range(8)]
+print(" ".join(f"{bpd(-v, 8):.4f}" for v in trace))
 
 config = TrainConfig(batch_size=64, n=16, max_steps=600, eval_interval=150, patience=600,
                      lr_max=0.5, lr_min=0.05, seed=0)
-em_pc, em_history = train_hclt_em(
-    HcltTensors.random(tree, n=16, family="categorical", num_states=4, seed=0, scale=1.0).to_circuit(),
-    train_x, config, valid_x=valid_x)
+em_result = train_hclt_em(
+    HcltTensors.random(tree, n=16, family="categorical", num_states=4, seed=0, scale=1.0),
+    train_x, valid_x, config)
 print("\nmini-batch EM validation bpd:",
-      " ".join(f"{row['valid_bpd']:.4f}" for row in em_history))
+      " ".join(f"{row['valid_bpd']:.4f}" for row in em_result.history))
 
 adam_tensors = HcltTensors.random(tree, n=16, family="categorical", num_states=4, seed=0)
 adam_config = TrainConfig(batch_size=64, n=16, max_steps=600, eval_interval=150, patience=600, seed=0)
@@ -53,5 +55,5 @@ adam_result = train_hclt_adam(adam_tensors, train_x, valid_x, adam_config)
 print("gradient-trained validation bpd:",
       " ".join(f"{row['valid_bpd']:.4f}" for row in adam_result.history))
 
-print(f"\nfinal: EM {min(r['valid_bpd'] for r in em_history):.4f} vs "
+print(f"\nfinal: EM {min(r['valid_bpd'] for r in em_result.history):.4f} vs "
       f"Adam {min(r['valid_bpd'] for r in adam_result.history):.4f}")

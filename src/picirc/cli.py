@@ -30,7 +30,7 @@ from .materialize import (
 )
 from .nets import ParamNets, load_checkpoint, save_checkpoint
 from .quadrature import make_rule
-from .runtime import benchmark_eval, bpd, log_forward
+from .runtime import benchmark_eval, bpd, log_forward, sample_pc
 from .structures import bn_to_pic, chow_liu_tree, hclt_structure, tree_from_json, tree_to_json
 from .training import HcltTensors, TrainConfig, train_hclt_adam, train_hclt_em, train_pic
 
@@ -213,25 +213,17 @@ def _cmd_train(args) -> int:
         nets = ParamNets.for_tree(tree, family, num_states=num_states, seed=args.seed)
         result = train_pic(nets, train_set.values, valid_set.values, config)
         save_checkpoint(nets, args.out)
-        history = result.history
-        _note(f"best validation bpd {bpd(-result.best_valid_nll, train_set.num_cols):.4f} after {result.steps} steps")
-    elif args.mode == "hclt-em":
-        tensors = HcltTensors.random(tree, config.n, family, num_states=num_states, seed=args.seed)
-        trained, history = train_hclt_em(tensors.to_circuit(), train_set.values, config, valid_x=valid_set.values)
-        with open(args.out, "wb") as fh:
-            fh.write(serialize(trained))
-        _note(f"finished {len(history)} evaluations; circuit written to {args.out}")
     else:
         tensors = HcltTensors.random(tree, config.n, family, num_states=num_states, seed=args.seed)
-        result = train_hclt_adam(tensors, train_set.values, valid_set.values, config)
+        trainer = train_hclt_em if args.mode == "hclt-em" else train_hclt_adam
+        result = trainer(tensors, train_set.values, valid_set.values, config)
         with open(args.out, "wb") as fh:
             fh.write(serialize(tensors.to_circuit()))
-        history = result.history
-        _note(f"best validation bpd {bpd(-result.best_valid_nll, train_set.num_cols):.4f} after {result.steps} steps")
+    _note(f"best validation bpd {bpd(-result.best_valid_nll, train_set.num_cols):.4f} after {result.steps} steps")
     _write_csv(
         _progress_path(args),
         ["step", "lr", "train_nll", "valid_bpd"],
-        [[h["step"], h["lr"], h["train_nll"], h["valid_bpd"]] for h in history],
+        [[h["step"], h["lr"], h["train_nll"], h["valid_bpd"]] for h in result.history],
     )
     return 0
 
@@ -251,24 +243,12 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _random_evidence(qpc: Circuit, batch: int, seed) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    out = np.empty((batch, qpc.num_vars))
-    for j, entry in enumerate(_schema_of_circuit(qpc)):
-        fam, _, k = entry.partition(":")
-        if fam == "categorical":
-            out[:, j] = rng.integers(0, int(k), batch)
-        elif fam == "binomial":
-            out[:, j] = rng.integers(0, int(k) + 1, batch)
-        else:
-            out[:, j] = rng.normal(size=batch)
-    return out
-
-
 def _cmd_bench(args) -> int:
+    if args.iters < 1 or args.batch < 1:
+        raise ValueError("--iters and --batch must be at least 1")
     with open(args.model) as fh:
         qpc = deserialize(fh.read())
-    batch = _random_evidence(qpc, args.batch, args.seed)
+    batch = sample_pc(qpc, args.batch, args.seed)
     report = benchmark_eval(qpc, batch, args.iters)
     _write_csv(args.out, ["iter", "seconds"], list(enumerate(report["times"])))
     _note(f"{report['num_edges']} edges, {report['edges_per_second']:.3e} edge-evals/second")

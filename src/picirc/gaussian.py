@@ -203,39 +203,37 @@ def joint_gaussian(model: LinearGaussianLTM) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-def select_domains(model: LinearGaussianLTM, n: int, kind: str = "trapezoidal") -> dict[int, tuple[float, float]]:
-    """Integration domain per latent: the affine image of the parent's
-    quadrature points widened by k(N) conditional stddevs.
+def domain_rules(model: LinearGaussianLTM, n: int, kind: str = "trapezoidal") -> dict[int, QuadratureRule]:
+    """Quadrature rule per latent on its integration window: the affine
+    image of the parent's quadrature points widened by k(N) conditional
+    stddevs.
 
     The root gets [mu1 - k sigma1, mu1 + k sigma1]; children see the
-    actual points the parent's rule will use on its own domain. The
-    margin is k(N) = max(3, -ndtri(N^-1.5 / 2)), so each window cuts off
-    at most N^-1.5 of its conditional mass and the truncation error
-    vanishes as N grows: k is 3 up to N = 32, then 3.10, 3.39, 3.67 and
-    3.93 at N = 64, 128, 256 and 512.
+    actual points the parent's rule uses on its own window. The margin is
+    k(N) = max(3, -ndtri(N^-1.5 / 2)), so each window cuts off at most
+    N^-1.5 of its conditional mass and the truncation error vanishes as N
+    grows: k is 3 up to N = 32, then 3.10, 3.39, 3.67 and 3.93 at N = 64,
+    128, 256 and 512.
     """
     # n < 1 is left for make_rule to reject with its own error
     k = max(3.0, float(-ndtri(0.5 * max(int(n), 1) ** -1.5)))
-    domains: dict[int, tuple[float, float]] = {}
-    points: dict[int, np.ndarray] = {}
+    rules: dict[int, QuadratureRule] = {}
     for i in top_down_order(model.latent_parent):
         p = model.latent_parent[i]
         if p is None:
             lo = model.b[i] - k * model.sigma[i]
             hi = model.b[i] + k * model.sigma[i]
         else:
-            images = model.a[i] * points[p] + model.b[i]
+            images = model.a[i] * rules[p].points + model.b[i]
             lo = images.min() - k * model.sigma[i]
             hi = images.max() + k * model.sigma[i]
-        domains[i] = (float(lo), float(hi))
-        points[i] = make_rule(kind, n, lo, hi).points
-    return domains
+        rules[i] = make_rule(kind, n, lo, hi)
+    return rules
 
 
-def domain_rules(model: LinearGaussianLTM, n: int, kind: str = "trapezoidal") -> dict[int, QuadratureRule]:
-    return {
-        i: make_rule(kind, n, lo, hi) for i, (lo, hi) in select_domains(model, n, kind).items()
-    }
+def select_domains(model: LinearGaussianLTM, n: int, kind: str = "trapezoidal") -> dict[int, tuple[float, float]]:
+    """Integration window (lo, hi) per latent, as chosen by ``domain_rules``."""
+    return {i: rule.domain for i, rule in domain_rules(model, n, kind).items()}
 
 
 def gaussian_region_tensors(model: LinearGaussianLTM, rules: dict[int, QuadratureRule], x: np.ndarray):

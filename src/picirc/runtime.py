@@ -136,6 +136,7 @@ def sample_pc(qpc: Circuit, n: int, seed: int) -> np.ndarray:
     Sum units draw a child proportionally to exp(weights), products
     descend into all children, input units draw from their family.
     """
+    _check_concrete(qpc)
     rng = np.random.default_rng(seed)
     out = np.full((n, qpc.num_vars), np.nan)
     child_probs = {}

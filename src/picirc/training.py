@@ -6,19 +6,23 @@ sum and input parameter tensors on a fresh tape, evaluates the batch
 log-likelihood through the induced circuit, and backpropagates into the
 net weights (the quadrature grid and Fourier frequencies stay fixed).
 The latent-tree baseline with free categorical parameters is trained
-either by mini-batch Expectation-Maximization on the explicit circuit or
-by Adam on log-softmax reparameterized tensors.
+either by mini-batch Expectation-Maximization or by Adam on log-softmax
+reparameterized tensors.
 
-Both tape losses (``batch_loglik_node`` and ``hclt_adam_step``) are thin
-callers of the latent-tree engine, ``runtime.upward_pass``; the
+Every tape loss (``batch_loglik_node`` and ``hclt_loglik_node``) is a
+thin caller of the latent-tree engine, ``runtime.upward_pass``; the
 unit-by-unit ``unitwise_loglik_node`` stays independent of it as the
-test oracle.  ``train_pic`` and ``train_hclt_adam`` share one mini-batch
-loop with the cosine-annealed step size and best-validation early
-stopping; ``train_hclt_em`` keeps its own loop.
+test oracle.  EM takes its expected counts from the same tape: the
+gradient of the summed log-likelihood with respect to the normalized
+log sum rows is the expected count of every sum edge.  ``train_pic``,
+``train_hclt_adam`` and ``train_hclt_em`` share one mini-batch loop with
+the cosine-annealed step size and best-validation early stopping.
+``em_step`` on the explicit circuit is the EM oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,8 +66,8 @@ class TrainConfig:
             raise ValueError("lr_min must be below lr_max")
         if not 0 <= self.patience <= self.max_steps:
             raise ValueError("patience must be in [0, max_steps]")
-        if self.batch_size < 1 or self.n < 1 or self.restart_period < 1:
-            raise ValueError("batch_size, n, restart_period must be positive")
+        if min(self.batch_size, self.n, self.restart_period, self.eval_interval) < 1:
+            raise ValueError("batch_size, n, restart_period, eval_interval must be positive")
 
 
 def lr_schedule(step: int, config: TrainConfig) -> float:
@@ -265,20 +269,20 @@ def dataset_nll(nets: ParamNets, rule: QuadratureRule, x: np.ndarray, chunk: int
     return float(-total / len(x))
 
 
-def _fit(opt: Adam, take_step, valid_nll, train_x: np.ndarray, config: TrainConfig) -> TrainResult:
-    """The mini-batch loop shared by train_pic and train_hclt_adam.
+def _fit(params: dict[str, np.ndarray], take_step, valid_nll, train_x: np.ndarray, config: TrainConfig) -> TrainResult:
+    """The mini-batch loop shared by every trainer.
 
-    ``take_step(batch)`` takes one optimizer step and returns the batch mean
-    NLL; ``valid_nll()`` scores the current parameters.  History rows:
+    ``take_step(batch)`` updates ``params`` in place and returns the batch
+    mean NLL; ``valid_nll()`` scores the current parameters.  History rows:
     step, lr, mean train NLL since the previous evaluation, validation
     bpd.  Training stops once the validation NLL has not improved for
     ``patience`` steps (checked at each evaluation) or at max_steps; the
-    best-validation snapshot is then copied back into ``opt.params``.
+    best-validation snapshot is then copied back into ``params``.
     """
     rng = np.random.default_rng(config.seed)
     num_vars = train_x.shape[1]
     best_nll = valid_nll()
-    best_params = {k: v.copy() for k, v in opt.params.items()}
+    best_params = {k: v.copy() for k, v in params.items()}
     best_step = 0
     history = [
         {"step": 0, "lr": lr_schedule(0, config), "train_nll": float("nan"), "valid_bpd": float(bpd(-best_nll, num_vars))}
@@ -307,12 +311,12 @@ def _fit(opt: Adam, take_step, valid_nll, train_x: np.ndarray, config: TrainConf
             window = []
             if nll < best_nll:
                 best_nll = nll
-                best_params = {k: v.copy() for k, v in opt.params.items()}
+                best_params = {k: v.copy() for k, v in params.items()}
                 best_step = step
             elif step - best_step >= config.patience:
                 break
     for k, v in best_params.items():
-        opt.params[k][...] = v
+        params[k][...] = v
     return TrainResult(params=best_params, history=history, best_valid_nll=best_nll, steps=steps_run)
 
 
@@ -325,7 +329,7 @@ def train_pic(nets: ParamNets, train_x: np.ndarray, valid_x: np.ndarray, config:
     config.validate()
     rule = make_rule(config.rule_kind, config.n, -1.0, 1.0)
     opt = Adam(nets.param_arrays(), config)
-    return _fit(opt, lambda batch: train_pic_step(nets, batch, rule, opt), lambda: dataset_nll(nets, rule, valid_x), train_x, config)
+    return _fit(opt.params, lambda batch: train_pic_step(nets, batch, rule, opt), lambda: dataset_nll(nets, rule, valid_x), train_x, config)
 
 
 def copy_circuit(pc: Circuit) -> Circuit:
@@ -378,56 +382,6 @@ def em_step(pc: Circuit, batch: np.ndarray, eta: float) -> float:
         w.setflags(write=False)
         pc.units[uid] = replace(u, weights=w)
     return float(values[pc.root].mean())
-
-
-def train_hclt_em(pc: Circuit, data: np.ndarray, config: TrainConfig, valid_x: np.ndarray | None = None, step_size: float | None = None):
-    """Mini-batch EM training of a circuit's sum weights.
-
-    Operates on a copy; the input circuit is untouched.  With
-    ``step_size`` given, that constant replaces the annealed schedule
-    (step_size=1 with batch_size >= len(data) is classical full-batch
-    EM).  Returns (trained circuit, history).
-    """
-    config.validate()
-    pc = copy_circuit(pc)
-    rng = np.random.default_rng(config.seed)
-    num_vars = pc.num_vars
-    history = []
-    best_nll = np.inf
-    best_weights = None
-    best_step = 0
-    full_batch = config.batch_size >= len(data)
-    perm = rng.permutation(len(data))
-    cursor = 0
-    window: list[float] = []
-    for step in range(1, config.max_steps + 1):
-        if full_batch:
-            batch = data
-        else:
-            if cursor + config.batch_size > len(data):
-                perm = rng.permutation(len(data))
-                cursor = 0
-            batch = data[perm[cursor : cursor + config.batch_size]]
-            cursor += config.batch_size
-        eta = step_size if step_size is not None else lr_schedule(step - 1, config)
-        window.append(-em_step(pc, batch, eta))
-        if step % config.eval_interval == 0 or step == config.max_steps:
-            ref = valid_x if valid_x is not None else data
-            nll = float(-forward_values(pc, ref)[pc.root].mean())
-            history.append(
-                {"step": step, "lr": eta, "train_nll": float(np.mean(window)), "valid_bpd": float(bpd(-nll, num_vars))}
-            )
-            window = []
-            if nll < best_nll:
-                best_nll = nll
-                best_weights = {u.uid: u.weights.copy() for u in pc.units if u.kind == "sum"}
-                best_step = step
-            elif valid_x is not None and step - best_step >= config.patience:
-                break
-    if valid_x is not None and best_weights is not None:
-        for uid, w in best_weights.items():
-            pc.units[uid] = replace(pc.units[uid], weights=w)
-    return pc, history
 
 
 @dataclass
@@ -507,31 +461,77 @@ class HcltTensors:
         return builder.finish(root=root_unit)
 
 
-def hclt_adam_step(tensors: HcltTensors, batch: np.ndarray, opt: Adam) -> float:
-    """One Adam step on the log-softmax reparameterized tensors.
+def hclt_loglik_node(tape: Tape, tensors: HcltTensors, tables, sum_rows, batch: np.ndarray) -> Node:
+    """Batch log-likelihood (B,) of the free-tensor baseline on the tape.
 
-    A thin caller of the latent-tree engine on a fresh tape.
+    tables[j] is observable j's squashed (N, I) block and sum_rows[i]
+    latent i's normalized log rows, both as tape nodes; a thin caller of
+    the latent-tree engine.
     """
+    obs_rows = [
+        evidence_node(tape, table, tensors.family, tensors.num_states, batch[:, j]) for j, table in enumerate(tables)
+    ]
+    loglik = upward_pass(tensors.latent_parent, tensors.obs_parent, obs_rows, lambda i, acc: lse_matmul_node(tape, sum_rows[i], acc))
+    return ad.reshape(loglik, (batch.shape[0],))
+
+
+def hclt_adam_step(tensors: HcltTensors, batch: np.ndarray, opt: Adam) -> float:
+    """One Adam step on the log-softmax reparameterized tensors."""
     tape = Tape()
     pnodes = {k: tape.param(k, v) for k, v in tensors.param_arrays().items()}
-    obs_rows = [
-        evidence_node(tape, squash(tensors.family, pnodes[f"i{j}"]), tensors.family, tensors.num_states, batch[:, j])
-        for j in range(len(tensors.obs_parent))
+    tables = [squash(tensors.family, pnodes[f"i{j}"]) for j in range(len(tensors.input_raw))]
+    sum_rows = [
+        pnodes[f"s{i}"] - ad.logsumexp(pnodes[f"s{i}"], axis=1, keepdims=True) for i in range(len(tensors.sum_logits))
     ]
-
-    def contract(i, acc):
-        logits = pnodes[f"s{i}"]
-        return lse_matmul_node(tape, logits - ad.logsumexp(logits, axis=1, keepdims=True), acc)
-
-    loglik = ad.reshape(upward_pass(tensors.latent_parent, tensors.obs_parent, obs_rows, contract), (batch.shape[0],))
-    loss = ad.neg(ad.mean(loglik))
+    loss = ad.neg(ad.mean(hclt_loglik_node(tape, tensors, tables, sum_rows, batch)))
     grads = tape.backward(loss)
     opt.step(grads)
     return float(loss.data)
+
+
+def hclt_em_step(tensors: HcltTensors, batch: np.ndarray, eta: float) -> float:
+    """One EM update on every sum row; returns the pre-update batch mean NLL.
+
+    The expected counts are the gradient of the batch's summed
+    log-likelihood with respect to the normalized log sum rows (the input
+    tables enter the tape as constants).  Each row moves to
+    (1 - eta) theta + eta counts / rowsum in place; a row whose counts sum
+    to zero keeps its weights, like ``em_step`` on the explicit circuit.
+    """
+    tape = Tape()
+    sum_rows = [tape.param(f"s{i}", rows) for i, rows in enumerate(tensors.sum_rows())]
+    tables = [tape.const(table) for table in tensors.input_tables()]
+    loglik = hclt_loglik_node(tape, tensors, tables, sum_rows, batch)
+    counts = tape.backward(ad.reduce_sum(loglik))
+    for i, logits in enumerate(tensors.sum_logits):
+        cnt = counts[f"s{i}"]
+        total = cnt.sum(axis=1, keepdims=True)
+        moved = total[:, 0] > 0.0
+        theta = (1.0 - eta) * np.exp(sum_rows[i].data[moved]) + eta * (cnt[moved] / total[moved])
+        with np.errstate(divide="ignore"):
+            logits[moved] = np.log(theta)
+    return float(-loglik.data.mean())
 
 
 def train_hclt_adam(tensors: HcltTensors, train_x: np.ndarray, valid_x: np.ndarray, config: TrainConfig) -> TrainResult:
     """Adam training of the free-tensor baseline: the loop of train_pic."""
     config.validate()
     opt = Adam(tensors.param_arrays(), config)
-    return _fit(opt, lambda batch: hclt_adam_step(tensors, batch, opt), lambda: float(-tensors.loglik(valid_x).mean()), train_x, config)
+    return _fit(opt.params, lambda batch: hclt_adam_step(tensors, batch, opt), lambda: float(-tensors.loglik(valid_x).mean()), train_x, config)
+
+
+def train_hclt_em(tensors: HcltTensors, train_x: np.ndarray, valid_x: np.ndarray, config: TrainConfig) -> TrainResult:
+    """Mini-batch EM training of the free-tensor baseline: the loop of train_pic.
+
+    Step t moves the sum rows by the annealed step size lr_schedule(t);
+    the input blocks never change.
+    """
+    config.validate()
+    steps = itertools.count()
+    return _fit(
+        tensors.param_arrays(),
+        lambda batch: hclt_em_step(tensors, batch, lr_schedule(next(steps), config)),
+        lambda: float(-tensors.loglik(valid_x).mean()),
+        train_x,
+        config,
+    )

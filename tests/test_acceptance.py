@@ -375,8 +375,8 @@ def test_criterion_09_training_smoke():
     em_config = TrainConfig(
         batch_size=64, n=16, max_steps=1000, eval_interval=250, patience=1000, lr_max=0.5, lr_min=0.05, seed=0
     )
-    _, em_history = train_hclt_em(tensors.to_circuit(), train_x, em_config, valid_x=valid_x)
-    em_bpds = [row["valid_bpd"] for row in em_history]
+    em_result = train_hclt_em(tensors, train_x, valid_x, em_config)
+    em_bpds = [row["valid_bpd"] for row in em_result.history]
     elapsed = time.time() - start
 
     ok = drop >= 0.10 and bool(np.all(np.isfinite(em_bpds)))

@@ -70,6 +70,15 @@ class TestExitCodes:
         assert run(["sanity-check", "--nodes", "4", "--models", "2", "--samples", "30", "--n-list", "8",
                     "--threads", "2", "--out", str(tmp_path / "m.csv")]) == 0
 
+    def test_zero_eval_interval_is_user_error(self, tmp_path, capsys):
+        data = write_categorical(tmp_path / "d.csv", rows=20, seed=0)
+        for mode in ("pic", "hclt-em", "hclt-adam"):
+            code = run(["train", "--mode", mode, "--data", str(data), "--valid", str(data),
+                        "--schema", "categorical:3", "--n", "3", "--steps", "4", "--eval-interval", "0",
+                        "--patience", "4", "--out", str(tmp_path / "o.json")])
+            assert code == 1
+            assert "error: batch_size, n, restart_period, eval_interval must be positive" in capsys.readouterr().err
+
 
 class TestGenGaussian:
     def test_deterministic_under_seed(self, tmp_path):
@@ -188,12 +197,17 @@ class TestTrain:
     def test_em_mode_writes_a_concrete_circuit(self, tmp_path):
         data = write_categorical(tmp_path / "d.csv", rows=40, seed=6)
         out = tmp_path / "em.json"
+        progress = tmp_path / "prog.csv"
         assert run(["train", "--mode", "hclt-em", "--data", str(data), "--valid", str(data),
                     "--schema", "categorical:3", "--n", "3", "--batch", "40", "--steps", "6",
-                    "--eval-interval", "3", "--patience", "6", "--seed", "0", "--out", str(out)]) == 0
+                    "--eval-interval", "3", "--patience", "6", "--seed", "0", "--out", str(out),
+                    "--progress", str(progress)]) == 0
         pc = deserialize(out.read_text())
         assert not pc.is_symbolic
         assert any(u.kind == "sum" for u in pc.units)
+        header, rows = read_csv(progress)
+        assert header == ["step", "lr", "train_nll", "valid_bpd"]
+        assert [r[0] for r in rows] == ["0", "3", "6"]
 
     def test_adam_mode_runs(self, tmp_path):
         data = write_categorical(tmp_path / "d.csv", rows=40, seed=6)
@@ -238,6 +252,23 @@ class TestBench:
                     "--seed", "0", "--out", str(out)]) == 0
         header, rows = read_csv(out)
         assert header == ["iter", "seconds"] and len(rows) == 5
+
+    def test_counts_below_one_are_user_errors(self, tmp_path, capsys):
+        for flags in (["--iters", "0"], ["--iters", "-1"], ["--batch", "0"]):
+            out = tmp_path / "bench.csv"
+            code = run(["bench", "--model", str(tmp_path / "q.json"), *flags, "--out", str(out)])
+            assert code == 1
+            assert "error: --iters and --batch must be at least 1" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_symbolic_circuit_is_user_error(self, tmp_path, capsys):
+        data, tree_path, pic_path = tmp_path / "g.csv", tmp_path / "t.json", tmp_path / "p.json"
+        run(["gen-gaussian", "--nodes", "4", "--rows", "10", "--seed", "0",
+             "--out", str(data), "--model-out", str(tree_path)])
+        run(["compile", "--tree", str(tree_path), "--out", str(pic_path)])
+        capsys.readouterr()
+        assert run(["bench", "--model", str(pic_path), "--iters", "2", "--out", str(tmp_path / "b.csv")]) == 1
+        assert "materialize the circuit first" in capsys.readouterr().err
 
 
 class TestThreads:

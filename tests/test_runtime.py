@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from picirc import gaussian
 from picirc.circuit import Circuit, CircuitBuilder, InputDist, Unit
 from picirc.errors import UnsupportedStructureError
 from picirc.runtime import benchmark_eval, bpd, evidence_rows, latent_tree_loglik, log_forward, marginal, sample_pc
@@ -249,6 +250,11 @@ class TestSamplePc:
     def test_deterministic_under_seed(self):
         c = three_var_qpc(10)
         np.testing.assert_array_equal(sample_pc(c, 50, seed=3), sample_pc(c, 50, seed=3))
+
+    def test_symbolic_circuit_rejected(self):
+        pic = gaussian.to_pic(gaussian.random_model(4, 0))
+        with pytest.raises(UnsupportedStructureError, match="materialize"):
+            sample_pc(pic, 5, seed=0)
 
 
 class TestBpd:

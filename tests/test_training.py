@@ -19,6 +19,7 @@ from picirc.training import (
     dataset_nll,
     em_step,
     hclt_adam_step,
+    hclt_em_step,
     lr_schedule,
     train_hclt_adam,
     train_hclt_em,
@@ -114,6 +115,8 @@ class TestConfigAndSchedule:
             TrainConfig(max_steps=100, patience=101).validate()
         with pytest.raises(ValueError, match="positive"):
             TrainConfig(batch_size=0).validate()
+        with pytest.raises(ValueError, match="eval_interval must be positive"):
+            TrainConfig(eval_interval=0).validate()
 
     def test_patience_zero_is_legal(self):
         TrainConfig(patience=0).validate()
@@ -347,11 +350,12 @@ class TestEm:
         tensors = HcltTensors.random(tree, n=4, family="categorical", num_states=2, seed=2)
         data = em_toy_data(num_rows=60, seed=9)
         config = TrainConfig(batch_size=16, n=4, max_steps=40, eval_interval=40, patience=40, lr_max=0.5, lr_min=0.05)
-        trained, _ = train_hclt_em(tensors.to_circuit(), data, config)
-        for u in trained.units:
-            if u.kind == "sum":
-                m = u.weights.max()
-                assert abs(m + np.log(np.exp(u.weights - m).sum())) < 1e-9
+        result = train_hclt_em(tensors, data, data, config)
+        assert result.history[-1]["step"] == 40
+        # EM stores log theta, so the raw logits themselves are normalized rows
+        for logits in tensors.sum_logits:
+            m = logits.max(axis=1, keepdims=True)
+            assert np.all(np.abs(m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))) < 1e-9)
 
     @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_zero_flow_keeps_old_weights(self):
@@ -383,26 +387,69 @@ class TestEm:
 
     def test_minibatch_converges_to_full_batch_solution(self):
         tree = neural_tree((None,), (0, 0), k=2)
-        tensors = HcltTensors.random(tree, n=2, family="categorical", num_states=2, seed=11)
-        pc = tensors.to_circuit()
         data = em_toy_data(num_rows=200, seed=7)
 
-        config_full = TrainConfig(batch_size=400, n=2, max_steps=300, eval_interval=300, patience=300)
-        full, _ = train_hclt_em(pc, data, config_full, step_size=1.0)
+        full = HcltTensors.random(tree, n=2, family="categorical", num_states=2, seed=11)
+        for _ in range(300):
+            hclt_em_step(full, data, eta=1.0)
+        mini = HcltTensors.random(tree, n=2, family="categorical", num_states=2, seed=11)
         config_mini = TrainConfig(
             batch_size=32, n=2, max_steps=800, eval_interval=800, patience=800,
             lr_max=0.5, lr_min=0.02, restart_period=200,
         )
-        mini, _ = train_hclt_em(pc, data, config_mini)
-        gap = abs(log_forward(full, data).mean() - log_forward(mini, data).mean())
+        train_hclt_em(mini, data, data, config_mini)
+        gap = abs(full.loglik(data).mean() - mini.loglik(data).mean())
         assert gap < 1e-3
 
-    def test_input_circuit_unchanged_by_training(self):
-        pc, _ = two_component_mixture(prior=(0.3, 0.7))
-        data = em_toy_data(num_rows=30, seed=1)
-        config = TrainConfig(batch_size=64, n=2, max_steps=10, eval_interval=10, patience=10)
-        train_hclt_em(pc, data, config, step_size=1.0)
-        np.testing.assert_allclose(np.exp(pc.units[pc.root].weights), [0.3, 0.7], rtol=1e-15)
+    def test_input_blocks_unchanged_by_training(self):
+        tree = neural_tree((None, 0), (0, 0, 1), k=2)
+        tensors = HcltTensors.random(tree, n=3, family="categorical", num_states=2, seed=4, scale=1.0)
+        before = [raw.copy() for raw in tensors.input_raw]
+        data = np.hstack([em_toy_data(num_rows=30, seed=1), em_toy_data(num_rows=30, seed=2)[:, :1]])
+        config = TrainConfig(batch_size=64, n=3, max_steps=10, eval_interval=5, patience=10)
+        train_hclt_em(tensors, data, data, config)
+        for raw, old in zip(tensors.input_raw, before):
+            np.testing.assert_array_equal(raw, old)
+
+
+class TestHcltEm:
+    """One engine EM step against ``em_step`` on the exported circuit."""
+
+    def check_against_oracle(self, tensors, x, eta):
+        pc = copy_circuit(tensors.to_circuit())
+        raw_before = [raw.copy() for raw in tensors.input_raw]
+        expected = -em_step(pc, x, eta)
+        loss = hclt_em_step(tensors, x, eta)
+        np.testing.assert_allclose(loss, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(log_forward(tensors.to_circuit(), x), log_forward(pc, x), rtol=0, atol=1e-12)
+        for raw, old in zip(tensors.input_raw, raw_before):
+            np.testing.assert_array_equal(raw, old)
+
+    @pytest.mark.parametrize("family, k", [("categorical", 3), ("binomial", 4), ("gaussian", None)])
+    def test_matches_em_step_oracle(self, family, k):
+        tree = neural_tree((None, 0, 0, 1), (0, 1, 2, 2, 3, 3), family=family, k=k)
+        tensors = HcltTensors.random(tree, n=4, family=family, num_states=k, seed=6, scale=1.0)
+        self.check_against_oracle(tensors, family_data(family, k, 40, 6, 3), eta=0.7)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    def test_zero_flow_row_keeps_its_weights(self):
+        # a -inf root logit sends no flow into row 1 of both child latents
+        tree = neural_tree((None, 0, 0), (0, 1, 2, 2), k=3)
+        tensors = HcltTensors.random(tree, n=3, family="categorical", num_states=3, seed=9, scale=1.0)
+        tensors.sum_logits[0][0, 1] = -np.inf
+        dead = [tensors.sum_logits[i][1].copy() for i in (1, 2)]
+        self.check_against_oracle(tensors, family_data("categorical", 3, 30, 4, 5), eta=1.0)
+        for i, row in zip((1, 2), dead):
+            np.testing.assert_array_equal(tensors.sum_logits[i][1], row)
+        assert tensors.sum_logits[0][0, 1] == -np.inf
+
+    def test_full_batch_em_is_monotone(self):
+        tree = neural_tree((None, 0), (0, 0, 1), k=2)
+        tensors = HcltTensors.random(tree, n=3, family="categorical", num_states=2, seed=11)
+        data = em_toy_data(num_rows=120, seed=5)
+        data = np.hstack([data, data[:, :1]])
+        nlls = [hclt_em_step(tensors, data, eta=1.0) for _ in range(20)]
+        assert np.all(np.diff(nlls) <= 1e-10)
 
 
 class TestHcltAdam:
