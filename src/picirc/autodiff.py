@@ -4,10 +4,14 @@ The engine is a Wengert list: every operation appends a record to a
 ``Tape``, and ``backward`` replays the records in reverse, accumulating
 vector-Jacobian products.  Only the primitives needed by this package are
 implemented: elementwise arithmetic, matrix products, the transcendental
-functions used by the nets, logsumexp, gather, reductions, and two shape
-utilities (reshape, interleave).  Every primitive registers its backward
-rule up front; recording an op with no registered rule fails immediately
-rather than silently producing zero gradients.
+functions used by the nets, logsumexp, the log-space contraction
+``lse_matmul`` (log(exp(a) @ exp(b)), every sum layer of a QPC), gather,
+reductions, and two shape utilities (reshape, interleave).  Every primitive
+registers its backward rule up front; recording an op with no registered
+rule fails immediately rather than silently producing zero gradients.
+``_logsumexp_data`` and ``_lse_matmul_data`` are the forwards of
+``logsumexp`` and ``lse_matmul``, so ndarray evaluation and the tape share
+one kernel each.
 
 Values that are not registered as parameters (constants: data batches,
 quadrature points and weights, Fourier frequency matrices) never receive
@@ -279,6 +283,100 @@ def _logsumexp_data(x, axis, keepdims):
     elif not keepdims:
         out = out.reshape(())
     return out
+
+
+_TINY = np.finfo(np.float64).tiny
+_LOG_TINY = float(np.log(_TINY))
+
+
+def _lse_matmul_parts(a, b):
+    """log(exp(a) @ exp(b)) for a (J, K) and b (K, B), with what its backward needs.
+
+    Each row of a and each column of b is shifted by its own max, and the
+    shifted exponentials below ``finfo.tiny`` are flushed to 0 before the
+    BLAS product: a dropped term is below tiny and its other factor is at
+    most 1, so a cell moves by less than K * tiny.  A cell whose product
+    falls below K * tiny * 1e12 (underflowed, or too close to the flush to
+    keep 1e-12) is recomputed by an exact logsumexp over k, vectorized over
+    chunks of such cells; (rows, cols) lists them.  NaN in an operand
+    propagates to its row or column.
+    """
+    m1 = a.max(axis=1, keepdims=True)
+    m2 = b.max(axis=0, keepdims=True)
+    m1 = np.where(np.isfinite(m1), m1, 0.0)
+    m2 = np.where(np.isfinite(m2), m2, 0.0)
+    ea = _flushed_exp(a - m1)
+    eb = _flushed_exp(b - m2)
+    prod = ea @ eb
+    with np.errstate(divide="ignore"):
+        out = np.log(prod)
+    out += m1
+    out += m2
+    rows, cols = np.divmod(np.flatnonzero(prod < a.shape[1] * _TINY * 1e12), prod.shape[1])
+    for cells, terms in _cell_terms(a, b, rows, cols):
+        m = terms.max(axis=1, keepdims=True)
+        m = np.where(np.isfinite(m), m, 0.0)
+        with np.errstate(divide="ignore"):
+            out[cells] = np.log(_exp_above_tiny(terms - m).sum(axis=1)) + m[:, 0]
+    return out, ea, eb, prod, rows, cols
+
+
+def _flushed_exp(x):
+    """exp(x) in place, with values below ``finfo.tiny`` flushed to 0 (for operands that seldom underflow)."""
+    np.exp(x, out=x)
+    x[x < _TINY] = 0.0
+    return x
+
+
+def _exp_above_tiny(x):
+    """exp(x), with 0 wherever it would fall below ``finfo.tiny`` or x is NaN.
+
+    Those values are never computed: numpy's exp is several times slower on
+    underflow, and most terms of a recomputed cell underflow.
+    """
+    return np.exp(x, out=np.zeros(x.shape), where=x >= _LOG_TINY)
+
+
+def _cell_terms(a, b, rows, cols):
+    """The terms a[j, k] + b[k, c] of the cells (rows, cols), in chunks of about 2^16 terms."""
+    if not rows.size:
+        return
+    bt = np.ascontiguousarray(b.T)
+    step = max(1, (1 << 16) // a.shape[1])
+    for lo in range(0, rows.size, step):
+        r, c = rows[lo : lo + step], cols[lo : lo + step]
+        yield (r, c), a[r] + bt[c]
+
+
+def _lse_matmul_data(a, b):
+    """The one log-space contraction kernel: log(exp(a) @ exp(b)), exact."""
+    return _lse_matmul_parts(a, b)[0]
+
+
+def lse_matmul(a: Node, b: Node) -> Node:
+    """log(exp(a) @ exp(b)) for 2-D a (J, K) and b (K, B), as one tape op."""
+    out, ea, eb, prod, rows, cols = _lse_matmul_parts(a.data, b.data)
+    return a.tape.record("lse_matmul", out, (a, b), (a.data, b.data, out, ea, eb, prod, rows, cols))
+
+
+@_backward_rule("lse_matmul")
+def _lse_matmul_bwd(ctx, g):
+    # d out[j, b] / d a[j, k] = d out[j, b] / d b[k, b] = exp(a[j, k] + b[k, b] - out[j, b]),
+    # which is ea[j, k] * eb[k, b] / prod[j, b] wherever the product was kept.
+    a, b, out, ea, eb, prod, rows, cols = ctx
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gp = g / prod
+    gp[rows, cols] = 0.0
+    da = ea * (gp @ eb.T)
+    db = eb * (ea.T @ gp)
+    for (r, c), terms in _cell_terms(a, b, rows, cols):
+        # a cell whose exact value is -inf has only -inf terms, so its weights are 0
+        with np.errstate(invalid="ignore"):
+            w = _exp_above_tiny(terms - out[r, c][:, None])
+        gw = g[r, c][:, None] * w
+        np.add.at(da, r, gw)
+        np.add.at(db.T, c, gw)
+    return da, db
 
 
 def logsumexp(a: Node, axis=None, keepdims=False) -> Node:

@@ -28,12 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Node, Tape
+from .autodiff import Node, Tape, _lse_matmul_data
 from .circuit import Circuit, CircuitBuilder, InputDist, check_structure, post_order
 from .errors import CircuitError, NumericError, SizeError, UnsupportedStructureError
 from .nets import ParamNets, decoder_forward
 from .quadrature import QuadratureRule
-from .runtime import _lse_matmul, evidence_rows, gaussian_logpdf, upward_pass
+from .runtime import evidence_rows, gaussian_logpdf, upward_pass
 
 
 @dataclass(frozen=True)
@@ -410,6 +410,6 @@ def streamed_loglik(pic: Circuit, rule: QuadratureRule, nets: ParamNets, x: np.n
 
     def contract(i, acc):
         net = nets.energy[i]
-        return _lse_matmul(sum_param_node(tape, net, nets.net_pnodes(net, pnodes), rule.points, rule.weights).data, acc)
+        return _lse_matmul_data(sum_param_node(tape, net, nets.net_pnodes(net, pnodes), rule.points, rule.weights).data, acc)
 
     return upward_pass(latent_parent, obs_parent, obs_rows, contract)[0]

@@ -7,8 +7,11 @@ one latent-tree engine, ``upward_pass``, fed by the one vectorized
 evidence kernel, ``evidence_rows``.  The engine only adds blocks and
 hands them to a per-latent ``contract`` callback, so it serves ndarrays
 here (``latent_tree_loglik``), streamed materialization and the tape
-paths of ``training`` alike.  Marginalization uses NaN as the
-"marginalized out" marker in evidence arrays.
+paths of ``training`` alike.  On ndarrays each latent is contracted by
+``autodiff._lse_matmul_data``, the kernel of the tape primitive
+``lse_matmul``, which stays exact when the row and column maxima
+misalign.  Marginalization uses NaN as the "marginalized out" marker in
+evidence arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import time
 import numpy as np
 from scipy.special import gammaln
 
-from .autodiff import _logsumexp_data
+from .autodiff import _logsumexp_data, _lse_matmul_data
 from .circuit import Circuit, in_support, post_order
 from .errors import NumericError, UnsupportedStructureError
 from .structures import top_down_order
@@ -171,21 +174,6 @@ def bpd(loglik, num_vars: int):
     return -np.asarray(loglik) / (num_vars * np.log(2.0))
 
 
-def _lse_matmul(log_w: np.ndarray, log_v: np.ndarray) -> np.ndarray:
-    """log(exp(log_w) @ exp(log_v)) with per-row/column max subtraction.
-
-    log_w: (J, N) and log_v: (N, B) -> (J, B).  Exact up to float
-    rounding; the shifted exponentials stay in range by construction.
-    """
-    m1 = log_w.max(axis=1, keepdims=True)
-    m2 = log_v.max(axis=0, keepdims=True)
-    m1 = np.where(np.isfinite(m1), m1, 0.0)
-    m2 = np.where(np.isfinite(m2), m2, 0.0)
-    prod = np.exp(log_w - m1) @ np.exp(log_v - m2)
-    with np.errstate(divide="ignore"):
-        return np.log(prod) + m1 + m2
-
-
 def upward_pass(latent_parent, obs_parent, obs_rows, contract):
     """The latent-tree engine: one bottom-up message pass.
 
@@ -223,7 +211,7 @@ def latent_tree_loglik(latent_parent, obs_parent, sum_rows, obs_loglik) -> np.nd
     (N_parent, B) per-point evidence log-likelihood of observable j.
     Equivalent to log_forward over the fully materialized circuit.
     """
-    return upward_pass(latent_parent, obs_parent, obs_loglik, lambda i, acc: _lse_matmul(sum_rows[i], acc))[0]
+    return upward_pass(latent_parent, obs_parent, obs_loglik, lambda i, acc: _lse_matmul_data(sum_rows[i], acc))[0]
 
 
 def benchmark_eval(qpc: Circuit, batch: np.ndarray, iters: int) -> dict:

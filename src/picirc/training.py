@@ -10,11 +10,13 @@ either by mini-batch Expectation-Maximization or by Adam on log-softmax
 reparameterized tensors.
 
 Every tape loss (``batch_loglik_node`` and ``hclt_loglik_node``) is a
-thin caller of the latent-tree engine, ``runtime.upward_pass``; the
-unit-by-unit ``unitwise_loglik_node`` stays independent of it as the
-test oracle.  EM takes its expected counts from the same tape: the
-gradient of the summed log-likelihood with respect to the normalized
-log sum rows is the expected count of every sum edge.  ``train_pic``,
+thin caller of the latent-tree engine, ``runtime.upward_pass``, whose
+per-latent contraction is one ``autodiff.lse_matmul`` op
+(``lse_matmul_node``); the unit-by-unit ``unitwise_loglik_node`` stays
+independent of both as the test oracle.  EM takes its expected counts
+from the same tape: the gradient of the summed log-likelihood with
+respect to the normalized log sum rows is the expected count of every
+sum edge.  ``train_pic``,
 ``train_hclt_adam`` and ``train_hclt_em`` share one mini-batch loop with
 the cosine-annealed step size and best-validation early stopping.
 ``em_step`` on the explicit circuit is the EM oracle.
@@ -109,13 +111,8 @@ class Adam:
 
 
 def lse_matmul_node(tape: Tape, s: Node, acc: Node) -> Node:
-    """log(exp(s) @ exp(acc)) on the tape, stabilized by detached maxima."""
-    m1 = s.data.max(axis=1, keepdims=True)
-    m2 = acc.data.max(axis=0, keepdims=True)
-    m1 = tape.const(np.where(np.isfinite(m1), m1, 0.0))
-    m2 = tape.const(np.where(np.isfinite(m2), m2, 0.0))
-    prod = ad.matmul(ad.exp(s - m1), ad.exp(acc - m2))
-    return ad.log(prod) + m1 + m2
+    """A latent's contraction log(exp(s) @ exp(acc)) on the tape: one ``lse_matmul`` op."""
+    return ad.lse_matmul(s, acc)
 
 
 def evidence_node(tape: Tape, table: Node, family: str, num_states, x_col: np.ndarray) -> Node:
@@ -179,8 +176,9 @@ def _sum_nodes(nodes: list[Node]) -> Node:
 
 
 def _logsumexp_list(tape: Tape, nodes: list[Node]) -> Node:
-    """logsumexp over equal-shape nodes, stabilized by a detached constant."""
-    m = tape.const(max(float(np.max(n.data)) for n in nodes))
+    """Elementwise logsumexp over equal-shape nodes, shifted by their detached elementwise max."""
+    m = np.max([n.data for n in nodes], axis=0)
+    m = tape.const(np.where(np.isfinite(m), m, 0.0))
     total = ad.exp(nodes[0] - m)
     for node in nodes[1:]:
         total = total + ad.exp(node - m)

@@ -1,10 +1,15 @@
 """Tape engine: per-primitive gradient checks against central differences."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from picirc import autodiff as ad
+from picirc import gaussian
 from picirc.autodiff import Tape
+from picirc.runtime import upward_pass
 
 
 def value_and_grads(build, params):
@@ -233,6 +238,116 @@ class TestKnownIdentities:
             return t, ad.mean(ad.reshape(out, (7,)))
 
         check_grads(build, params)
+
+
+def dense_lse_matmul(a, b):
+    """The exact contraction: logsumexp over k of a[j, k] + b[k, c], one cell at a time."""
+    with np.errstate(invalid="ignore"):
+        return logsumexp(a[:, :, None] + b[None], axis=1)
+
+
+def dense_lse_matmul_vjp(a, b, g):
+    """Exact vector-Jacobian product: per-cell weights exp(a[j, k] + b[k, c] - out[j, c])."""
+    out = dense_lse_matmul(a, b)
+    with np.errstate(invalid="ignore"):
+        w = np.exp(a[:, :, None] + b[None] - out[:, None, :])
+    w = np.where(np.isneginf(out)[:, None, :], 0.0, w)
+    gw = g[:, None, :] * w
+    return gw.sum(axis=2), gw.sum(axis=0)
+
+
+def tape_lse_matmul(a, b, g):
+    """Value of lse_matmul and its gradients for the upstream gradient g."""
+    tape = Tape()
+    out = ad.lse_matmul(tape.param("a", a), tape.param("b", b))
+    with np.errstate(invalid="ignore"):
+        loss = ad.reduce_sum(ad.multiply(out, tape.const(g)))
+    grads = tape.backward(loss)
+    return out.data, grads["a"], grads["b"]
+
+
+def check_contraction(a, b, g):
+    """Kernel, primitive and gradients against the dense exact contraction.
+
+    assert_allclose requires -inf and NaN in the same cells, so no -inf
+    may appear where the exact value is finite.
+    """
+    out, da, db = tape_lse_matmul(a, b, g)
+    np.testing.assert_array_equal(ad._lse_matmul_data(a, b), out)
+    np.testing.assert_allclose(out, dense_lse_matmul(a, b), rtol=0, atol=1e-12)
+    want_da, want_db = dense_lse_matmul_vjp(a, b, g)
+    np.testing.assert_allclose(da, want_da, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(db, want_db, rtol=0, atol=1e-12)
+
+
+def lse_matmul_build(p):
+    t = Tape()
+    out = ad.lse_matmul(t.param("a", p["a"]), t.param("b", p["b"]))
+    return t, scalarize(t, out, np.random.default_rng(21))
+
+
+class TestLseMatmul:
+    def test_misaligned_maxima(self):
+        # the row max of a and the column max of b sit at different k
+        a, b = np.array([[0.0, -800.0]]), np.array([[-800.0], [0.0]])
+        out, da, db = tape_lse_matmul(a, b, np.ones((1, 1)))
+        np.testing.assert_allclose(out, [[-799.3068528194401]], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(da, [[0.5, 0.5]], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(db, [[0.5], [0.5]], rtol=0, atol=1e-12)
+        check_grads(lse_matmul_build, {"a": a, "b": b})
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_800_scale_with_scattered_neg_inf(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            j, k, c = rng.integers(1, 7, 3)
+            a, b = rng.uniform(-800, 800, (j, k)), rng.uniform(-800, 800, (k, c))
+            a[rng.random(a.shape) < 0.2] = -np.inf
+            b[rng.random(b.shape) < 0.2] = -np.inf
+            check_contraction(a, b, rng.normal(size=(j, c)))
+            if np.isfinite(dense_lse_matmul(a, b)).all():
+                check_grads(lse_matmul_build, {"a": a, "b": b})
+
+    def test_neg_inf_rows_and_columns_keep_zero_gradient(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.uniform(-800, 800, (3, 4)), rng.uniform(-800, 800, (4, 5))
+        a[1] = -np.inf
+        b[:, 2] = -np.inf
+        out, da, db = tape_lse_matmul(a, b, rng.normal(size=(3, 5)))
+        dead = np.zeros((3, 5), dtype=bool)
+        dead[1] = dead[:, 2] = True
+        np.testing.assert_array_equal(np.isneginf(out), dead)
+        assert np.isfinite(out[~dead]).all()
+        assert (da[1] == 0.0).all() and (db[:, 2] == 0.0).all()
+        assert np.isfinite(da).all() and np.isfinite(db).all()
+        check_contraction(a, b, rng.normal(size=(3, 5)))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_nan_propagates(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.uniform(-800, 800, (3, 4)), rng.uniform(-800, 800, (4, 5))
+        a[0, 1] = np.nan
+        b[2, 3] = np.nan
+        out, da, db = tape_lse_matmul(a, b, rng.normal(size=(3, 5)))
+        assert np.isnan(out[0]).all() and np.isnan(out[:, 3]).all()
+        assert np.isnan(da).any() and np.isnan(db).any()
+        check_contraction(a, b, rng.normal(size=(3, 5)))
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_peaky_gaussian_contractions_at_n512(self, seed):
+        # child and observation stddevs at a tenth of the root's scale make every
+        # sum row and evidence block sharply peaked, with maxima misaligned
+        model = gaussian.random_model(8, seed)
+        model = dataclasses.replace(model, sigma=np.r_[model.sigma[:1], 0.1 * model.sigma[1:]], tau=0.1 * model.tau)
+        x = gaussian.sample(model, 6, seed)
+        sum_rows, obs_loglik = gaussian.gaussian_region_tensors(model, gaussian.domain_rules(model, 512), x)
+        rng = np.random.default_rng(seed)
+
+        def contract(i, acc):
+            check_contraction(sum_rows[i], acc, rng.normal(size=(sum_rows[i].shape[0], acc.shape[1])))
+            return ad._lse_matmul_data(sum_rows[i], acc)
+
+        upward_pass(model.latent_parent, model.obs_parent, obs_loglik, contract)
 
 
 class TestTapeContract:

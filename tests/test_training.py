@@ -14,6 +14,7 @@ from picirc.training import (
     Adam,
     HcltTensors,
     TrainConfig,
+    _logsumexp_list,
     batch_loglik_node,
     copy_circuit,
     dataset_nll,
@@ -21,6 +22,7 @@ from picirc.training import (
     hclt_adam_step,
     hclt_em_step,
     lr_schedule,
+    lse_matmul_node,
     train_hclt_adam,
     train_hclt_em,
     train_pic,
@@ -194,6 +196,22 @@ class TestPicStep:
         assert grads_a.keys() == grads_b.keys()
         for k in grads_a:
             np.testing.assert_allclose(grads_a[k], grads_b[k], rtol=0, atol=1e-12)
+
+
+def test_contraction_records_one_tape_op():
+    tape = Tape()
+    s = tape.param("s", np.zeros((2, 3)))
+    lse_matmul_node(tape, s, tape.const(np.zeros((3, 4))))
+    assert [rec[0] for rec in tape._records] == ["lse_matmul"]
+
+
+def test_unitwise_logsumexp_shifts_each_row():
+    # the second row sits 800 nats below the first; one batch-wide shift underflows it
+    tape = Tape()
+    x = tape.param("x", np.array([0.0, -800.0]))
+    out = _logsumexp_list(tape, [x, x - 1.0])
+    np.testing.assert_allclose(out.data, np.log1p(np.exp(-1.0)) + np.array([0.0, -800.0]), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(tape.backward(ad.reduce_sum(out))["x"], [1.0, 1.0], rtol=0, atol=1e-12)
 
 
 def childless_latent_pic():
@@ -417,6 +435,7 @@ class TestHcltEm:
 
     def check_against_oracle(self, tensors, x, eta):
         pc = copy_circuit(tensors.to_circuit())
+        np.testing.assert_allclose(tensors.loglik(x), log_forward(pc, x), rtol=0, atol=1e-12)
         raw_before = [raw.copy() for raw in tensors.input_raw]
         expected = -em_step(pc, x, eta)
         loss = hclt_em_step(tensors, x, eta)
@@ -442,6 +461,28 @@ class TestHcltEm:
         for i, row in zip((1, 2), dead):
             np.testing.assert_array_equal(tensors.sum_logits[i][1], row)
         assert tensors.sum_logits[0][0, 1] == -np.inf
+
+    def test_peaky_tensors_match_oracle(self):
+        # sum rows and input tables at -800 off permuted diagonals: the row and
+        # column maxima of each contraction sit at different k
+        def peaky():
+            def block(perm):
+                out = np.full((3, 3), -800.0)
+                out[np.arange(3), perm] = 0.0
+                return out
+
+            return HcltTensors(
+                (None, 0), (0, 1, 1), [np.zeros((1, 3)), block([1, 2, 0])],
+                [block([0, 1, 2]), block([2, 0, 1]), block([1, 0, 2])], "categorical", 3,
+            )
+
+        x = np.array([[0, 0, 0], [1, 2, 1], [2, 1, 0], [0, 2, 2], [1, 0, 0]], dtype=float)
+        self.check_against_oracle(peaky(), x, eta=0.5)
+        tensors = peaky()
+        opt = Adam(tensors.param_arrays(), TrainConfig())
+        assert np.isfinite(hclt_adam_step(tensors, x, opt))
+        # after one step Adam's first moment is (1 - beta1) times the gradient
+        assert all(np.isfinite(m).all() for m in opt.m.values())
 
     def test_full_batch_em_is_monotone(self):
         tree = neural_tree((None, 0), (0, 0, 1), k=2)
