@@ -1,21 +1,27 @@
 """Minimal reverse-mode automatic differentiation on a tape of numpy arrays.
 
-The engine is a Wengert list: every operation appends a record to a
-``Tape``, and ``backward`` replays the records in reverse, accumulating
-vector-Jacobian products.  Only the primitives needed by this package are
-implemented: elementwise arithmetic, matrix products, the transcendental
-functions used by the nets, logsumexp, the log-space contraction
-``lse_matmul`` (log(exp(a) @ exp(b)), every sum layer of a QPC), gather,
-reductions, and two shape utilities (reshape, interleave).  Every primitive
-registers its backward rule up front; recording an op with no registered
-rule fails immediately rather than silently producing zero gradients.
+The engine is a Wengert list: every operation with an input that needs a
+gradient appends a record to a ``Tape``, and ``backward`` replays the
+records in reverse, accumulating vector-Jacobian products.  The tape holds
+records (op name, node indices, saved arrays), never the nodes: each node
+points at its tape, so a tape dies with its last node, freed by reference
+counting.  A pass over constants only records nothing, and each of its
+intermediates dies with its last consumer.
+
+Only the primitives needed by this package are implemented: elementwise
+arithmetic, matrix products, the transcendental functions used by the
+nets, logsumexp, the log-space contraction ``lse_matmul``
+(log(exp(a) @ exp(b)), every sum layer of a QPC), gather, reductions, and
+two shape utilities (reshape, interleave).  Every primitive registers its
+backward rule up front; recording an op with no registered rule fails
+immediately rather than silently producing zero gradients.
 ``_logsumexp_data`` and ``_lse_matmul_data`` are the forwards of
 ``logsumexp`` and ``lse_matmul``, so ndarray evaluation and the tape share
 one kernel each.
 
 Values that are not registered as parameters (constants: data batches,
-quadrature points and weights, Fourier frequency matrices) never receive
-gradients.
+quadrature points and weights, Fourier frequency matrices, and net weights
+in forward-only evaluations) never receive gradients.
 """
 
 from __future__ import annotations
@@ -86,17 +92,19 @@ class Node:
 
 
 class Tape:
-    """Operation recorder and parameter registry for one forward pass."""
+    """Operation recorder and parameter registry for one forward pass.
+
+    Holds records and each parameter's (index, shape), never a ``Node``.
+    """
 
     def __init__(self):
         self._records = []
-        self._nodes = []
+        self._size = 0
         self._params = {}
 
     def _new_node(self, data, needs_grad):
-        arr = np.asarray(data, dtype=np.float64)
-        node = Node(self, arr, needs_grad, len(self._nodes))
-        self._nodes.append(node)
+        node = Node(self, np.asarray(data, dtype=np.float64), needs_grad, self._size)
+        self._size += 1
         return node
 
     def const(self, value) -> Node:
@@ -108,7 +116,7 @@ class Tape:
         if name in self._params:
             raise ValueError(f"parameter {name!r} already registered on this tape")
         node = self._new_node(value, needs_grad=True)
-        self._params[name] = node
+        self._params[name] = (node.idx, node.shape)
         return node
 
     def record(self, op_name, out_data, inputs, ctx) -> Node:
@@ -116,10 +124,11 @@ class Tape:
             raise NotImplementedError(
                 f"primitive {op_name!r} has no registered backward rule"
             )
-        needs = any(inp.needs_grad for inp in inputs)
+        in_idxs = tuple(inp.idx if inp.needs_grad else None for inp in inputs)
+        needs = any(idx is not None for idx in in_idxs)
         out = self._new_node(out_data, needs)
         if needs:
-            self._records.append((op_name, out.idx, tuple(i.idx for i in inputs), ctx))
+            self._records.append((op_name, out.idx, in_idxs, ctx))
         return out
 
     def backward(self, loss: Node) -> dict[str, np.ndarray]:
@@ -128,7 +137,7 @@ class Tape:
             raise ValueError("loss node belongs to a different tape")
         if loss.data.shape != ():
             raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
-        grads: list[np.ndarray | None] = [None] * len(self._nodes)
+        grads: list[np.ndarray | None] = [None] * self._size
         grads[loss.idx] = np.ones(())
         for op_name, out_idx, in_idxs, ctx in reversed(self._records):
             g = grads[out_idx]
@@ -136,16 +145,15 @@ class Tape:
                 continue
             contribs = _BACKWARD[op_name](ctx, g)
             for idx, contrib in zip(in_idxs, contribs):
-                if contrib is None or not self._nodes[idx].needs_grad:
+                if idx is None or contrib is None:
                     continue
                 if grads[idx] is None:
                     grads[idx] = np.array(contrib, dtype=np.float64, copy=True)
                 else:
                     grads[idx] += contrib
         out = {}
-        for name, node in self._params.items():
-            g = grads[node.idx]
-            out[name] = np.zeros_like(node.data) if g is None else g
+        for name, (idx, shape) in self._params.items():
+            out[name] = np.zeros(shape) if grads[idx] is None else grads[idx]
         return out
 
 

@@ -19,6 +19,7 @@ from scipy.special import ndtri
 
 from .circuit import Circuit
 from .errors import NumericError
+from .materialize import _linear_gaussian_rows, pic_tree_maps
 from .quadrature import QuadratureRule, make_rule
 from .runtime import LOG_2PI, gaussian_logpdf, latent_tree_loglik
 from .structures import LatentTree, bn_to_pic, top_down_order
@@ -244,18 +245,11 @@ def gaussian_region_tensors(model: LinearGaussianLTM, rules: dict[int, Quadratur
     point n).  Feed to latent_tree_loglik or compare against the
     materialized circuit.
     """
-    with np.errstate(divide="ignore"):
-        log_w = {i: np.log(rules[i].weights) for i in rules}
-    sum_rows = []
-    for i in range(model.num_latents):
-        z = rules[i].points
-        p = model.latent_parent[i]
-        if p is None:
-            means = np.array([model.b[i]])
-        else:
-            means = model.a[i] * rules[p].points + model.b[i]
-        dens = gaussian_logpdf(z[None, :], means[:, None], np.log(model.sigma[i]))
-        sum_rows.append(log_w[i][None, :] + dens)
+    tree = model.tree()
+    sum_rows = [
+        _linear_gaussian_rows(tree.latent_cond[i], rules[i], None if p is None else rules[p].points)
+        for i, p in enumerate(model.latent_parent)
+    ]
     obs_loglik = []
     for j, p in enumerate(model.obs_parent):
         z = rules[p].points
@@ -286,33 +280,20 @@ def to_pic(model: LinearGaussianLTM) -> Circuit:
 
 def model_from_pic(pic: Circuit) -> LinearGaussianLTM:
     """Recover model coefficients from a circuit produced by to_pic."""
-    integrals = sorted(pic.integral_units(), key=lambda u: u.latent["var"])
-    n = len(integrals)
-    if not n or [u.latent["var"] for u in integrals] != list(range(n)):
-        raise ValueError("circuit does not carry a dense set of latents")
+    latent_parent, obs_parent = pic_tree_maps(pic)
+    n = len(latent_parent)
+    if not n:
+        raise ValueError("circuit carries no latents")
     a = np.zeros(n)
     b = np.zeros(n)
     sigma = np.ones(n)
-    latent_parent = []
-    for u in integrals:
+    for u in pic.integral_units():
         cond = u.latent["cond"]
         if cond.get("type") != "linear-gaussian":
             raise ValueError(f"latent {u.latent['var']} is not linear-gaussian")
         i = u.latent["var"]
         a[i], b[i], sigma[i] = cond["a"], cond["b"], cond["sigma"]
-        latent_parent.append(u.latent["parent"])
-
-    owner: dict[int, int] = {}
-    for u in integrals:
-        child = pic.units[u.children[0]]
-        group = child.children if child.kind == "product" else (child.uid,)
-        for cid in group:
-            cu = pic.units[cid]
-            if cu.kind == "input":
-                owner[cu.var] = u.latent["var"]
     m = pic.num_vars
-    if sorted(owner) != list(range(m)):
-        raise ValueError("could not attach every observable to a latent")
     c = np.zeros(m)
     d = np.zeros(m)
     tau = np.ones(m)
@@ -324,8 +305,8 @@ def model_from_pic(pic: Circuit) -> LinearGaussianLTM:
             raise ValueError(f"input unit {u.uid} is not linear-gaussian")
         c[u.var], d[u.var], tau[u.var] = cond["c"], cond["d"], cond["tau"]
     model = LinearGaussianLTM(
-        latent_parent=tuple(latent_parent),
-        obs_parent=tuple(owner[j] for j in range(m)),
+        latent_parent=latent_parent,
+        obs_parent=obs_parent,
         a=a,
         b=b,
         sigma=sigma,

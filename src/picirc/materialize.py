@@ -13,7 +13,8 @@ tensors: S[i][j][k] = log(w_k p(z_k | z_j)) with the normalizer of the
 energy model approximated by the same rule, which makes every row
 logsumexp to exactly zero, and I[i][j] = decoder params at point j.
 The tape nodes ``sum_param_node`` and ``input_param_node`` are the one
-definition of both; the ndarray tensors are their data.
+definition of both; the ndarray tensors are their data, computed over
+the weights as tape constants, so nothing is recorded.
 
 ``streamed_loglik`` evaluates a batch without building the concrete
 circuit: it is a thin caller of the latent-tree engine
@@ -31,7 +32,7 @@ from . import autodiff as ad
 from .autodiff import Node, Tape, _lse_matmul_data
 from .circuit import Circuit, CircuitBuilder, InputDist, check_structure, post_order
 from .errors import CircuitError, NumericError, SizeError, UnsupportedStructureError
-from .nets import ParamNets, decoder_forward
+from .nets import ParamNets, _const_weights, decoder_forward
 from .quadrature import QuadratureRule
 from .runtime import evidence_rows, gaussian_logpdf, upward_pass
 
@@ -110,10 +111,9 @@ def materialize_sum_params(nets: ParamNets, z, w, norm_rule: QuadratureRule | No
     w = np.asarray(w, dtype=np.float64)
     n = len(z)
     tape = Tape()
-    pnodes = nets.register(tape)
     out = np.empty((len(nets.energy), n, n))
     for i, net in enumerate(nets.energy):
-        s = sum_param_node(tape, net, nets.net_pnodes(net, pnodes), z, w, norm_rule).data
+        s = sum_param_node(tape, net, _const_weights(tape, net), z, w, norm_rule).data
         bad = np.argwhere(~np.isfinite(s))
         if bad.size:
             j, k = bad[0]
@@ -128,8 +128,7 @@ def materialize_input_params(nets: ParamNets, z) -> InputParamTensor:
     if np.any(np.abs(z) > 1.0 + 1e-12):
         raise ValueError("decoder latents live on [-1, 1]; got points outside")
     tape = Tape()
-    pnodes = nets.register(tape)
-    rows = [input_param_node(tape, net, nets.net_pnodes(net, pnodes), z).data for net in nets.decoder]
+    rows = [input_param_node(tape, net, _const_weights(tape, net), z).data for net in nets.decoder]
     return InputParamTensor(
         table=np.stack(rows), z=z, family=nets.family, num_states=nets.num_states
     )
@@ -358,9 +357,8 @@ def _nested_neural_density(net, rule: QuadratureRule, parent_value) -> np.ndarra
     if np.any(np.abs(bounds) > 1.0 + 1e-12):
         raise ValueError("energy-model latents live on [-1, 1]; got points outside")
     tape = Tape()
-    pnodes = net.register(tape)
     parent = np.zeros(0) if parent_value is None else np.array([parent_value])
-    energy = _energy_grid(tape, net, pnodes, rule.points, parent).data[0]
+    energy = _energy_grid(tape, net, _const_weights(tape, net), rule.points, parent).data[0]
     lognorm = ad._logsumexp_data(np.log(rule.weights) - energy, None, False)
     return -energy - lognorm
 
@@ -384,11 +382,9 @@ def pic_tree_maps(pic: Circuit) -> tuple[tuple, tuple]:
         raise UnsupportedStructureError("latent variables must be densely numbered")
     latent_parent = tuple(u.latent["parent"] for u in integrals)
     owner = _owner_map(pic)
-    obs_owner: dict[int, int] = {}
-    for u in pic.units:
-        if u.kind == "input":
-            obs_owner[u.var] = owner[u.uid]
-    if sorted(obs_owner) != list(range(pic.num_vars)):
+    inputs = [u for u in pic.units if u.kind == "input"]
+    obs_owner = {u.var: owner[u.uid] for u in inputs}
+    if len(inputs) != pic.num_vars or sorted(obs_owner) != list(range(pic.num_vars)):
         raise UnsupportedStructureError("every observable needs exactly one input unit")
     return latent_parent, tuple(obs_owner[v] for v in range(pic.num_vars))
 
@@ -404,12 +400,11 @@ def streamed_loglik(pic: Circuit, rule: QuadratureRule, nets: ParamNets, x: np.n
     latent_parent, obs_parent = pic_tree_maps(pic)
     x = np.asarray(x, dtype=np.float64)
     tape = Tape()
-    pnodes = nets.register(tape)
     ip = materialize_input_params(nets, rule.points)
     obs_rows = (evidence_rows(ip.table[j], ip.family, ip.num_states, x[:, j], var=j) for j in range(len(obs_parent)))
 
     def contract(i, acc):
         net = nets.energy[i]
-        return _lse_matmul_data(sum_param_node(tape, net, nets.net_pnodes(net, pnodes), rule.points, rule.weights).data, acc)
+        return _lse_matmul_data(sum_param_node(tape, net, _const_weights(tape, net), rule.points, rule.weights).data, acc)
 
     return upward_pass(latent_parent, obs_parent, obs_rows, contract)[0]

@@ -9,7 +9,9 @@ whose first layer is a fixed random Fourier feature map, which keeps them
 expressive on the bounded latent domain while staying cheap.
 
 All forward passes run on a gradient tape; the fixed Fourier frequencies
-enter as constants and therefore never receive gradients.
+enter as constants and therefore never receive gradients.  Evaluations
+that take no gradient hand the weights to the tape as constants too
+(``_const_weights``), so their tape records nothing.
 """
 
 from __future__ import annotations
@@ -92,6 +94,11 @@ class _Mlp:
         return h
 
 
+def _const_weights(tape: Tape, net: _Mlp) -> dict[str, Node]:
+    """A net's weights as tape constants, for forward-only evaluations."""
+    return {k: tape.const(v) for k, v in net.params.items()}
+
+
 class EnergyNet(_Mlp):
     """Nonnegative conditional energy f_i(z_child, z_parent); softplus head."""
 
@@ -153,8 +160,7 @@ def energy_forward(net: EnergyNet, z_child: float, z_parent: float | None = None
     x = np.array([[z_child]] if z_parent is None else [[z_child, z_parent]])
     _check_latent_range(x)
     tape = Tape()
-    pnodes = net.register(tape)
-    return float(net.forward(tape, pnodes, tape.const(x)).data[0])
+    return float(net.forward(tape, _const_weights(tape, net), tape.const(x)).data[0])
 
 
 def decoder_forward(net: DecoderNet, z: float, family: str | None = None) -> np.ndarray:
@@ -164,8 +170,7 @@ def decoder_forward(net: DecoderNet, z: float, family: str | None = None) -> np.
     x = np.array([[z]])
     _check_latent_range(x)
     tape = Tape()
-    pnodes = net.register(tape)
-    return net.squash(net.forward(tape, pnodes, tape.const(x))).data[0]
+    return net.squash(net.forward(tape, _const_weights(tape, net), tape.const(x))).data[0]
 
 
 class ParamNets:

@@ -4,7 +4,7 @@ from scipy.stats import norm
 
 from picirc import gaussian
 from picirc.autodiff import Tape
-from picirc.circuit import check_structure, deserialize, serialize, structurally_equal
+from picirc.circuit import CircuitBuilder, InputDist, check_structure, deserialize, serialize, structurally_equal
 from picirc.errors import NumericError, SizeError, UnsupportedStructureError
 from picirc.materialize import (
     InputParamTensor,
@@ -433,6 +433,21 @@ class TestStreamedLoglik:
         x[1, 1] = value
         with pytest.raises(ValueError, match="variable 1"):
             streamed_loglik(bn_to_pic(tree), make_rule("trapezoidal", 4, -1.0, 1.0), nets, x)
+
+    def test_observable_read_by_two_input_units_rejected(self):
+        # product(x0, x0) under one integral is not decomposable: both paths must refuse it
+        tree = neural_tree((None,), (0,), k=3)
+        builder = CircuitBuilder()
+        dist = InputDist("categorical", num_states=3, conditional=tree.obs_cond[0])
+        body = builder.add_product([builder.add_input(0, dist), builder.add_input(0, dist)])
+        pic = builder.finish(root=builder.add_integral(body, var=0, parent=None, cond=NEURAL))
+        rule = make_rule("trapezoidal", 8, -1.0, 1.0)
+        with pytest.raises(UnsupportedStructureError):
+            materialize_qpc(pic, rule, tensors_for(small_nets(tree), rule))
+        with pytest.raises(UnsupportedStructureError, match="exactly one input unit"):
+            pic_tree_maps(pic)
+        with pytest.raises(UnsupportedStructureError, match="exactly one input unit"):
+            streamed_loglik(pic, rule, small_nets(tree), np.array([[0.0], [1.0], [2.0]]))
 
     def test_tree_maps_recovered_from_circuit(self):
         tree = neural_tree((None, 0, 0), (0, 1, 1, 2), k=4)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,8 @@ import picirc.autodiff as ad
 from picirc.autodiff import Tape
 from picirc.circuit import CircuitBuilder, InputDist
 from picirc.errors import NumericError
-from picirc.materialize import streamed_loglik
-from picirc.nets import ParamNets, load_checkpoint, save_checkpoint
+from picirc.materialize import materialize_input_params, materialize_nested, materialize_sum_params, streamed_loglik
+from picirc.nets import ParamNets, decoder_forward, energy_forward, load_checkpoint, save_checkpoint
 from picirc.quadrature import make_rule
 from picirc.runtime import latent_tree_loglik, log_forward
 from picirc.structures import LatentTree, bn_to_pic
@@ -527,3 +530,64 @@ class TestHcltAdam:
             hclt_adam_step(tensors, data, opt)
         for rows in tensors.sum_rows():
             np.testing.assert_allclose(np.logaddexp.reduce(rows, axis=1), 0.0, atol=1e-12)
+
+
+def tape_calls(forward_only):
+    """Thunks over a small 3-latent model: every forward-only evaluation, plus the steps when asked."""
+    tree = neural_tree((None, 0, 0), (0, 1, 2, 2))
+    pic = bn_to_pic(tree)
+    rule = make_rule("trapezoidal", 4, -1.0, 1.0)
+    nets = small_nets(tree, seed=5)
+    x = family_data("categorical", 3, 6, 4, 5)
+    calls = {
+        "materialize_sum_params": lambda: materialize_sum_params(nets, rule.points, rule.weights),
+        "materialize_input_params": lambda: materialize_input_params(nets, rule.points),
+        "dataset_nll": lambda: dataset_nll(nets, rule, x),
+        "streamed_loglik": lambda: streamed_loglik(pic, rule, nets, x),
+        "energy_forward": lambda: energy_forward(nets.energy[1], 0.25, -0.5),
+        "decoder_forward": lambda: decoder_forward(nets.decoder[0], 0.25),
+        "materialize_nested": lambda: materialize_nested(pic, lambda latent, parent_value: rule, nets),
+    }
+    if not forward_only:
+        tensors = HcltTensors.random(tree, 4, "categorical", 3, seed=5)
+        calls["train_pic_step"] = lambda: train_pic_step(nets, x, rule, Adam(nets.param_arrays(), TrainConfig()))
+        calls["hclt_adam_step"] = lambda: hclt_adam_step(tensors, x, Adam(tensors.param_arrays(), TrainConfig()))
+        calls["hclt_em_step"] = lambda: hclt_em_step(tensors, x, 0.5)
+    return calls
+
+
+class TestTapeLifetime:
+    """A tape holds no node, so reference counting frees it; forward-only passes record nothing."""
+
+    @pytest.mark.parametrize("name", list(tape_calls(forward_only=False)))
+    def test_no_tape_outlives_the_call(self, name, monkeypatch):
+        thunk = tape_calls(forward_only=False)[name]
+        live = weakref.WeakSet()
+        init = Tape.__init__
+
+        def tracked_init(tape):
+            init(tape)
+            live.add(tape)
+
+        monkeypatch.setattr(Tape, "__init__", tracked_init)
+        gc.disable()
+        try:
+            thunk()
+            assert len(live) == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("name", list(tape_calls(forward_only=True)))
+    def test_forward_only_records_nothing(self, name, monkeypatch):
+        thunk = tape_calls(forward_only=True)[name]
+        recorded = []
+        record = Tape.record
+
+        def counting_record(tape, op_name, out_data, inputs, ctx):
+            if any(inp.needs_grad for inp in inputs):
+                recorded.append(op_name)
+            return record(tape, op_name, out_data, inputs, ctx)
+
+        monkeypatch.setattr(Tape, "record", counting_record)
+        thunk()
+        assert recorded == []
