@@ -1,12 +1,16 @@
 """Turning symbolic circuits into concrete quadrature circuits.
 
-Two construction modes.  The static mode replaces every integral unit by
-a region of sum units over one shared grid, re-using child regions, so
-the output size is quadratic in the number of points regardless of
-depth.  The nested mode re-derives a fresh rule for every parent point
-(the rule may depend on the conditioned density), which permits adaptive
-placement but forbids re-use: the output is a tree whose size is
-exponential in depth, so it is guarded by a level limit.
+``_read_pic`` is the one reader of a symbolic circuit's latent tree; every
+function here takes the tree from it.  Two construction modes.  The
+static mode gives each input unit and each integral unit a region of
+concrete units over its latent's grid, re-using child regions, so the
+output size is quadratic in the number of points regardless of depth;
+one region builder, ``_build_regions``, emits it for ``materialize_qpc``
+and ``HcltTensors.to_circuit``.  The nested mode re-derives a fresh rule
+for every parent point (the rule may depend on the conditioned density),
+which permits adaptive placement but forbids re-use: the output is a
+tree whose size is exponential in depth, so it is guarded by a level
+limit.
 
 Neural conditionals are first materialized into log-space parameter
 tensors: S[i][j][k] = log(w_k p(z_k | z_j)) with the normalizer of the
@@ -30,11 +34,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, Tape, _lse_matmul_data
-from .circuit import Circuit, CircuitBuilder, InputDist, check_structure, post_order
-from .errors import CircuitError, NumericError, SizeError, UnsupportedStructureError
+from .circuit import Circuit, CircuitBuilder, InputDist, post_order
+from .errors import NumericError, SizeError, UnsupportedStructureError
 from .nets import ParamNets, _const_weights, decoder_forward
 from .quadrature import QuadratureRule
 from .runtime import evidence_rows, gaussian_logpdf, upward_pass
+from .structures import top_down_order
 
 
 @dataclass(frozen=True)
@@ -134,41 +139,82 @@ def materialize_input_params(nets: ParamNets, z) -> InputParamTensor:
     )
 
 
-def _require_tree(pic: Circuit, op: str) -> None:
-    refs = np.zeros(len(pic.units), dtype=int)
-    for u in pic.units:
-        for c in u.children:
-            refs[c] += 1
-    shared = [u.uid for u in pic.units if refs[u.uid] > 1]
-    if shared or refs[pic.root] != 0:
-        raise UnsupportedStructureError(f"{op} needs a tree-shaped circuit; units {shared or [pic.root]} are re-used")
-    report = check_structure(pic)
-    if not (report.smooth and report.decomposable):
-        raise UnsupportedStructureError(f"{op} needs a smooth, decomposable circuit")
+def _read_pic(pic: Circuit) -> tuple[tuple, tuple, list[list[int]]]:
+    """(latent_parent, obs_parent, parts) of a symbolic circuit, read in one walk.
 
-
-def _owner_map(pic: Circuit) -> dict[int, int]:
-    """Nearest enclosing integrated variable for every unit, keyed by uid."""
-    owner: dict[int, int] = {}
-    stack = [(pic.root, None)]
+    Each parent is the latent of the nearest integral unit above; parts[i]
+    lists the input and integral units directly below latent i's integral,
+    through products, in circuit order.  Anything but a tree of integral,
+    product and input units under a root integral, reading each observable
+    once, with dense latents whose declared parents match the nesting,
+    raises UnsupportedStructureError; such a tree is smooth and decomposable.
+    """
+    if not pic.is_symbolic:
+        raise UnsupportedStructureError("circuit has no integral units; nothing to materialize")
+    latents = sorted(u.latent["var"] for u in pic.integral_units())
+    if latents != list(range(len(latents))):
+        raise UnsupportedStructureError("latent variables must be densely numbered")
+    latent_parent: list = [None] * len(latents)
+    parts: list[list[int]] = [[] for _ in latents]
+    obs, seen, stack = [], set(), [(pic.root, None)]
     while stack:
-        uid, latent = stack.pop()
-        owner[uid] = latent
+        uid, above = stack.pop()
+        if uid in seen:
+            raise UnsupportedStructureError(f"a symbolic circuit must be tree-shaped; unit {uid} is re-used")
+        seen.add(uid)
         u = pic.units[uid]
-        down = u.latent["var"] if u.kind == "integral" else latent
-        for c in u.children:
-            stack.append((c, down))
-    return owner
+        if u.kind == "sum":
+            raise UnsupportedStructureError(f"a symbolic circuit takes conditionals only, no sum units; unit {uid} is one")
+        if u.kind == "product":
+            stack.extend((c, above) for c in reversed(u.children))
+            continue
+        if above is not None:
+            parts[above].append(uid)
+        if u.kind == "input":
+            if above is None:
+                raise UnsupportedStructureError(f"input unit {uid} is not below any integral unit")
+            obs.append((u.var, above))
+            continue
+        i = u.latent["var"]
+        if u.latent["parent"] != above:
+            raise UnsupportedStructureError(f"latent {i} declares parent {u.latent['parent']}, but its integral unit sits below latent {above}")
+        latent_parent[i] = above
+        stack.append((u.children[0], i))
+    if pic.units[pic.root].kind != "integral":
+        raise UnsupportedStructureError("the outermost unit must integrate the root latent")
+    if sorted(v for v, _ in obs) != list(range(pic.num_vars)):
+        raise UnsupportedStructureError("every observable needs exactly one input unit")
+    return tuple(latent_parent), tuple(p for _, p in sorted(obs)), parts
 
 
-def _rule_map(pic: Circuit, rules) -> dict[int, QuadratureRule]:
-    latents = [u.latent["var"] for u in pic.integral_units()]
+def _build_regions(pic: Circuit, parts: list[list[int]], input_dists, sum_rows) -> Circuit:
+    """The static QPC of a symbolic circuit read by ``_read_pic``.
+
+    Input unit u gets the region ``input_dists(u)``, one input per point
+    of its latent; integral unit u gets one sum unit per row of its (J, N)
+    block ``sum_rows(u)`` over the point-wise product of its parts.  Child
+    regions are re-used by reference: O(sum N_i^2) edges.
+    """
+    builder = CircuitBuilder()
+    regions: dict[int, list[int]] = {}
+    for uid in post_order(pic):
+        u = pic.units[uid]
+        if u.kind == "input":
+            regions[uid] = [builder.add_input(u.var, d) for d in input_dists(u)]
+        elif u.kind == "integral":
+            groups = [regions[c] for c in parts[u.latent["var"]]]
+            body = groups[0] if len(groups) == 1 else [builder.add_product(g) for g in zip(*groups, strict=True)]
+            regions[uid] = [builder.add_sum(body, row) for row in sum_rows(u)]
+    return builder.finish(root=regions[pic.root][0])
+
+
+def _rule_map(num_latents: int, rules) -> dict[int, QuadratureRule]:
     if isinstance(rules, QuadratureRule):
-        return {i: rules for i in latents}
-    missing = [i for i in latents if i not in rules]
+        return {i: rules for i in range(num_latents)}
+    missing = [i for i in range(num_latents) if i not in rules]
     if missing:
         raise ValueError(f"no quadrature rule for latents {missing}")
-    return {i: rules[i] for i in latents}
+    return {i: rules[i] for i in range(num_latents)}
 
 
 def _linear_gaussian_input(cond: dict, z: float) -> InputDist:
@@ -201,7 +247,7 @@ def _linear_gaussian_rows(cond: dict, rule: QuadratureRule, parent_points) -> np
 
 
 def materialize_qpc(pic: Circuit, rules, params=None) -> Circuit:
-    """Static-rule compilation: one region of concrete units per symbolic unit.
+    """Static-rule compilation: the one region builder over the PIC's tree.
 
     ``rules`` is one rule shared by every latent or a per-latent mapping.
     ``params`` carries (SumParamTensor, InputParamTensor) for neural
@@ -209,53 +255,28 @@ def materialize_qpc(pic: Circuit, rules, params=None) -> Circuit:
     form and need no tensors.  Child regions are indexed by the latent's
     points and re-used by reference, so the result has O(sum N_i^2) edges.
     """
-    if not pic.is_symbolic:
-        raise UnsupportedStructureError("circuit has no integral units; nothing to materialize")
-    if any(u.kind == "sum" for u in pic.units):
-        raise UnsupportedStructureError("static materialization expects conditionals only, no sum units")
-    _require_tree(pic, "materialize_qpc")
-    rule_of = _rule_map(pic, rules)
-    owner = _owner_map(pic)
-
-    sp = ip = None
+    latent_parent, obs_parent, parts = _read_pic(pic)
+    rule_of = _rule_map(len(latent_parent), rules)
+    ip = None
     if params is not None:
         sp, ip = params
         for i, rule in rule_of.items():
             ref = sp.z if sp is not None else ip.z
-            if len(rule.points) != len(ref) or not np.array_equal(rule.points, ref):
+            if not np.array_equal(rule.points, ref):
                 raise ValueError(f"rule for latent {i} differs from the points the tensors were built on")
 
-    builder = CircuitBuilder()
-    regions: dict[int, list[int]] = {}
-    for uid in post_order(pic):
-        u = pic.units[uid]
-        if u.kind == "input":
-            i = owner[u.uid]
-            if i is None:
-                raise UnsupportedStructureError(f"input unit {u.uid} is not below any integral unit")
-            z = rule_of[i].points
-            regions[u.uid] = [
-                builder.add_input(u.var, _input_dist_at(u.dist, u.var, z[j], j, ip)) for j in range(len(z))
-            ]
-        elif u.kind == "integral":
-            i = u.latent["var"]
-            child_region = regions[u.children[0]]
-            if len(child_region) != rule_of[i].n:
-                raise CircuitError(
-                    f"latent {i}: child region has {len(child_region)} units, rule has {rule_of[i].n} points"
-                )
-            regions[u.uid] = [builder.add_sum(child_region, row) for row in sum_region_rows(pic, rule_of, i, params)]
-        else:
-            groups = [regions[c] for c in u.children]
-            width = len(groups[0])
-            if any(len(g) != width for g in groups):
-                raise CircuitError(f"product unit {u.uid}: child regions have unequal sizes")
-            regions[u.uid] = [builder.add_product([g[j] for g in groups]) for j in range(width)]
+    def input_dists(u):
+        return [_input_dist_at(u.dist, u.var, z, j, ip) for j, z in enumerate(rule_of[obs_parent[u.var]].points)]
 
-    top = regions[pic.root]
-    if len(top) != 1:
-        raise UnsupportedStructureError("the outermost unit must integrate the root latent")
-    return builder.finish(root=top[0])
+    return _build_regions(pic, parts, input_dists, lambda u: _sum_rows(u, latent_parent, rule_of, params))
+
+
+def _sum_rows(unit, latent_parent, rule_of, params) -> np.ndarray:
+    i = unit.latent["var"]
+    parent = latent_parent[i]
+    if params is not None and params[0] is not None:
+        return params[0].s[i, :1] if parent is None else params[0].s[i]
+    return _linear_gaussian_rows(unit.latent["cond"], rule_of[i], None if parent is None else rule_of[parent].points)
 
 
 def sum_region_rows(pic: Circuit, rules, latent: int, params=None) -> np.ndarray:
@@ -264,29 +285,11 @@ def sum_region_rows(pic: Circuit, rules, latent: int, params=None) -> np.ndarray
     Row j is the weight vector of the region's j-th sum unit (J = 1 at
     the root); materialize_qpc builds every sum region from this block.
     """
+    latent_parent, _, _ = _read_pic(pic)
     unit = next((u for u in pic.integral_units() if u.latent["var"] == latent), None)
     if unit is None:
         raise ValueError(f"no integral unit for latent {latent}")
-    rule_of = _rule_map(pic, rules)
-    parent = unit.latent["parent"]
-    if params is not None and params[0] is not None:
-        return params[0].s[latent, :1] if parent is None else params[0].s[latent]
-    return _linear_gaussian_rows(unit.latent["cond"], rule_of[latent], None if parent is None else rule_of[parent].points)
-
-
-def _latent_levels(pic: Circuit) -> dict[int, int]:
-    levels = {}
-    stack = [(pic.root, 0)]
-    while stack:
-        uid, depth = stack.pop()
-        u = pic.units[uid]
-        below = depth
-        if u.kind == "integral":
-            below = depth + 1
-            levels[u.latent["var"]] = below
-        for c in u.children:
-            stack.append((c, below))
-    return levels
+    return _sum_rows(unit, latent_parent, _rule_map(len(latent_parent), rules), params)
 
 
 def materialize_nested(pic: Circuit, point_selector, nets: ParamNets | None = None, max_levels: int = 3) -> Circuit:
@@ -297,15 +300,10 @@ def materialize_nested(pic: Circuit, point_selector, nets: ParamNets | None = No
     Every parent point gets its own child subtree, so unit count grows as
     N^depth; depths beyond ``max_levels`` are refused up front.
     """
-    if any(u.kind == "sum" for u in pic.units):
-        raise UnsupportedStructureError("nested materialization expects conditionals only, no sum units")
-    if not pic.is_symbolic:
-        raise UnsupportedStructureError("circuit has no integral units; nothing to materialize")
-    _require_tree(pic, "materialize_nested")
-    if pic.units[pic.root].kind != "integral":
-        raise UnsupportedStructureError("the outermost unit must integrate the root latent")
-
-    levels = _latent_levels(pic)
+    latent_parent, _, parts = _read_pic(pic)
+    levels: dict[int, int] = {}
+    for i in top_down_order(latent_parent):
+        levels[i] = levels.get(latent_parent[i], 0) + 1
     depth = max(levels.values())
     if depth > max_levels:
         probe = point_selector(pic.units[pic.root].latent["var"], None)
@@ -317,24 +315,9 @@ def materialize_nested(pic: Circuit, point_selector, nets: ParamNets | None = No
 
     builder = CircuitBuilder()
 
-    def direct_parts(uid: int) -> tuple[list, list]:
-        """Input units and integral units below uid, not crossing integrals."""
-        inputs, integrals = [], []
-        stack = [uid]
-        while stack:
-            u = pic.units[stack.pop()]
-            if u.kind == "input":
-                inputs.append(u)
-            elif u.kind == "integral":
-                integrals.append(u)
-            else:
-                stack.extend(reversed(u.children))
-        return inputs, integrals
-
     def quad(int_unit, parent_value) -> int:
         var = int_unit.latent["var"]
         rule = point_selector(var, parent_value)
-        inputs, integrals = direct_parts(int_unit.children[0])
         cond = int_unit.latent["cond"]
         if cond.get("type") == "linear-gaussian":
             row = _linear_gaussian_rows(cond, rule, None if parent_value is None else [parent_value])[0]
@@ -342,11 +325,14 @@ def materialize_nested(pic: Circuit, point_selector, nets: ParamNets | None = No
             if nets is None:
                 raise ValueError("neural conditionals need the parameter nets")
             row = np.log(rule.weights) + _nested_neural_density(nets.energy[var], rule, parent_value)
+        below = [pic.units[c] for c in parts[var]]
         children = []
         for zn in rule.points:
-            parts = [builder.add_input(u.var, _nested_input_dist(u.dist, u.var, zn, nets)) for u in inputs]
-            parts.extend(quad(c, zn) for c in integrals)
-            children.append(parts[0] if len(parts) == 1 else builder.add_product(parts))
+            kids = [
+                builder.add_input(u.var, _nested_input_dist(u.dist, u.var, zn, nets)) if u.kind == "input" else quad(u, zn)
+                for u in below
+            ]
+            children.append(kids[0] if len(kids) == 1 else builder.add_product(kids))
         return builder.add_sum(children, row)
 
     return builder.finish(root=quad(pic.units[pic.root], None))
@@ -377,16 +363,8 @@ def _nested_input_dist(dist: InputDist, var: int, z: float, nets: ParamNets | No
 
 def pic_tree_maps(pic: Circuit) -> tuple[tuple, tuple]:
     """Recover (latent_parent, obs_parent) index maps from a symbolic circuit."""
-    integrals = sorted(pic.integral_units(), key=lambda u: u.latent["var"])
-    if [u.latent["var"] for u in integrals] != list(range(len(integrals))):
-        raise UnsupportedStructureError("latent variables must be densely numbered")
-    latent_parent = tuple(u.latent["parent"] for u in integrals)
-    owner = _owner_map(pic)
-    inputs = [u for u in pic.units if u.kind == "input"]
-    obs_owner = {u.var: owner[u.uid] for u in inputs}
-    if len(inputs) != pic.num_vars or sorted(obs_owner) != list(range(pic.num_vars)):
-        raise UnsupportedStructureError("every observable needs exactly one input unit")
-    return latent_parent, tuple(obs_owner[v] for v in range(pic.num_vars))
+    latent_parent, obs_parent, _ = _read_pic(pic)
+    return latent_parent, obs_parent
 
 
 def streamed_loglik(pic: Circuit, rule: QuadratureRule, nets: ParamNets, x: np.ndarray) -> np.ndarray:

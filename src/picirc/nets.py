@@ -325,11 +325,16 @@ def _nets_from_doc(doc: dict) -> ParamNets:
     param_width(family, num_states)
     share = doc["share"]
 
+    def repeated(nid, by_id) -> bool:
+        if nid in by_id and not share:
+            raise SchemaError(f"checkpoint repeats net_id {nid} without share")
+        return nid in by_id
+
     energy_by_id: dict[int, EnergyNet] = {}
     energy = []
     for rec in doc["energy"]:
         nid = rec["net_id"]
-        if nid in energy_by_id:
+        if repeated(nid, energy_by_id):
             energy.append(energy_by_id[nid])
             continue
         net = EnergyNet(
@@ -346,7 +351,7 @@ def _nets_from_doc(doc: dict) -> ParamNets:
     decoder = []
     for rec in doc["decoder"]:
         nid = rec["net_id"]
-        if nid in decoder_by_id:
+        if repeated(nid, decoder_by_id):
             decoder.append(decoder_by_id[nid])
             continue
         net = DecoderNet(
@@ -374,6 +379,9 @@ def _nets_from_doc(doc: dict) -> ParamNets:
         raise SchemaError(f"checkpoint tree maps: {e}") from e
     if bad:
         raise SchemaError(f"checkpoint tree maps: observable {bad[0]} has parent latent {obs_parent[bad[0]]} out of range")
+    for i, (p, net) in enumerate(zip(latent_parent, energy)):
+        if net.input_dim != (1 if p is None else 2):
+            raise SchemaError(f"checkpoint energy net of latent {i} takes {net.input_dim} inputs; the tree gives it {1 if p is None else 2}")
     return ParamNets(
         latent_parent=latent_parent,
         obs_parent=obs_parent,

@@ -32,13 +32,13 @@ from scipy.special import gammaln
 
 from . import autodiff as ad
 from .autodiff import Node, Tape, _logsumexp_data
-from .circuit import Circuit, CircuitBuilder, InputDist, param_width, post_order
+from .circuit import Circuit, InputDist, param_width, post_order
 from .errors import NumericError
-from .materialize import input_param_node, materialize_input_params, materialize_sum_params, sum_param_node
+from .materialize import _build_regions, _read_pic, input_param_node, materialize_input_params, materialize_sum_params, sum_param_node
 from .nets import ParamNets, squash
 from .quadrature import QuadratureRule, make_rule
 from .runtime import LOG_2PI, bpd, evidence_rows, forward_values, latent_tree_loglik, observed_evidence, upward_pass
-from .structures import LatentTree, top_down_order
+from .structures import LatentTree, bn_to_pic
 
 
 @dataclass
@@ -228,6 +228,14 @@ class TrainResult:
     steps: int
 
 
+def _finite(loglik: Node) -> Node:
+    """The batch log-likelihood of a training step, or NumericError before any update."""
+    bad = np.flatnonzero(~np.isfinite(loglik.data))
+    if bad.size:
+        raise NumericError(f"non-finite log-likelihood at batch row {bad[0]}; step aborted")
+    return loglik
+
+
 def train_pic_step(nets: ParamNets, batch: np.ndarray, rule: QuadratureRule, opt: Adam) -> float:
     """One gradient step; returns the batch mean negative log-likelihood.
 
@@ -237,10 +245,7 @@ def train_pic_step(nets: ParamNets, batch: np.ndarray, rule: QuadratureRule, opt
     """
     tape = Tape()
     pnodes = nets.register(tape)
-    loglik = batch_loglik_node(tape, nets, pnodes, rule, batch)
-    bad = np.flatnonzero(~np.isfinite(loglik.data))
-    if bad.size:
-        raise NumericError(f"non-finite log-likelihood at batch row {bad[0]}; step aborted")
+    loglik = _finite(batch_loglik_node(tape, nets, pnodes, rule, batch))
     loss = ad.neg(ad.mean(loglik))
     grads = tape.backward(loss)
     opt.step(grads)
@@ -430,33 +435,16 @@ class HcltTensors:
         return latent_tree_loglik(self.latent_parent, self.obs_parent, self.sum_rows(), obs_rows)
 
     def to_circuit(self) -> Circuit:
-        builder = CircuitBuilder()
-        n = self.sum_logits[0].shape[1]
-        pending: dict[int, list[list[int]]] = {i: [] for i in range(len(self.latent_parent))}
-        for j, (p, block) in enumerate(zip(self.obs_parent, self.input_tables())):
-            region = [
-                builder.add_input(j, InputDist(self.family, num_states=self.num_states, params=block[k].copy()))
-                for k in range(n)
-            ]
-            pending[p].append(region)
-        rows = self.sum_rows()
-        root_unit = None
-        for i in top_down_order(self.latent_parent)[::-1]:
-            groups = pending[i]
-            if not groups:
-                raise ValueError(f"latent {i} has no children")
-            width = len(groups[0])
-            if len(groups) == 1:
-                body = groups[0]
-            else:
-                body = [builder.add_product([g[k] for g in groups]) for k in range(width)]
-            p = self.latent_parent[i]
-            region = [builder.add_sum(body, rows[i][j].copy()) for j in range(rows[i].shape[0])]
-            if p is None:
-                root_unit = region[0]
-            else:
-                pending[p].append(region)
-        return builder.finish(root=root_unit)
+        """The concrete circuit of these tensors, built by the static materializer's region builder."""
+        obs_cond = tuple({"type": "neural", "family": self.family, "k": self.num_states} for _ in self.obs_parent)
+        pic = bn_to_pic(LatentTree(self.latent_parent, self.obs_parent, tuple({"type": "neural"} for _ in self.latent_parent), obs_cond))
+        _, _, parts = _read_pic(pic)
+        tables, rows = self.input_tables(), self.sum_rows()
+
+        def input_dists(u):
+            return [InputDist(self.family, num_states=self.num_states, params=p.copy()) for p in tables[u.var]]
+
+        return _build_regions(pic, parts, input_dists, lambda u: rows[u.latent["var"]])
 
 
 def hclt_loglik_node(tape: Tape, tensors: HcltTensors, tables, sum_rows, batch: np.ndarray) -> Node:
@@ -474,14 +462,14 @@ def hclt_loglik_node(tape: Tape, tensors: HcltTensors, tables, sum_rows, batch: 
 
 
 def hclt_adam_step(tensors: HcltTensors, batch: np.ndarray, opt: Adam) -> float:
-    """One Adam step on the log-softmax reparameterized tensors."""
+    """One Adam step on the log-softmax reparameterized tensors; a non-finite loss aborts it."""
     tape = Tape()
     pnodes = {k: tape.param(k, v) for k, v in tensors.param_arrays().items()}
     tables = [squash(tensors.family, pnodes[f"i{j}"]) for j in range(len(tensors.input_raw))]
     sum_rows = [
         pnodes[f"s{i}"] - ad.logsumexp(pnodes[f"s{i}"], axis=1, keepdims=True) for i in range(len(tensors.sum_logits))
     ]
-    loss = ad.neg(ad.mean(hclt_loglik_node(tape, tensors, tables, sum_rows, batch)))
+    loss = ad.neg(ad.mean(_finite(hclt_loglik_node(tape, tensors, tables, sum_rows, batch))))
     grads = tape.backward(loss)
     opt.step(grads)
     return float(loss.data)
@@ -495,11 +483,12 @@ def hclt_em_step(tensors: HcltTensors, batch: np.ndarray, eta: float) -> float:
     tables enter the tape as constants).  Each row moves to
     (1 - eta) theta + eta counts / rowsum in place; a row whose counts sum
     to zero keeps its weights, like ``em_step`` on the explicit circuit.
+    A non-finite loss aborts before any row moves.
     """
     tape = Tape()
     sum_rows = [tape.param(f"s{i}", rows) for i, rows in enumerate(tensors.sum_rows())]
     tables = [tape.const(table) for table in tensors.input_tables()]
-    loglik = hclt_loglik_node(tape, tensors, tables, sum_rows, batch)
+    loglik = _finite(hclt_loglik_node(tape, tensors, tables, sum_rows, batch))
     counts = tape.backward(ad.reduce_sum(loglik))
     for i, logits in enumerate(tensors.sum_logits):
         cnt = counts[f"s{i}"]

@@ -1,9 +1,12 @@
 import csv
+import json
 
 import numpy as np
+import pytest
 
 from picirc.circuit import deserialize
 from picirc.cli import run, thread_cap
+from picirc.nets import ParamNets, save_checkpoint
 from picirc.structures import tree_from_json
 
 
@@ -62,6 +65,29 @@ class TestExitCodes:
         code = run(["materialize", "--pic", str(pic_path), "--n", "4", "--nets", str(nets_path), "--out", str(tmp_path / "q.json")])
         assert code == 1
         assert "checkpoint field missing or mistyped" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message", [("swap-energy", "takes 2 inputs"), ("repeat-decoder", "repeats net_id 0")], ids=["swap-energy", "repeat-decoder"]
+    )
+    def test_checkpoint_contradicting_the_tree_is_user_error(self, tmp_path, capsys, edit, message):
+        data = write_categorical(tmp_path / "d.csv", rows=30, seed=1)
+        tree_path, pic_path, nets_path = tmp_path / "t.json", tmp_path / "p.json", tmp_path / "n.json"
+        run(["clt", "--data", str(data), "--schema", "categorical:3", "--out", str(tree_path)])
+        run(["compile", "--tree", str(tree_path), "--out", str(pic_path)])
+        tree = tree_from_json(tree_path.read_bytes())
+        save_checkpoint(ParamNets.for_tree(tree, "categorical", num_states=3, num_frequencies=2, hidden=(4,), decoder_hidden=(4,)), nets_path)
+        doc = json.loads(nets_path.read_text())
+        if edit == "swap-energy":
+            root = tree.root
+            other = next(i for i in range(tree.num_latents) if i != root)
+            doc["energy"][root], doc["energy"][other] = doc["energy"][other], doc["energy"][root]
+        else:
+            doc["decoder"][1] = doc["decoder"][0]
+        nets_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run(["materialize", "--pic", str(pic_path), "--n", "4", "--nets", str(nets_path), "--out", str(tmp_path / "q.json")])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
     def test_threads_belongs_to_sanity_check_only(self, tmp_path, capsys):
         code = run(["compile", "--tree", str(tmp_path / "t.json"), "--out", str(tmp_path / "p.json"), "--threads", "2"])

@@ -299,6 +299,102 @@ def constant_selector(rule):
     return lambda latent, parent_value: rule
 
 
+def linear_gaussian_chain(parent_of_2):
+    """Chain z0 -> z1 -> z2 with x_j below z_j; latent 2's integral sits
+    below latent 1 and declares ``parent_of_2`` as its parent."""
+    lat = lambda a, b, s: {"type": "linear-gaussian", "a": a, "b": b, "sigma": s}
+    obs = InputDist("gaussian", conditional={"type": "linear-gaussian", "c": 1.0, "d": 0.0, "tau": 0.5})
+    b = CircuitBuilder()
+    xs = [b.add_input(j, obs) for j in range(3)]
+    z2 = b.add_integral(xs[2], var=2, parent=parent_of_2, cond=lat(0.8, 0.0, 0.6))
+    z1 = b.add_integral(b.add_product([xs[1], z2]), var=1, parent=0, cond=lat(0.8, 0.0, 0.6))
+    return b.finish(root=b.add_integral(b.add_product([xs[0], z1]), var=0, parent=None, cond=lat(0.0, 0.0, 1.0)))
+
+
+def childless_latent_pic():
+    """Declared maps ((None, 0, 0), (0, 2)): latent 1, a child of 0, holds
+    only latent 2, which names 0 as its parent."""
+    tree = neural_tree((None, 0, 0), (0, 2))
+    b = CircuitBuilder()
+    obs = [b.add_input(j, InputDist("categorical", num_states=3, conditional=tree.obs_cond[j])) for j in range(2)]
+    z2 = b.add_integral(obs[1], var=2, parent=0, cond=NEURAL)
+    z1 = b.add_integral(z2, var=1, parent=0, cond=NEURAL)
+    return b.finish(root=b.add_integral(b.add_product([obs[0], z1]), var=0, parent=None, cond=NEURAL))
+
+
+def mismatched_pic(name):
+    """(pic, nets, rule, x) for a circuit whose latent 2 declares parent 0 but sits below latent 1."""
+    if name == "gaussian-chain":
+        nets = small_nets(neural_tree((None, 0, 0), (0, 1, 2), family="gaussian", k=None), family="gaussian", k=None)
+        return linear_gaussian_chain(0), nets, make_rule("trapezoidal", 32, -6.0, 6.0), np.array([[0.5, 1.0, -0.3]])
+    nets = small_nets(neural_tree((None, 0, 0), (0, 2)), seed=2)
+    return childless_latent_pic(), nets, make_rule("trapezoidal", 4, -1.0, 1.0), np.zeros((3, 2))
+
+
+class TestReadPic:
+    """Every materializer reads the latent tree from the circuit's nesting."""
+
+    @pytest.mark.parametrize(
+        "name, caller",
+        [(name, caller) for name in ("gaussian-chain", "childless") for caller in ("materialize_qpc", "materialize_nested", "streamed_loglik", "pic_tree_maps")],
+    )
+    def test_declared_parent_must_match_nesting(self, name, caller):
+        pic, nets, rule, x = mismatched_pic(name)
+        params = None if name == "gaussian-chain" else tensors_for(nets, rule)
+        calls = {
+            "materialize_qpc": lambda: materialize_qpc(pic, rule, params),
+            "materialize_nested": lambda: materialize_nested(pic, constant_selector(rule), nets=nets),
+            "streamed_loglik": lambda: streamed_loglik(pic, rule, nets, x),
+            "pic_tree_maps": lambda: pic_tree_maps(pic),
+        }
+        with pytest.raises(UnsupportedStructureError, match="latent 2 declares parent 0, but its integral unit sits below latent 1"):
+            calls[caller]()
+
+    def test_well_declared_chain_matches_closed_form(self):
+        pic = linear_gaussian_chain(1)
+        assert pic_tree_maps(pic) == ((None, 0, 1), (0, 1, 2))
+        x = np.array([[0.5, 1.0, -0.3], [-1.0, 0.2, 0.7]])
+        qpc = materialize_qpc(pic, make_rule("trapezoidal", 32, -6.0, 6.0))
+        exact = gaussian.exact_loglik(gaussian.model_from_pic(pic), x)
+        np.testing.assert_allclose(log_forward(qpc, x), exact, rtol=0, atol=1e-6)
+
+    def test_observable_below_no_integral(self):
+        # product(integral_0(x0), x1) with x1 a fixed input: no latent owns x1
+        tree = neural_tree((None,), (0, 0), k=3)
+        b = CircuitBuilder()
+        z0 = b.add_integral(b.add_input(0, InputDist("categorical", num_states=3, conditional=tree.obs_cond[0])), var=0, parent=None, cond=NEURAL)
+        fixed = b.add_input(1, InputDist("categorical", num_states=3, params=np.log(np.full(3, 1.0 / 3.0))))
+        pic = b.finish(root=b.add_product([z0, fixed]))
+        rule = make_rule("trapezoidal", 4, -1.0, 1.0)
+        nets = small_nets(tree)
+        with pytest.raises(UnsupportedStructureError, match="input unit 2 is not below any integral unit"):
+            streamed_loglik(pic, rule, nets, np.zeros((2, 2)))
+        with pytest.raises(UnsupportedStructureError, match="input unit 2 is not below any integral unit"):
+            materialize_qpc(pic, rule, tensors_for(nets, rule))
+
+    def test_sum_unit_below_an_integral_rejected(self):
+        tree = neural_tree((None,), (0,), k=2)
+        b = CircuitBuilder()
+        xs = [b.add_input(0, InputDist("categorical", num_states=2, conditional=tree.obs_cond[0])) for _ in range(2)]
+        pic = b.finish(root=b.add_integral(b.add_sum(xs, np.log([0.5, 0.5])), var=0, parent=None, cond=NEURAL))
+        rule = make_rule("trapezoidal", 4, -1.0, 1.0)
+        for call in (lambda: materialize_qpc(pic, rule), lambda: materialize_nested(pic, constant_selector(rule)), lambda: pic_tree_maps(pic)):
+            with pytest.raises(UnsupportedStructureError, match="no sum units; unit 2 is one"):
+                call()
+
+    def test_nested_products_give_one_product_region(self):
+        # integral_0(product(x0, product(x1, x2))) builds the QPC of integral_0(product(x0, x1, x2))
+        tree = neural_tree((None,), (0, 0, 0), k=2)
+        nets = small_nets(tree, k=2, seed=3)
+        rule = make_rule("trapezoidal", 4, -1.0, 1.0)
+        b = CircuitBuilder()
+        xs = [b.add_input(j, InputDist("categorical", num_states=2, conditional=tree.obs_cond[j])) for j in range(3)]
+        body = b.add_product([xs[0], b.add_product([xs[1], xs[2]])])
+        nested = materialize_qpc(b.finish(root=b.add_integral(body, var=0, parent=None, cond=NEURAL)), rule, tensors_for(nets, rule))
+        flat = materialize_qpc(bn_to_pic(tree), rule, tensors_for(nets, rule))
+        assert structurally_equal(nested, flat)
+
+
 class TestMaterializeNested:
     def test_constant_selector_matches_static_mode_neural(self):
         tree = neural_tree((None, 0), (0, 1), k=3)
@@ -396,7 +492,7 @@ class TestMaterializeNested:
         nets = small_nets(tree, seed=24)
         rule = make_rule("trapezoidal", 3, -1.0, 1.0)
         qpc = materialize_qpc(pic, rule, tensors_for(nets, rule))
-        with pytest.raises(UnsupportedStructureError, match="no sum units"):
+        with pytest.raises(UnsupportedStructureError, match="circuit has no integral units; nothing to materialize"):
             materialize_nested(qpc, constant_selector(rule), nets=nets)
 
 

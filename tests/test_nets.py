@@ -330,6 +330,25 @@ class TestCheckpoints:
         with pytest.raises(SchemaError, match=message):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: {**doc, "energy": doc["energy"][::-1]}, "energy net of latent 0 takes 2 inputs; the tree gives it 1"),
+            (lambda doc: {**doc, "decoder": [doc["decoder"][0], {**doc["decoder"][0]}]}, "repeats net_id 0 without share"),
+        ],
+        ids=["swapped-energy-records", "repeated-decoder-id"],
+    )
+    def test_rejects_nets_that_contradict_the_tree(self, tmp_path, edit, message):
+        tree = LatentTree((None, 0), (0, 1), ({"type": "neural"},) * 2, ({"type": "neural"},) * 2)
+        nets = ParamNets.for_tree(tree, "categorical", num_states=3, num_frequencies=2, hidden=(4,), decoder_hidden=(4,), seed=18)
+        path = tmp_path / "nets.json"
+        save_checkpoint(nets, path)
+        doc = json.loads(path.read_text())
+        assert doc["share"] is False
+        path.write_text(json.dumps(edit(doc)))
+        with pytest.raises(SchemaError, match=message):
+            load_checkpoint(path)
+
     def test_apply_params_overwrites_in_place(self):
         nets = ParamNets.for_tree(small_tree(), "binomial", num_states=5, num_frequencies=4, hidden=(8, 8), seed=15)
         arrays = {k: np.zeros_like(v) for k, v in nets.param_arrays().items()}

@@ -6,9 +6,17 @@ import pytest
 
 import picirc.autodiff as ad
 from picirc.autodiff import Tape
-from picirc.circuit import CircuitBuilder, InputDist
+from picirc.circuit import CircuitBuilder, InputDist, structurally_equal
 from picirc.errors import NumericError
-from picirc.materialize import materialize_input_params, materialize_nested, materialize_sum_params, streamed_loglik
+from picirc.materialize import (
+    InputParamTensor,
+    SumParamTensor,
+    materialize_input_params,
+    materialize_nested,
+    materialize_qpc,
+    materialize_sum_params,
+    streamed_loglik,
+)
 from picirc.nets import ParamNets, decoder_forward, energy_forward, load_checkpoint, save_checkpoint
 from picirc.quadrature import make_rule
 from picirc.runtime import latent_tree_loglik, log_forward
@@ -217,24 +225,13 @@ def test_unitwise_logsumexp_shifts_each_row():
     np.testing.assert_allclose(tape.backward(ad.reduce_sum(out))["x"], [1.0, 1.0], rtol=0, atol=1e-12)
 
 
-def childless_latent_pic():
-    """Symbolic circuit whose tree maps are ((None, 0, 0), (0, 2)): latent 1,
-    recorded as a child of 0, holds only latent 2, which names 0 as parent."""
-    b = CircuitBuilder()
-    obs = [
-        b.add_input(j, InputDist("categorical", num_states=3, conditional={"type": "neural", "net": j, "family": "categorical", "k": 3}))
-        for j in range(2)
-    ]
-    z2 = b.add_integral(obs[1], var=2, parent=0, cond=NEURAL)
-    z1 = b.add_integral(z2, var=1, parent=0, cond=NEURAL)
-    return b.finish(root=b.add_integral(b.add_product([obs[0], z1]), var=0, parent=None, cond=NEURAL))
-
-
 def engine_callers(tree, x):
-    """Every caller of the latent-tree engine, as a thunk over the same tree maps.
+    """Every caller of the latent-tree engine that takes tree maps, as a thunk over the same maps.
 
-    streamed_loglik reads its maps from a circuit; only childless_latent_pic
-    has the childless tree's maps, so that caller serves that tree alone.
+    streamed_loglik reads its maps from a circuit, which always gives each
+    latent a child; the circuit that used to reach it with the childless
+    tree's maps declares a parent its nesting contradicts, and is tested
+    with the other mismatches in test_materialize.py.
     """
     rule = make_rule("trapezoidal", 4, -1.0, 1.0)
     nets = small_nets(tree, seed=2)
@@ -243,7 +240,6 @@ def engine_callers(tree, x):
     obs_rows = [np.zeros((4, len(x))) for _ in tree.obs_parent]
     return {
         "latent_tree_loglik": lambda: latent_tree_loglik(tree.latent_parent, tree.obs_parent, tensors.sum_rows(), obs_rows),
-        "streamed_loglik": lambda: streamed_loglik(childless_latent_pic(), rule, nets, x),
         "batch_loglik_node": lambda: batch_loglik_node(tape, nets, nets.register(tape), rule, x),
         "dataset_nll": lambda: dataset_nll(nets, rule, x),
         "hclt_adam_step": lambda: hclt_adam_step(tensors, x, Adam(tensors.param_arrays(), TrainConfig())),
@@ -252,7 +248,7 @@ def engine_callers(tree, x):
 
 
 class TestEngineCallers:
-    @pytest.mark.parametrize("caller", ["latent_tree_loglik", "streamed_loglik", "batch_loglik_node", "dataset_nll", "hclt_adam_step", "loglik"])
+    @pytest.mark.parametrize("caller", ["latent_tree_loglik", "batch_loglik_node", "dataset_nll", "hclt_adam_step", "loglik"])
     def test_childless_latent_raises_value_error(self, caller):
         tree = neural_tree((None, 0, 0), (0, 2))
         thunk = engine_callers(tree, np.zeros((3, 2)))[caller]
@@ -508,6 +504,30 @@ class TestHcltAdam:
         loss = hclt_adam_step(tensors, x, Adam(tensors.param_arrays(), TrainConfig(batch_size=25, n=4)))
         assert np.isfinite(loss)
         np.testing.assert_allclose(loss, -loglik.mean(), rtol=0, atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("step", ["hclt_adam_step", "hclt_em_step"])
+    def test_nonfinite_loss_aborts_before_update(self, step):
+        # log sigma = -800 makes every gaussian density of observable 0 degenerate
+        tensors = HcltTensors.random(neural_tree((None, 0), (0, 1), family="gaussian", k=None), n=4, family="gaussian", seed=0)
+        tensors.input_raw[0][:, 1] = -800.0
+        snapshot = {k: v.copy() for k, v in tensors.param_arrays().items()}
+        opt = Adam(tensors.param_arrays(), TrainConfig(batch_size=2, n=4))
+        take = {"hclt_adam_step": lambda b: hclt_adam_step(tensors, b, opt), "hclt_em_step": lambda b: hclt_em_step(tensors, b, 0.5)}[step]
+        with pytest.raises(NumericError, match="batch row 0"):
+            take(np.array([[1.0, 0.0], [2.0, 1.0]]))
+        for k, v in tensors.param_arrays().items():
+            np.testing.assert_array_equal(v, snapshot[k])
+        assert opt.t == 0
+
+    @pytest.mark.parametrize("family, k", [("categorical", 3), ("binomial", 4), ("gaussian", None)])
+    def test_export_is_the_static_qpc_of_its_tree(self, family, k):
+        tree = neural_tree((None, 0, 0, 1), (0, 1, 2, 2, 3), family=family, k=k)
+        tensors = HcltTensors.random(tree, n=5, family=family, num_states=k, seed=9)
+        rule = make_rule("gauss_legendre", 5, -1.0, 1.0)
+        sp = SumParamTensor(s=np.stack([np.broadcast_to(r, (5, 5)) for r in tensors.sum_rows()]), z=rule.points, w=rule.weights)
+        ip = InputParamTensor(table=np.stack(tensors.input_tables()), z=rule.points, family=family, num_states=k)
+        assert structurally_equal(tensors.to_circuit(), materialize_qpc(bn_to_pic(tree), rule, (sp, ip)))
 
     def test_training_improves_fit(self):
         tree = neural_tree((None,), (0, 0), k=2)
