@@ -9,24 +9,27 @@ counting.  A pass over constants only records nothing, and each of its
 intermediates dies with its last consumer.
 
 Only the primitives needed by this package are implemented: elementwise
-arithmetic, matrix products, the transcendental functions used by the
-nets, logsumexp, the log-space contraction ``lse_matmul``
-(log(exp(a) @ exp(b)), every sum layer of a QPC), gather, reductions, and
-two shape utilities (reshape, interleave).  Every primitive registers its
-backward rule up front; recording an op with no registered rule fails
-immediately rather than silently producing zero gradients.
-``_logsumexp_data`` and ``_lse_matmul_data`` are the forwards of
-``logsumexp`` and ``lse_matmul``, so ndarray evaluation and the tape share
-one kernel each.
+arithmetic, matrix products, exp, log, ``tanh`` (one primitive on
+``np.tanh``), ``sigmoid`` and softplus (both through ``_sigmoid``, which is
+``scipy.special.expit``), the dense layer ``dense`` (tanh(h @ w + b), or
+h @ w + b on a head, as one op that saves only h, w and its output),
+logsumexp, the log-space contraction ``lse_matmul`` (log(exp(a) @ exp(b)),
+every sum layer of a QPC), gather, reductions, and reshape.  Every
+primitive registers its backward rule up front; recording an op with no
+registered rule fails immediately rather than silently producing zero
+gradients.  ``_logsumexp_data`` and ``_lse_matmul_data`` are the forwards
+of ``logsumexp`` and ``lse_matmul``, so ndarray evaluation and the tape
+share one kernel each.
 
 Values that are not registered as parameters (constants: data batches,
-quadrature points and weights, Fourier frequency matrices, and net weights
+quadrature points and weights, Fourier features, and net weights
 in forward-only evaluations) never receive gradients.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 _BACKWARD = {}
 
@@ -214,24 +217,6 @@ def _matmul_bwd(ctx, g):
     return g * db, g * da
 
 
-def sin(a: Node) -> Node:
-    return a.tape.record("sin", np.sin(a.data), (a,), a.data)
-
-
-@_backward_rule("sin")
-def _sin_bwd(ctx, g):
-    return (g * np.cos(ctx),)
-
-
-def cos(a: Node) -> Node:
-    return a.tape.record("cos", np.cos(a.data), (a,), a.data)
-
-
-@_backward_rule("cos")
-def _cos_bwd(ctx, g):
-    return (-g * np.sin(ctx),)
-
-
 def exp(a: Node) -> Node:
     out = np.exp(a.data)
     return a.tape.record("exp", out, (a,), out)
@@ -251,23 +236,56 @@ def _log_bwd(ctx, g):
     return (g / ctx,)
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+_sigmoid = expit
 
 
 def sigmoid(a: Node) -> Node:
-    out = _sigmoid(np.asarray(a.data, dtype=np.float64))
+    out = _sigmoid(a.data)
     return a.tape.record("sigmoid", out, (a,), out)
 
 
 @_backward_rule("sigmoid")
 def _sigmoid_bwd(ctx, g):
-    return (g * ctx * (1.0 - ctx),)
+    # where the sigmoid is subnormal its gradient underflows toward 0, its true value
+    with np.errstate(under="ignore"):
+        return (g * ctx * (1.0 - ctx),)
+
+
+def tanh(a: Node) -> Node:
+    out = np.tanh(a.data)
+    return a.tape.record("tanh", out, (a,), out)
+
+
+@_backward_rule("tanh")
+def _tanh_bwd(ctx, g):
+    return (g * (1.0 - ctx * ctx),)
+
+
+def dense(h: Node, w: Node, b: Node, act: bool) -> Node:
+    """One dense layer as one tape op: tanh(h @ w + b), or h @ w + b without ``act``.
+
+    Saves h, w and the output.  The backward skips the product for h's
+    gradient when h needs none (a first layer fed constant features).
+    """
+    if h.ndim != 2 or w.ndim != 2:
+        raise ValueError(f"dense needs a 2-D input and weight, got {h.ndim}-D and {w.ndim}-D")
+    out = h.data @ w.data
+    out += b.data
+    if act:
+        np.tanh(out, out=out)
+    return h.tape.record("dense", out, (h, w, b), (h.data, w.data, out, act, h.needs_grad))
+
+
+@_backward_rule("dense")
+def _dense_bwd(ctx, g):
+    h, w, out, act, h_needs_grad = ctx
+    if act:
+        gz = out * out
+        np.subtract(1.0, gz, out=gz)
+        gz *= g
+    else:
+        gz = g
+    return (gz @ w.T if h_needs_grad else None), h.T @ gz, gz.sum(axis=0)
 
 
 def softplus(a: Node) -> Node:
@@ -456,24 +474,3 @@ def reshape(a: Node, shape) -> Node:
 @_backward_rule("reshape")
 def _reshape_bwd(ctx, g):
     return (np.asarray(g).reshape(ctx),)
-
-
-def interleave(a: Node, b: Node) -> Node:
-    """Alternate two equal-shape arrays along the last axis: a0 b0 a1 b1 ..."""
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"interleave needs equal shapes, got {a.shape} and {b.shape}")
-    out = np.empty(a.data.shape[:-1] + (2 * a.data.shape[-1],))
-    out[..., 0::2] = a.data
-    out[..., 1::2] = b.data
-    return a.tape.record("interleave", out, (a, b), None)
-
-
-@_backward_rule("interleave")
-def _interleave_bwd(ctx, g):
-    return g[..., 0::2], g[..., 1::2]
-
-
-def tanh(a: Node) -> Node:
-    """Composed from sigmoid: tanh(x) = 2 sigmoid(2x) - 1."""
-    two_x = multiply(a, a.tape.const(2.0))
-    return add(multiply(sigmoid(two_x), a.tape.const(2.0)), a.tape.const(-1.0))

@@ -8,10 +8,12 @@ parameters of that observable's input distribution.  Both are tiny MLPs
 whose first layer is a fixed random Fourier feature map, which keeps them
 expressive on the bounded latent domain while staying cheap.
 
-All forward passes run on a gradient tape; the fixed Fourier frequencies
-enter as constants and therefore never receive gradients.  Evaluations
-that take no gradient hand the weights to the tape as constants too
-(``_const_weights``), so their tape records nothing.
+All forward passes run on a gradient tape, one ``autodiff.dense`` op per
+layer.  The Fourier features of the (always constant) input points enter
+as one constant: cos and sin are taken once per distinct value of each
+input column and combined by angle addition, so they never receive
+gradients.  Evaluations that take no gradient hand the weights to the tape
+as constants too (``_const_weights``), so their tape records nothing.
 """
 
 from __future__ import annotations
@@ -45,8 +47,28 @@ class FourierFeatureLayer:
         return 2 * self.num_frequencies
 
     def forward(self, tape: Tape, x: Node) -> Node:
-        proj = ad.matmul(x, tape.const(TWO_PI * self.frequencies))
-        return ad.interleave(ad.cos(proj), ad.sin(proj))
+        """Features of the constant points x (R, input_dim), as one tape constant.
+
+        cos and sin are taken once per distinct value of each column and the
+        columns combined by angle addition, cos(a+b) = cos a cos b - sin a sin b
+        and sin(a+b) = sin a cos b + cos a sin b: an N x N grid costs 2 N K
+        transcendentals per column, not N^2 K.
+        """
+        if x.needs_grad:
+            raise ValueError("Fourier features take constant inputs only")
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ValueError(f"Fourier features need points of shape (R, {self.input_dim}), got {x.shape}")
+        cos = sin = None
+        for col, freq in zip(x.data.T, TWO_PI * self.frequencies):
+            values, inverse = np.unique(col, return_inverse=True)
+            angle = np.multiply.outer(values, freq)
+            c = np.take(np.cos(angle), inverse, axis=0)
+            s = np.take(np.sin(angle), inverse, axis=0)
+            if cos is None:
+                cos, sin = c, s
+            else:
+                cos, sin = cos * c - sin * s, sin * c + cos * s
+        return tape.const(np.stack([cos, sin], axis=-1).reshape(x.shape[0], self.output_dim))
 
 
 def ffl_forward(layer: FourierFeatureLayer, x) -> np.ndarray:
@@ -88,9 +110,7 @@ class _Mlp:
         h = self.ffl.forward(tape, x)
         depth = len(self.params) // 2
         for layer in range(depth):
-            h = ad.add(ad.matmul(h, pnodes[f"w{layer}"]), pnodes[f"b{layer}"])
-            if layer < depth - 1:
-                h = ad.tanh(h)
+            h = ad.dense(h, pnodes[f"w{layer}"], pnodes[f"b{layer}"], act=layer < depth - 1)
         return h
 
 
@@ -325,46 +345,46 @@ def _nets_from_doc(doc: dict) -> ParamNets:
     param_width(family, num_states)
     share = doc["share"]
 
-    def repeated(nid, by_id) -> bool:
-        if nid in by_id and not share:
-            raise SchemaError(f"checkpoint repeats net_id {nid} without share")
-        return nid in by_id
+    def nets_of(records, build) -> list:
+        """One net per record; a repeated net_id (with share) must repeat its first record exactly."""
+        first: dict[int, tuple[dict, _Mlp]] = {}
+        out = []
+        for rec in records:
+            nid = rec["net_id"]
+            if nid not in first:
+                net = build(rec)
+                _restore_net(net, rec)
+                first[nid] = (rec, net)
+            elif not share:
+                raise SchemaError(f"checkpoint repeats net_id {nid} without share")
+            else:
+                seen, net = first[nid]
+                diff = sorted(k for k in rec.keys() | seen.keys() if rec.get(k) != seen.get(k))
+                if diff:
+                    raise SchemaError(f"checkpoint repeats net_id {nid} with a different {', '.join(diff)}")
+            out.append(net)
+        return out
 
-    energy_by_id: dict[int, EnergyNet] = {}
-    energy = []
-    for rec in doc["energy"]:
-        nid = rec["net_id"]
-        if repeated(nid, energy_by_id):
-            energy.append(energy_by_id[nid])
-            continue
-        net = EnergyNet(
-            nid,
-            rec["input_dim"],
-            num_frequencies=rec["num_frequencies"],
-            hidden=tuple(rec["shapes"][f"w{i}"][1] for i in range(len(rec["shapes"]) // 2 - 1)),
-            ff_scale=rec["ff_scale"],
-        )
-        _restore_net(net, rec)
-        energy_by_id[nid] = net
-        energy.append(net)
-    decoder_by_id: dict[int, DecoderNet] = {}
-    decoder = []
-    for rec in doc["decoder"]:
-        nid = rec["net_id"]
-        if repeated(nid, decoder_by_id):
-            decoder.append(decoder_by_id[nid])
-            continue
-        net = DecoderNet(
-            nid,
+    def hidden(rec) -> tuple:
+        return tuple(rec["shapes"][f"w{i}"][1] for i in range(len(rec["shapes"]) // 2 - 1))
+
+    energy = nets_of(
+        doc["energy"],
+        lambda rec: EnergyNet(
+            rec["net_id"], rec["input_dim"], num_frequencies=rec["num_frequencies"], hidden=hidden(rec), ff_scale=rec["ff_scale"]
+        ),
+    )
+    decoder = nets_of(
+        doc["decoder"],
+        lambda rec: DecoderNet(
+            rec["net_id"],
             rec["family"],
             num_states=rec.get("k"),
             num_frequencies=rec["num_frequencies"],
-            hidden=tuple(rec["shapes"][f"w{i}"][1] for i in range(len(rec["shapes"]) // 2 - 1)),
+            hidden=hidden(rec),
             ff_scale=rec["ff_scale"],
-        )
-        _restore_net(net, rec)
-        decoder_by_id[nid] = net
-        decoder.append(net)
+        ),
+    )
     latent_parent = tuple(doc["latent_parent"])
     obs_parent = tuple(doc["obs_parent"])
     if len(latent_parent) != len(energy) or len(obs_parent) != len(decoder):

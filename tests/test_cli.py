@@ -67,7 +67,9 @@ class TestExitCodes:
         assert "checkpoint field missing or mistyped" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "edit, message", [("swap-energy", "takes 2 inputs"), ("repeat-decoder", "repeats net_id 0")], ids=["swap-energy", "repeat-decoder"]
+        "edit, message",
+        [("swap-energy", "takes 2 inputs"), ("repeat-decoder", "repeats net_id 0"), ("shared-repeat-differs", "with a different weights")],
+        ids=["swap-energy", "repeat-decoder", "shared-repeat-differs"],
     )
     def test_checkpoint_contradicting_the_tree_is_user_error(self, tmp_path, capsys, edit, message):
         data = write_categorical(tmp_path / "d.csv", rows=30, seed=1)
@@ -75,14 +77,18 @@ class TestExitCodes:
         run(["clt", "--data", str(data), "--schema", "categorical:3", "--out", str(tree_path)])
         run(["compile", "--tree", str(tree_path), "--out", str(pic_path)])
         tree = tree_from_json(tree_path.read_bytes())
-        save_checkpoint(ParamNets.for_tree(tree, "categorical", num_states=3, num_frequencies=2, hidden=(4,), decoder_hidden=(4,)), nets_path)
+        share = edit == "shared-repeat-differs"
+        save_checkpoint(ParamNets.for_tree(tree, "categorical", num_states=3, num_frequencies=2, hidden=(4,), decoder_hidden=(4,), share=share), nets_path)
         doc = json.loads(nets_path.read_text())
         if edit == "swap-energy":
             root = tree.root
             other = next(i for i in range(tree.num_latents) if i != root)
             doc["energy"][root], doc["energy"][other] = doc["energy"][other], doc["energy"][root]
-        else:
+        elif edit == "repeat-decoder":
             doc["decoder"][1] = doc["decoder"][0]
+        else:
+            last = doc["energy"][max(i for i in range(tree.num_latents) if i != tree.root)]
+            last["weights"]["w0"] = (np.array(last["weights"]["w0"]) + 5.0).tolist()
         nets_path.write_text(json.dumps(doc))
         capsys.readouterr()
         code = run(["materialize", "--pic", str(pic_path), "--n", "4", "--nets", str(nets_path), "--out", str(tmp_path / "q.json")])

@@ -11,12 +11,14 @@ from picirc.nets import (
     EnergyNet,
     FourierFeatureLayer,
     ParamNets,
+    _const_weights,
     decoder_forward,
     energy_forward,
     ffl_forward,
     load_checkpoint,
     save_checkpoint,
 )
+from picirc.quadrature import make_rule
 from picirc.structures import LatentTree
 from picirc.training import HcltTensors
 
@@ -44,6 +46,11 @@ def batch_energy(net, x):
     return net.forward(tape, pnodes, tape.const(x)).data
 
 
+def grid_points(child, parent):
+    """The energy grid's points: every child value against each parent value in turn."""
+    return np.column_stack([np.tile(child, len(parent)), np.repeat(parent, len(child))])
+
+
 class TestFourierFeatures:
     def test_zero_input_gives_alternating_ones_and_zeros(self):
         layer = FourierFeatureLayer(2, 5, rng=0)
@@ -68,6 +75,35 @@ class TestFourierFeatures:
             expected[0::2] = np.cos(proj)
             expected[1::2] = np.sin(proj)
             np.testing.assert_allclose(ffl_forward(layer, x), expected, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            lambda rng: grid_points(make_rule("trapezoidal", 64).points, make_rule("trapezoidal", 64).points),
+            lambda rng: make_rule("gauss_legendre", 512).points[:, None],
+            lambda rng: grid_points(make_rule("gauss_legendre", 512).points, make_rule("gauss_legendre", 512).points[::32]),
+            lambda rng: rng.choice([-1.0, -0.25, 0.0, 0.5, 1.0], (300, 2)),
+            lambda rng: rng.uniform(-1, 1, (300, 2)),
+        ],
+        ids=["trapezoidal-64-grid", "gauss-legendre-512", "gauss-legendre-512-grid", "repeated-points", "random-points"],
+    )
+    def test_angle_addition_matches_direct_projection(self, points):
+        x = points(np.random.default_rng(8))
+        layer = FourierFeatureLayer(x.shape[1], 32, rng=12)
+        proj = x @ (2 * np.pi * layer.frequencies)
+        tape = Tape()
+        feats = layer.forward(tape, tape.const(x))
+        assert not feats.needs_grad and feats.shape == (len(x), 64)
+        np.testing.assert_allclose(feats.data[:, 0::2], np.cos(proj), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(feats.data[:, 1::2], np.sin(proj), rtol=0, atol=1e-13)
+
+    def test_refuses_inputs_that_need_a_gradient(self):
+        layer = FourierFeatureLayer(2, 4, rng=0)
+        tape = Tape()
+        with pytest.raises(ValueError, match="constant inputs"):
+            layer.forward(tape, tape.param("x", np.zeros((3, 2))))
+        with pytest.raises(ValueError, match=r"shape \(R, 2\)"):
+            layer.forward(tape, tape.const(np.zeros((3, 1))))
 
     def test_output_dim_and_frozen_frequencies(self):
         layer = FourierFeatureLayer(2, 32, rng=3)
@@ -163,6 +199,37 @@ class TestDecoderNet:
         np.testing.assert_allclose(batched, looped, rtol=1e-12)
 
 
+class TestTapeOps:
+    """One dense op per layer: the MLP's share of the tape cannot quietly grow again."""
+
+    @pytest.mark.parametrize(
+        "net, x, ops",
+        [
+            (EnergyNet(1, 2, hidden=(64, 64), rng=0), np.zeros((6, 2)), ["dense"] * 3 + ["softplus", "reshape"]),
+            (EnergyNet(0, 1, hidden=(64, 64), rng=0), np.zeros((6, 1)), ["dense"] * 3 + ["softplus", "reshape"]),
+            (DecoderNet(0, "categorical", num_states=4, hidden=(64,), rng=0), np.zeros((6, 1)), ["dense"] * 2),
+        ],
+        ids=["energy", "root-energy", "decoder"],
+    )
+    def test_forward_records_one_dense_op_per_layer(self, net, x, ops, monkeypatch):
+        recorded = []
+        record = Tape.record
+
+        def counting_record(tape, op_name, out_data, inputs, ctx):
+            if any(inp.needs_grad for inp in inputs):
+                recorded.append(op_name)
+            return record(tape, op_name, out_data, inputs, ctx)
+
+        monkeypatch.setattr(Tape, "record", counting_record)
+        tape = Tape()
+        net.forward(tape, net.register(tape), tape.const(x))
+        assert recorded == ops
+        recorded.clear()
+        tape = Tape()
+        net.forward(tape, _const_weights(tape, net), tape.const(x))
+        assert recorded == []
+
+
 class TestParamNets:
     def test_per_node_nets_have_expected_arity(self):
         nets = ParamNets.for_tree(small_tree(), "categorical", num_states=4, num_frequencies=4, hidden=(8, 8), seed=0)
@@ -233,6 +300,15 @@ def test_discrete_family_needs_a_positive_state_count(family, k):
         HcltTensors.random(small_tree(), 4, family, k)
 
 
+def shared_checkpoint(tmp_path):
+    """A saved 3-latent model with share=True: latents 1 and 2 repeat energy net 1."""
+    tree = LatentTree((None, 0, 0), (0, 1, 2), ({"type": "neural"},) * 3, ({"type": "neural"},) * 3)
+    nets = ParamNets.for_tree(tree, "categorical", num_states=3, num_frequencies=2, hidden=(4,), decoder_hidden=(4,), seed=19, share=True)
+    path = tmp_path / "shared.json"
+    save_checkpoint(nets, path)
+    return nets, path
+
+
 class TestCheckpoints:
     def test_round_trip_is_bit_exact(self, tmp_path):
         nets = ParamNets.for_tree(small_tree(), "categorical", num_states=4, num_frequencies=4, hidden=(8, 8), seed=12)
@@ -280,6 +356,26 @@ class TestCheckpoints:
         assert loaded.share
         assert loaded.energy[1] is loaded.energy[2] is loaded.energy[3]
         assert all(d is loaded.decoder[0] for d in loaded.decoder)
+
+    def test_shared_checkpoint_refuses_a_repeat_that_differs(self, tmp_path):
+        _, path = shared_checkpoint(tmp_path)
+        doc = json.loads(path.read_text())
+        assert doc["energy"][1]["net_id"] == doc["energy"][2]["net_id"] == 1
+        doc["energy"][2]["weights"]["w0"] = (np.array(doc["energy"][2]["weights"]["w0"]) + 5.0).tolist()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="repeats net_id 1 with a different weights"):
+            load_checkpoint(path)
+
+    def test_unedited_shared_checkpoint_round_trips(self, tmp_path):
+        nets, path = shared_checkpoint(tmp_path)
+        loaded = load_checkpoint(path)
+        assert loaded.energy[1] is loaded.energy[2]
+        assert all(d is loaded.decoder[0] for d in loaded.decoder)
+        orig, back = nets.param_arrays(), loaded.param_arrays()
+        assert set(orig) == set(back)
+        for k in orig:
+            np.testing.assert_array_equal(orig[k], back[k])
+        assert energy_forward(nets.energy[2], 0.3, -0.7) == energy_forward(loaded.energy[2], 0.3, -0.7)
 
     def test_rejects_malformed_documents(self, tmp_path):
         bad = tmp_path / "bad.json"
