@@ -14,12 +14,12 @@ arithmetic, matrix products, exp, log, ``tanh`` (one primitive on
 ``scipy.special.expit``), the dense layer ``dense`` (tanh(h @ w + b), or
 h @ w + b on a head, as one op that saves only h, w and its output),
 logsumexp, the log-space contraction ``lse_matmul`` (log(exp(a) @ exp(b)),
-every sum layer of a QPC), gather, reductions, and reshape.  Every
-primitive registers its backward rule up front; recording an op with no
-registered rule fails immediately rather than silently producing zero
-gradients.  ``_logsumexp_data`` and ``_lse_matmul_data`` are the forwards
-of ``logsumexp`` and ``lse_matmul``, so ndarray evaluation and the tape
-share one kernel each.
+every sum layer of a QPC), gather, reductions, and reshape; ``training``
+adds ``evidence``.  Every primitive registers its backward rule at
+import; recording an op with no registered rule fails immediately rather
+than silently producing zero gradients.  ``_logsumexp_data`` and
+``_lse_matmul_data`` are the forwards of ``logsumexp`` and
+``lse_matmul``, so ndarray evaluation and the tape share one kernel each.
 
 Values that are not registered as parameters (constants: data batches,
 quadrature points and weights, Fourier features, and net weights

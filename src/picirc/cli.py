@@ -26,6 +26,7 @@ from .materialize import (
     materialize_input_params,
     materialize_qpc,
     materialize_sum_params,
+    pic_tree_maps,
     sum_region_rows,
 )
 from .nets import ParamNets, load_checkpoint, save_checkpoint
@@ -133,8 +134,6 @@ def _cmd_clt(args) -> int:
     family, num_states = _single_family(dataset)
     if family == "gaussian":
         raise ValueError("structure learning works on discrete columns; gaussian data needs an explicit tree")
-    if np.isnan(dataset.values).any():
-        raise ValueError("structure learning needs fully observed data")
     parent = chow_liu_tree(dataset.values, smoothing=args.smoothing)
     tree = hclt_structure(parent, family, num_states=num_states)
     with open(args.out, "wb") as fh:
@@ -164,6 +163,9 @@ def _cmd_materialize(args) -> int:
         if not args.nets:
             raise ValueError("neural conditionals need --nets with a parameter checkpoint")
         nets = load_checkpoint(args.nets)
+        maps = pic_tree_maps(pic)
+        if maps != (nets.latent_parent, nets.obs_parent):
+            raise ValueError(f"checkpoint {args.nets} was built for latent tree {(nets.latent_parent, nets.obs_parent)}, the circuit's is {maps}")
         rule = make_rule(args.rule, args.n, -1.0, 1.0)
         params = (
             materialize_sum_params(nets, rule.points, rule.weights),

@@ -21,9 +21,9 @@ definition of both; the ndarray tensors are their data, computed over
 the weights as tape constants, so nothing is recorded.
 
 ``streamed_loglik`` evaluates a batch without building the concrete
-circuit: it is a thin caller of the latent-tree engine
-(``runtime.upward_pass``) that materializes each latent's sum rows inside
-the engine's ``contract`` step.
+circuit: it is ``training.batch_loglik_node`` over the nets' weights as
+tape constants, which materializes each latent's sum rows only when the
+latent-tree engine reaches it.
 """
 
 from __future__ import annotations
@@ -33,12 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Node, Tape, _lse_matmul_data
+from .autodiff import Node, Tape
 from .circuit import Circuit, CircuitBuilder, InputDist, post_order
 from .errors import NumericError, SizeError, UnsupportedStructureError
 from .nets import ParamNets, _const_weights, decoder_forward
 from .quadrature import QuadratureRule
-from .runtime import evidence_rows, gaussian_logpdf, upward_pass
+from .runtime import gaussian_logpdf
+from .runtime import evidence_rows  # noqa: F401  (looked up here by perfbench)
 from .structures import top_down_order
 
 
@@ -370,19 +371,17 @@ def pic_tree_maps(pic: Circuit) -> tuple[tuple, tuple]:
 def streamed_loglik(pic: Circuit, rule: QuadratureRule, nets: ParamNets, x: np.ndarray) -> np.ndarray:
     """Batch log-likelihood without building the concrete circuit.
 
-    A thin caller of the latent-tree engine: evidence rows are produced
-    one observable at a time, and each latent's sum rows are materialized
-    inside ``contract`` and dropped right after, so peak memory stays at
-    one (N, N) block plus the per-latent accumulators regardless of depth.
+    ``training.batch_loglik_node`` over the nets' weights as tape
+    constants: each latent's sum rows are materialized when the engine
+    reaches it and dropped right after, so peak memory stays at one (N, N)
+    block plus the per-latent accumulators regardless of depth.  The
+    circuit's tree must be the nets' tree.
     """
-    latent_parent, obs_parent = pic_tree_maps(pic)
-    x = np.asarray(x, dtype=np.float64)
+    from .training import batch_loglik_node  # training imports this module
+
+    maps = pic_tree_maps(pic)
+    if maps != (nets.latent_parent, nets.obs_parent):
+        raise ValueError(f"the circuit's latent tree {maps} differs from the nets' tree {(nets.latent_parent, nets.obs_parent)}")
     tape = Tape()
-    ip = materialize_input_params(nets, rule.points)
-    obs_rows = (evidence_rows(ip.table[j], ip.family, ip.num_states, x[:, j], var=j) for j in range(len(obs_parent)))
-
-    def contract(i, acc):
-        net = nets.energy[i]
-        return _lse_matmul_data(sum_param_node(tape, net, _const_weights(tape, net), rule.points, rule.weights).data, acc)
-
-    return upward_pass(latent_parent, obs_parent, obs_rows, contract)[0]
+    pnodes = {k: tape.const(v) for k, v in nets.param_arrays().items()}
+    return batch_loglik_node(tape, nets, pnodes, rule, np.asarray(x, dtype=np.float64)).data

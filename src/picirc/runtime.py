@@ -6,12 +6,13 @@ tensor form (the shape produced by materialization) are evaluated by the
 one latent-tree engine, ``upward_pass``, fed by the one vectorized
 evidence kernel, ``evidence_rows``.  The engine only adds blocks and
 hands them to a per-latent ``contract`` callback, so it serves ndarrays
-here (``latent_tree_loglik``), streamed materialization and the tape
-paths of ``training`` alike.  On ndarrays each latent is contracted by
-``autodiff._lse_matmul_data``, the kernel of the tape primitive
-``lse_matmul``, which stays exact when the row and column maxima
-misalign.  Marginalization uses NaN as the "marginalized out" marker in
-evidence arrays.
+here (``latent_tree_loglik``, for ``gaussian``'s closed-form blocks) and
+tape nodes alike: every neural and free-tensor log-likelihood goes
+through ``training.tree_loglik_node``.  On ndarrays each latent is
+contracted by ``autodiff._lse_matmul_data``, the kernel of the tape
+primitive ``lse_matmul``, which stays exact when the row and column
+maxima misalign.  NaN marks a marginalized evidence cell, in training too:
+``evidence_rows`` is the forward of the tape's ``evidence`` op.
 """
 
 from __future__ import annotations

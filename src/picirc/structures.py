@@ -216,12 +216,15 @@ def chow_liu_tree(data: np.ndarray, smoothing: float = 0.01) -> np.ndarray:
     """Chow-Liu tree over the data columns, rooted at variable 0.
 
     Returns a parent array (-1 at the root) of the maximum-spanning tree
-    of the pairwise mutual-information graph.
+    of the pairwise mutual-information graph.  A missing (NaN) cell raises
+    ValueError: the counts would take NaN for one more state.
     """
     data = np.asarray(data)
     d = data.shape[1]
     if d < 2:
         raise ValueError("chow_liu_tree needs at least two variables")
+    if np.isnan(data).any():
+        raise ValueError("structure learning needs fully observed data")
     weights = np.zeros((d, d))
     for i in range(d):
         for j in range(i + 1, d):

@@ -9,14 +9,16 @@ The latent-tree baseline with free categorical parameters is trained
 either by mini-batch Expectation-Maximization or by Adam on log-softmax
 reparameterized tensors.
 
-Every tape loss (``batch_loglik_node`` and ``hclt_loglik_node``) is a
-thin caller of the latent-tree engine, ``runtime.upward_pass``, whose
-per-latent contraction is one ``autodiff.lse_matmul`` op
-(``lse_matmul_node``); the unit-by-unit ``unitwise_loglik_node`` stays
-independent of both as the test oracle.  EM takes its expected counts
-from the same tape: the gradient of the summed log-likelihood with
-respect to the normalized log sum rows is the expected count of every
-sum edge.  ``train_pic``,
+Every log-likelihood here is ``tree_loglik_node``: one ``evidence`` tape
+op per observable (forward ``runtime.evidence_rows``, so a NaN cell is
+marginalized in training as in inference), then the latent-tree engine,
+``runtime.upward_pass``, with one ``autodiff.lse_matmul`` op per latent
+(``lse_matmul_node``).  ``dataset_nll`` and ``HcltTensors.loglik`` run it
+on tape constants, which record nothing; the unit-by-unit
+``unitwise_loglik_node`` stays independent of it as the test oracle.  EM
+takes its expected counts from the same tape: the gradient of the summed
+log-likelihood with respect to the normalized log sum rows is the
+expected count of every sum edge.  ``train_pic``,
 ``train_hclt_adam`` and ``train_hclt_em`` share one mini-batch loop with
 the cosine-annealed step size and best-validation early stopping.
 ``em_step`` on the explicit circuit is the EM oracle.
@@ -28,7 +30,6 @@ import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import autodiff as ad
 from .autodiff import Node, Tape, _logsumexp_data
@@ -37,7 +38,8 @@ from .errors import NumericError
 from .materialize import _build_regions, _read_pic, input_param_node, materialize_input_params, materialize_sum_params, sum_param_node
 from .nets import ParamNets, squash
 from .quadrature import QuadratureRule, make_rule
-from .runtime import LOG_2PI, bpd, evidence_rows, forward_values, latent_tree_loglik, observed_evidence, upward_pass
+from .runtime import bpd, evidence_rows, forward_values, observed_evidence, upward_pass
+from .runtime import latent_tree_loglik  # noqa: F401  (looked up here by perfbench's tracer)
 from .structures import LatentTree, bn_to_pic
 
 
@@ -115,47 +117,68 @@ def lse_matmul_node(tape: Tape, s: Node, acc: Node) -> Node:
     return ad.lse_matmul(s, acc)
 
 
-def evidence_node(tape: Tape, table: Node, family: str, num_states, x_col: np.ndarray) -> Node:
-    """Per-point evidence log-likelihood (N, B) of one observable on the tape.
+def evidence_node(tape: Tape, table: Node, family: str, num_states, x_col: np.ndarray, var=None) -> Node:
+    """``evidence_rows`` (N, B) of one observable's squashed (N, I) block, as one ``evidence`` op.
 
-    table is the observable's (N, I) squashed parameter block; the data
-    column enters as a constant, so gradients flow only into the params.
+    The data column is a constant; a NaN cell contributes log 1 = 0 and
+    passes no gradient.  ``var`` names the observable in support errors.
     """
-    if np.isnan(x_col).any():
-        raise ValueError("training evidence must be fully observed")
-    _, v = observed_evidence(family, num_states, x_col)
+    out = evidence_rows(table.data, family, num_states, x_col, var)
+    return tape.record("evidence", out, (table,), (table.data, family, num_states, x_col))
+
+
+@ad._backward_rule("evidence")
+def _evidence_bwd(ctx, g):
+    table, family, num_states, x_col = ctx
+    observed, v = observed_evidence(family, num_states, x_col)
+    g = g[:, observed]
+    out = np.zeros(table.shape)
     if family == "categorical":
-        return ad.gather(table, v, axis=1)
-    if family == "binomial":
-        k = num_states
-        comb = gammaln(k + 1) - gammaln(v + 1) - gammaln(k - v + 1)
-        xs = tape.const(x_col[None, :])
-        ks = tape.const((k - x_col)[None, :])
-        return tape.const(comb[None, :]) + xs * ad.log(table) + ks * ad.log(tape.const(1.0) - table)
-    mu = ad.gather(table, np.array([0]), axis=1)
-    log_sigma = ad.gather(table, np.array([1]), axis=1)
-    z = (tape.const(x_col[None, :]) - mu) * ad.exp(ad.neg(log_sigma))
-    return tape.const(-0.5) * z * z - log_sigma - tape.const(0.5 * LOG_2PI)
+        np.add.at(out, (slice(None), v), g)
+    elif family == "binomial":
+        p = table[:, :1]
+        out[:, :1] = (g * (v / p - (num_states - v) / (1.0 - p))).sum(axis=1, keepdims=True)
+    else:
+        inv_sigma = np.exp(-table[:, 1:2])
+        z = (v - table[:, :1]) * inv_sigma
+        out[:, 0] = (g * z).sum(axis=1) * inv_sigma[:, 0]
+        out[:, 1] = (g * (z * z - 1.0)).sum(axis=1)
+    return (out,)
+
+
+def tree_loglik_node(tape: Tape, model, tables, sum_rows, x: np.ndarray) -> Node:
+    """The one latent-tree log-likelihood (B,) on the tape.
+
+    model (a ``ParamNets`` or an ``HcltTensors``) gives the tree maps and
+    family; tables yields observable j's squashed (N, I) block in order and
+    sum_rows(i) latent i's normalized (J, N) log rows, both as tape nodes.
+    """
+    obs_rows = (evidence_node(tape, table, model.family, model.num_states, x[:, j], var=j) for j, table in enumerate(tables))
+    loglik = upward_pass(model.latent_parent, model.obs_parent, obs_rows, lambda i, acc: lse_matmul_node(tape, sum_rows(i), acc))
+    return ad.reshape(loglik, (x.shape[0],))
+
+
+def _const_tree_loglik(model, tables, sum_rows, x: np.ndarray) -> np.ndarray:
+    """``tree_loglik_node`` over ndarray blocks as tape constants: records nothing."""
+    tape = Tape()
+    rows = [tape.const(r) for r in sum_rows]
+    return tree_loglik_node(tape, model, [tape.const(t) for t in tables], rows.__getitem__, x).data
 
 
 def batch_loglik_node(tape: Tape, nets: ParamNets, pnodes, rule: QuadratureRule, x: np.ndarray) -> Node:
     """Batch log-likelihood (B,) through the circuit materialized on the tape.
 
-    A thin caller of the latent-tree engine: each observable's parameter
-    block and each latent's sum rows exist only as tape nodes, and the
-    engine consumes them region by region (the concrete circuit is never
-    assembled).
+    ``tree_loglik_node`` over the nets: each observable's parameter block
+    and each latent's sum rows exist only as tape nodes, built when the
+    engine reaches them (the concrete circuit is never assembled).
     """
-    obs_rows = [
-        evidence_node(tape, input_param_node(tape, net, nets.net_pnodes(net, pnodes), rule.points), nets.family, nets.num_states, x[:, j])
-        for j, net in enumerate(nets.decoder)
-    ]
+    tables = (input_param_node(tape, net, nets.net_pnodes(net, pnodes), rule.points) for net in nets.decoder)
 
-    def contract(i, acc):
+    def sum_rows(i):
         net = nets.energy[i]
-        return lse_matmul_node(tape, sum_param_node(tape, net, nets.net_pnodes(net, pnodes), rule.points, rule.weights), acc)
+        return sum_param_node(tape, net, nets.net_pnodes(net, pnodes), rule.points, rule.weights)
 
-    return ad.reshape(upward_pass(nets.latent_parent, nets.obs_parent, obs_rows, contract), (x.shape[0],))
+    return tree_loglik_node(tape, nets, tables, sum_rows, x)
 
 
 def _row(node: Node, j: int) -> Node:
@@ -256,35 +279,31 @@ def dataset_nll(nets: ParamNets, rule: QuadratureRule, x: np.ndarray, chunk: int
     """Mean negative log-likelihood of a dataset under the current nets.
 
     Materializes the parameter tensors once and streams the data through
-    the fused tensor evaluator in chunks.
+    the one likelihood in chunks.
     """
     sp = materialize_sum_params(nets, rule.points, rule.weights)
     ip = materialize_input_params(nets, rule.points)
-    sum_rows = [sp.s[i][:1] if nets.latent_parent[i] is None else sp.s[i] for i in range(len(nets.latent_parent))]
-    total = 0.0
-    for lo in range(0, len(x), chunk):
-        ev = x[lo : lo + chunk]
-        obs_rows = [
-            evidence_rows(ip.table[j], ip.family, ip.num_states, ev[:, j], var=j)
-            for j in range(len(nets.obs_parent))
-        ]
-        total += latent_tree_loglik(nets.latent_parent, nets.obs_parent, sum_rows, obs_rows).sum()
+    sum_rows = [sp.s[i][:1] if p is None else sp.s[i] for i, p in enumerate(nets.latent_parent)]
+    total = sum(_const_tree_loglik(nets, ip.table, sum_rows, x[lo : lo + chunk]).sum() for lo in range(0, len(x), chunk))
     return float(-total / len(x))
 
 
-def _fit(params: dict[str, np.ndarray], take_step, valid_nll, train_x: np.ndarray, config: TrainConfig) -> TrainResult:
+def _fit(params: dict[str, np.ndarray], take_step, nll, train_x: np.ndarray, valid_x: np.ndarray, config: TrainConfig) -> TrainResult:
     """The mini-batch loop shared by every trainer.
 
     ``take_step(batch)`` updates ``params`` in place and returns the batch
-    mean NLL; ``valid_nll()`` scores the current parameters.  History rows:
+    mean NLL; ``nll(valid_x)`` scores the current parameters.  An empty
+    training or validation set raises ValueError.  History rows:
     step, lr, mean train NLL since the previous evaluation, validation
     bpd.  Training stops once the validation NLL has not improved for
     ``patience`` steps (checked at each evaluation) or at max_steps; the
     best-validation snapshot is then copied back into ``params``.
     """
+    if not len(train_x) or not len(valid_x):
+        raise ValueError(f"{'training' if not len(train_x) else 'validation'} set has no rows")
     rng = np.random.default_rng(config.seed)
     num_vars = train_x.shape[1]
-    best_nll = valid_nll()
+    best_nll = nll(valid_x)
     best_params = {k: v.copy() for k, v in params.items()}
     best_step = 0
     history = [
@@ -302,18 +321,18 @@ def _fit(params: dict[str, np.ndarray], take_step, valid_nll, train_x: np.ndarra
         cursor += config.batch_size
         steps_run = step
         if step % config.eval_interval == 0:
-            nll = valid_nll()
+            valid_nll = nll(valid_x)
             history.append(
                 {
                     "step": step,
                     "lr": lr_schedule(step, config),
                     "train_nll": float(np.mean(window)),
-                    "valid_bpd": float(bpd(-nll, num_vars)),
+                    "valid_bpd": float(bpd(-valid_nll, num_vars)),
                 }
             )
             window = []
-            if nll < best_nll:
-                best_nll = nll
+            if valid_nll < best_nll:
+                best_nll = valid_nll
                 best_params = {k: v.copy() for k, v in params.items()}
                 best_step = step
             elif step - best_step >= config.patience:
@@ -332,16 +351,7 @@ def train_pic(nets: ParamNets, train_x: np.ndarray, valid_x: np.ndarray, config:
     config.validate()
     rule = make_rule(config.rule_kind, config.n, -1.0, 1.0)
     opt = Adam(nets.param_arrays(), config)
-    return _fit(opt.params, lambda batch: train_pic_step(nets, batch, rule, opt), lambda: dataset_nll(nets, rule, valid_x), train_x, config)
-
-
-def copy_circuit(pc: Circuit) -> Circuit:
-    """Fresh unit list with independently owned weight arrays."""
-    units = [
-        replace(u, weights=None if u.weights is None else u.weights.copy())
-        for u in pc.units
-    ]
-    return Circuit(units=units, root=pc.root, num_vars=pc.num_vars)
+    return _fit(opt.params, lambda batch: train_pic_step(nets, batch, rule, opt), lambda x: dataset_nll(nets, rule, x), train_x, valid_x, config)
 
 
 def em_step(pc: Circuit, batch: np.ndarray, eta: float) -> float:
@@ -428,11 +438,7 @@ class HcltTensors:
         return [logits - _logsumexp_data(logits, 1, True) for logits in self.sum_logits]
 
     def loglik(self, x: np.ndarray) -> np.ndarray:
-        obs_rows = [
-            evidence_rows(table, self.family, self.num_states, x[:, j], var=j)
-            for j, table in enumerate(self.input_tables())
-        ]
-        return latent_tree_loglik(self.latent_parent, self.obs_parent, self.sum_rows(), obs_rows)
+        return _const_tree_loglik(self, self.input_tables(), self.sum_rows(), x)
 
     def to_circuit(self) -> Circuit:
         """The concrete circuit of these tensors, built by the static materializer's region builder."""
@@ -447,20 +453,6 @@ class HcltTensors:
         return _build_regions(pic, parts, input_dists, lambda u: rows[u.latent["var"]])
 
 
-def hclt_loglik_node(tape: Tape, tensors: HcltTensors, tables, sum_rows, batch: np.ndarray) -> Node:
-    """Batch log-likelihood (B,) of the free-tensor baseline on the tape.
-
-    tables[j] is observable j's squashed (N, I) block and sum_rows[i]
-    latent i's normalized log rows, both as tape nodes; a thin caller of
-    the latent-tree engine.
-    """
-    obs_rows = [
-        evidence_node(tape, table, tensors.family, tensors.num_states, batch[:, j]) for j, table in enumerate(tables)
-    ]
-    loglik = upward_pass(tensors.latent_parent, tensors.obs_parent, obs_rows, lambda i, acc: lse_matmul_node(tape, sum_rows[i], acc))
-    return ad.reshape(loglik, (batch.shape[0],))
-
-
 def hclt_adam_step(tensors: HcltTensors, batch: np.ndarray, opt: Adam) -> float:
     """One Adam step on the log-softmax reparameterized tensors; a non-finite loss aborts it."""
     tape = Tape()
@@ -469,7 +461,7 @@ def hclt_adam_step(tensors: HcltTensors, batch: np.ndarray, opt: Adam) -> float:
     sum_rows = [
         pnodes[f"s{i}"] - ad.logsumexp(pnodes[f"s{i}"], axis=1, keepdims=True) for i in range(len(tensors.sum_logits))
     ]
-    loss = ad.neg(ad.mean(_finite(hclt_loglik_node(tape, tensors, tables, sum_rows, batch))))
+    loss = ad.neg(ad.mean(_finite(tree_loglik_node(tape, tensors, tables, sum_rows.__getitem__, batch))))
     grads = tape.backward(loss)
     opt.step(grads)
     return float(loss.data)
@@ -488,7 +480,7 @@ def hclt_em_step(tensors: HcltTensors, batch: np.ndarray, eta: float) -> float:
     tape = Tape()
     sum_rows = [tape.param(f"s{i}", rows) for i, rows in enumerate(tensors.sum_rows())]
     tables = [tape.const(table) for table in tensors.input_tables()]
-    loglik = _finite(hclt_loglik_node(tape, tensors, tables, sum_rows, batch))
+    loglik = _finite(tree_loglik_node(tape, tensors, tables, sum_rows.__getitem__, batch))
     counts = tape.backward(ad.reduce_sum(loglik))
     for i, logits in enumerate(tensors.sum_logits):
         cnt = counts[f"s{i}"]
@@ -504,7 +496,7 @@ def train_hclt_adam(tensors: HcltTensors, train_x: np.ndarray, valid_x: np.ndarr
     """Adam training of the free-tensor baseline: the loop of train_pic."""
     config.validate()
     opt = Adam(tensors.param_arrays(), config)
-    return _fit(opt.params, lambda batch: hclt_adam_step(tensors, batch, opt), lambda: float(-tensors.loglik(valid_x).mean()), train_x, config)
+    return _fit(opt.params, lambda batch: hclt_adam_step(tensors, batch, opt), lambda x: float(-tensors.loglik(x).mean()), train_x, valid_x, config)
 
 
 def train_hclt_em(tensors: HcltTensors, train_x: np.ndarray, valid_x: np.ndarray, config: TrainConfig) -> TrainResult:
@@ -518,7 +510,8 @@ def train_hclt_em(tensors: HcltTensors, train_x: np.ndarray, valid_x: np.ndarray
     return _fit(
         tensors.param_arrays(),
         lambda batch: hclt_em_step(tensors, batch, lr_schedule(next(steps), config)),
-        lambda: float(-tensors.loglik(valid_x).mean()),
+        lambda x: float(-tensors.loglik(x).mean()),
         train_x,
+        valid_x,
         config,
     )

@@ -7,7 +7,7 @@ import pytest
 from picirc.circuit import deserialize
 from picirc.cli import run, thread_cap
 from picirc.nets import ParamNets, save_checkpoint
-from picirc.structures import tree_from_json
+from picirc.structures import LatentTree, tree_from_json, tree_to_json
 
 
 def read_csv(path):
@@ -94,6 +94,23 @@ class TestExitCodes:
         code = run(["materialize", "--pic", str(pic_path), "--n", "4", "--nets", str(nets_path), "--out", str(tmp_path / "q.json")])
         assert code == 1
         assert message in capsys.readouterr().err
+
+    def test_checkpoint_for_another_tree_is_user_error(self, tmp_path, capsys):
+        # same sizes, other tree: the root prior would come from a child's conditional row
+        def tree(latent_parent):
+            obs_cond = tuple({"type": "neural", "net": j, "family": "categorical", "k": 3} for j in range(3))
+            return LatentTree(latent_parent, (0, 1, 2), tuple({"type": "neural"} for _ in range(3)), obs_cond)
+
+        tree_path, pic_path, nets_path, out = (tmp_path / n for n in ("t.json", "p.json", "n.json", "q.json"))
+        tree_path.write_bytes(tree_to_json(tree((None, 0, 0))))
+        assert run(["compile", "--tree", str(tree_path), "--out", str(pic_path)]) == 0
+        save_checkpoint(ParamNets.for_tree(tree((1, None, 1)), "categorical", num_states=3, num_frequencies=2, hidden=(4,), decoder_hidden=(4,)), nets_path)
+        capsys.readouterr()
+        assert run(["materialize", "--pic", str(pic_path), "--n", "4", "--nets", str(nets_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint")
+        assert "((1, None, 1), (0, 1, 2))" in err and "((None, 0, 0), (0, 1, 2))" in err
+        assert not out.exists()
 
     def test_threads_belongs_to_sanity_check_only(self, tmp_path, capsys):
         code = run(["compile", "--tree", str(tmp_path / "t.json"), "--out", str(tmp_path / "p.json"), "--threads", "2"])
@@ -269,6 +286,61 @@ class TestTrain:
                     "--schema", "categorical:3", "--out", str(tmp_path / "o.json")])
         assert code == 1
         assert "schema" in capsys.readouterr().err
+
+
+def train_args(mode, data, valid, tree_path, out):
+    """A short ``picirc train`` run; ``tree_path`` None learns the tree from the data."""
+    tree = [] if tree_path is None else ["--tree", str(tree_path)]
+    return ["train", "--mode", mode, "--data", str(data), "--valid", str(valid), "--schema", "categorical:3", *tree,
+            "--n", "3", "--batch", "10", "--steps", "4", "--eval-interval", "2", "--patience", "4", "--out", str(out)]
+
+
+MODES = ("pic", "hclt-em", "hclt-adam")
+
+
+class TestMissingAndEmptyData:
+    """NaN cells are marginalized in training but refused by structure learning; empty sets are refused."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        data = write_categorical(tmp_path / "d.csv", rows=30, seed=3)
+        tree_path = tmp_path / "t.json"
+        assert run(["clt", "--data", str(data), "--schema", "categorical:3", "--out", str(tree_path)]) == 0
+        header, rows = read_csv(data)
+        rng = np.random.default_rng(0)
+        missing = tmp_path / "m.csv"
+        missing.write_text("\n".join([",".join(header)] + [",".join("" if rng.random() < 0.25 else c for c in r) for r in rows]) + "\n")
+        empty = tmp_path / "e.csv"
+        empty.write_text(",".join(header) + "\n")
+        return {"data": data, "tree": tree_path, "missing": missing, "empty": empty}
+
+    def test_clt_refuses_missing_cells(self, tmp_path, files, capsys):
+        capsys.readouterr()
+        assert run(["clt", "--data", str(files["missing"]), "--schema", "categorical:3", "--out", str(tmp_path / "t2.json")]) == 1
+        assert "error: structure learning needs fully observed data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_train_without_tree_refuses_missing_cells(self, tmp_path, files, capsys, mode):
+        capsys.readouterr()
+        assert run(train_args(mode, files["missing"], files["data"], None, tmp_path / "o.json")) == 1
+        assert "error: structure learning needs fully observed data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_train_with_tree_marginalizes_missing_cells(self, tmp_path, files, mode):
+        out = tmp_path / "o.json"
+        assert run(train_args(mode, files["missing"], files["missing"], files["tree"], out)) == 0
+        _, rows = read_csv(tmp_path / "o.json.progress.csv")
+        assert all(np.isfinite(float(r[3])) for r in rows)
+        assert all(np.isfinite(float(r[2])) for r in rows[1:])
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("empty", ["training", "validation"])
+    def test_empty_set_is_user_error(self, tmp_path, files, capsys, mode, empty):
+        data, valid = (files["empty"], files["data"]) if empty == "training" else (files["data"], files["empty"])
+        capsys.readouterr()
+        assert run(train_args(mode, data, valid, files["tree"], tmp_path / "o.json")) == 1
+        assert f"error: {empty} set has no rows" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
 
 
 class TestBench:

@@ -530,6 +530,13 @@ class TestStreamedLoglik:
         with pytest.raises(ValueError, match="variable 1"):
             streamed_loglik(bn_to_pic(tree), make_rule("trapezoidal", 4, -1.0, 1.0), nets, x)
 
+    def test_nets_of_another_tree_rejected(self):
+        # same sizes, other tree: the root prior would come from a child's conditional row
+        pic = bn_to_pic(neural_tree((None, 0, 0), (0, 1, 2)))
+        nets = small_nets(neural_tree((1, None, 1), (0, 1, 2)))
+        with pytest.raises(ValueError, match=r"circuit's latent tree \(\(None, 0, 0\), \(0, 1, 2\)\) differs from the nets' tree \(\(1, None, 1\)"):
+            streamed_loglik(pic, make_rule("trapezoidal", 4, -1.0, 1.0), nets, np.zeros((2, 3)))
+
     def test_observable_read_by_two_input_units_rejected(self):
         # product(x0, x0) under one integral is not decomposable: both paths must refuse it
         tree = neural_tree((None,), (0,), k=3)

@@ -1,12 +1,14 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 import picirc.autodiff as ad
 from picirc.autodiff import Tape
-from picirc.circuit import CircuitBuilder, InputDist, structurally_equal
+from picirc.circuit import Circuit, CircuitBuilder, InputDist, structurally_equal
 from picirc.errors import NumericError
 from picirc.materialize import (
     InputParamTensor,
@@ -19,7 +21,7 @@ from picirc.materialize import (
 )
 from picirc.nets import ParamNets, decoder_forward, energy_forward, load_checkpoint, save_checkpoint
 from picirc.quadrature import make_rule
-from picirc.runtime import latent_tree_loglik, log_forward
+from picirc.runtime import evidence_rows, latent_tree_loglik, log_forward
 from picirc.structures import LatentTree, bn_to_pic
 from picirc.training import (
     Adam,
@@ -27,9 +29,9 @@ from picirc.training import (
     TrainConfig,
     _logsumexp_list,
     batch_loglik_node,
-    copy_circuit,
     dataset_nll,
     em_step,
+    evidence_node,
     hclt_adam_step,
     hclt_em_step,
     lr_schedule,
@@ -71,6 +73,12 @@ def family_data(family, k, rows, cols, seed):
     return rng.integers(0, top + 1, (rows, cols)).astype(float)
 
 
+def copy_circuit(pc: Circuit) -> Circuit:
+    """Fresh unit list with independently owned weight arrays, for ``em_step`` to update."""
+    units = [replace(u, weights=None if u.weights is None else u.weights.copy()) for u in pc.units]
+    return Circuit(units=units, root=pc.root, num_vars=pc.num_vars)
+
+
 def two_component_mixture(prior=(0.3, 0.7)):
     """Root sum over two products of fixed binary leaves."""
     builder = CircuitBuilder()
@@ -96,6 +104,16 @@ def mixture_density(row, prior):
         parts.append(val)
         total += val
     return total, parts
+
+
+def with_missing(x, share=0.25, seed=0):
+    """A copy of x with about ``share`` of its cells set to NaN (marginalized)."""
+    x = x.copy()
+    x[np.random.default_rng(seed).random(x.shape) < share] = np.nan
+    return x
+
+
+FAMILIES = [("categorical", 3), ("binomial", 4), ("gaussian", None)]
 
 
 def em_toy_data(num_rows=200, seed=7):
@@ -223,6 +241,153 @@ def test_unitwise_logsumexp_shifts_each_row():
     out = _logsumexp_list(tape, [x, x - 1.0])
     np.testing.assert_allclose(out.data, np.log1p(np.exp(-1.0)) + np.array([0.0, -800.0]), rtol=0, atol=1e-12)
     np.testing.assert_allclose(tape.backward(ad.reduce_sum(out))["x"], [1.0, 1.0], rtol=0, atol=1e-12)
+
+
+def family_table(family, k, n, seed):
+    """A squashed (n, I) parameter block: log-probabilities, a success probability, or (mu, log sigma)."""
+    rng = np.random.default_rng(seed)
+    if family == "categorical":
+        logits = rng.normal(0.0, 1.0, (n, k))
+        return logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
+    if family == "binomial":
+        return rng.uniform(0.1, 0.9, (n, 1))
+    return np.column_stack([rng.normal(0.0, 1.0, n), rng.normal(0.0, 0.3, n)])
+
+
+def composed_evidence(tape, table, family, k, x_col):
+    """The evidence of fully observed cells as a composition of tape primitives."""
+    if family == "categorical":
+        return ad.gather(table, x_col.astype(np.intp), axis=1)
+    if family == "binomial":
+        comb = gammaln(k + 1) - gammaln(x_col + 1) - gammaln(k - x_col + 1)
+        return tape.const(comb[None, :]) + tape.const(x_col[None, :]) * ad.log(table) + tape.const((k - x_col)[None, :]) * ad.log(tape.const(1.0) - table)
+    mu = ad.gather(table, np.array([0]), axis=1)
+    log_sigma = ad.gather(table, np.array([1]), axis=1)
+    z = (tape.const(x_col[None, :]) - mu) * ad.exp(ad.neg(log_sigma))
+    return tape.const(-0.5) * z * z - log_sigma - tape.const(0.5 * np.log(2.0 * np.pi))
+
+
+def evidence_vjp(evidence, table, g):
+    """Value and gradient of sum(g * evidence(table)) with respect to table."""
+    tape = Tape()
+    node = tape.param("t", table)
+    loss = ad.reduce_sum(evidence(tape, node) * tape.const(g))
+    return float(loss.data), tape.backward(loss)["t"]
+
+
+class TestEvidenceOp:
+    """``evidence_node`` is one tape op: forward ``evidence_rows``, closed-form backward per family."""
+
+    def cells(self, family, k):
+        table = family_table(family, k, 5, seed=1)
+        x_col = with_missing(family_data(family, k, 12, 1, 2), seed=3)[:, 0]
+        g = np.random.default_rng(4).normal(0.0, 1.0, (5, 12))
+        return table, x_col, g
+
+    @pytest.mark.parametrize("family, k", FAMILIES)
+    def test_forward_is_evidence_rows(self, family, k):
+        table, x_col, _ = self.cells(family, k)
+        tape = Tape()
+        out = evidence_node(tape, tape.param("t", table), family, k, x_col, var=2)
+        np.testing.assert_array_equal(out.data, evidence_rows(table, family, k, x_col, var=2))
+        assert [rec[0] for rec in tape._records] == ["evidence"]
+
+    @pytest.mark.parametrize("family, k", FAMILIES)
+    def test_vjp_matches_central_differences(self, family, k):
+        table, x_col, g = self.cells(family, k)
+        _, grad = evidence_vjp(lambda tape, t: evidence_node(tape, t, family, k, x_col), table, g)
+        h = 1e-6
+        numeric = np.zeros_like(table)
+        for idx in np.ndindex(table.shape):
+            up, down = table.copy(), table.copy()
+            up[idx] += h
+            down[idx] -= h
+            numeric[idx] = np.sum(g * (evidence_rows(up, family, k, x_col) - evidence_rows(down, family, k, x_col))) / (2 * h)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-7)
+
+    @pytest.mark.parametrize("family, k", FAMILIES)
+    def test_vjp_matches_composition_on_observed_cells(self, family, k):
+        table, x_col, g = self.cells(family, k)
+        observed = ~np.isnan(x_col)
+        assert 0 < observed.sum() < len(x_col)
+        value, grad = evidence_vjp(lambda tape, t: evidence_node(tape, t, family, k, x_col), table, g)
+        ref_value, ref_grad = evidence_vjp(lambda tape, t: composed_evidence(tape, t, family, k, x_col[observed]), table, g[:, observed])
+        np.testing.assert_allclose(value, ref_value, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("family, k", FAMILIES)
+    def test_missing_cells_pass_no_gradient(self, family, k):
+        table, x_col, g = self.cells(family, k)
+        g[:, ~np.isnan(x_col)] = 0.0
+        value, grad = evidence_vjp(lambda tape, t: evidence_node(tape, t, family, k, x_col), table, g)
+        assert value == 0.0
+        np.testing.assert_array_equal(grad, np.zeros_like(table))
+
+    @pytest.mark.parametrize("family, k, value", [("categorical", 3, 3.0), ("binomial", 4, 1.5), ("gaussian", None, np.inf)])
+    def test_out_of_support_names_the_variable(self, family, k, value):
+        table, x_col, _ = self.cells(family, k)
+        x_col[0] = value
+        tape = Tape()
+        with pytest.raises(ValueError, match="for variable 7"):
+            evidence_node(tape, tape.param("t", table), family, k, x_col, var=7)
+        tree = neural_tree((None, 0), (0, 1), family=family, k=k)
+        nets = small_nets(tree, k=k, family=family)
+        x = family_data(family, k, 4, 2, 0)
+        x[2, 1] = value
+        with pytest.raises(ValueError, match="for variable 1"):
+            batch_loglik_node(tape, nets, nets.register(tape), make_rule("trapezoidal", 4, -1.0, 1.0), x)
+
+    def test_one_evidence_record_per_observable(self):
+        tree = neural_tree((None, 0, 0), (0, 1, 2, 2))
+        nets = small_nets(tree, seed=5)
+        tape = Tape()
+        batch_loglik_node(tape, nets, nets.register(tape), make_rule("trapezoidal", 4, -1.0, 1.0), with_missing(family_data("categorical", 3, 6, 4, 5)))
+        ops = [rec[0] for rec in tape._records]
+        assert ops.count("evidence") == 4
+        assert "gather" not in ops
+
+
+class TestTrainingOnMissingCells:
+    """25% of the cells are NaN: every trainer marginalizes them like inference does."""
+
+    @pytest.mark.parametrize("family, k", [("binomial", 4), ("gaussian", None)])
+    def test_pic_step_gradient_matches_dataset_nll(self, family, k):
+        tree = neural_tree((None, 0, 0), (0, 1, 2, 2), family=family, k=k)
+        nets = small_nets(tree, k=k, seed=7, family=family)
+        rule = make_rule("trapezoidal", 5, -1.0, 1.0)
+        x = with_missing(family_data(family, k, 16, 4, 8), seed=9)
+
+        class Capture:
+            def step(self, grads):
+                self.grads = grads
+
+        opt = Capture()
+        loss = train_pic_step(nets, x, rule, opt)
+        np.testing.assert_allclose(loss, dataset_nll(nets, rule, x), rtol=0, atol=1e-12)
+        params = nets.param_arrays()
+        rng = np.random.default_rng(10)
+        direction = {name: rng.standard_normal(v.shape) for name, v in params.items()}
+        analytic = sum(float(np.sum(opt.grads[name] * d)) for name, d in direction.items())
+        saved = {name: v.copy() for name, v in params.items()}
+
+        def nll_at(h):
+            for name, v in params.items():
+                v[...] = saved[name] + h * direction[name]
+            return dataset_nll(nets, rule, x)
+
+        eps = 1e-5
+        numeric = (nll_at(eps) - nll_at(-eps)) / (2 * eps)
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-6)
+
+    @pytest.mark.parametrize("family, k", FAMILIES)
+    def test_hclt_adam_loss_is_tensor_loglik(self, family, k):
+        tree = neural_tree((None, 0, 0), (0, 1, 2, 2), family=family, k=k)
+        tensors = HcltTensors.random(tree, n=4, family=family, num_states=k, seed=8)
+        x = with_missing(family_data(family, k, 25, 4, 2), seed=5)
+        expected = -tensors.loglik(x).mean()
+        np.testing.assert_allclose(tensors.loglik(x), log_forward(tensors.to_circuit(), x), rtol=0, atol=1e-12)
+        loss = hclt_adam_step(tensors, x, Adam(tensors.param_arrays(), TrainConfig(batch_size=25, n=4)))
+        np.testing.assert_allclose(loss, expected, rtol=0, atol=1e-12)
 
 
 def engine_callers(tree, x):
@@ -449,6 +614,12 @@ class TestHcltEm:
         tensors = HcltTensors.random(tree, n=4, family=family, num_states=k, seed=6, scale=1.0)
         self.check_against_oracle(tensors, family_data(family, k, 40, 6, 3), eta=0.7)
 
+    @pytest.mark.parametrize("family, k", FAMILIES)
+    def test_missing_cells_match_em_step_oracle(self, family, k):
+        tree = neural_tree((None, 0, 0, 1), (0, 1, 2, 2, 3, 3), family=family, k=k)
+        tensors = HcltTensors.random(tree, n=4, family=family, num_states=k, seed=7, scale=1.0)
+        self.check_against_oracle(tensors, with_missing(family_data(family, k, 40, 6, 4), seed=6), eta=0.7)
+
     @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_zero_flow_row_keeps_its_weights(self):
         # a -inf root logit sends no flow into row 1 of both child latents
@@ -559,6 +730,7 @@ def tape_calls(forward_only):
     rule = make_rule("trapezoidal", 4, -1.0, 1.0)
     nets = small_nets(tree, seed=5)
     x = family_data("categorical", 3, 6, 4, 5)
+    tensors = HcltTensors.random(tree, 4, "categorical", 3, seed=5)
     calls = {
         "materialize_sum_params": lambda: materialize_sum_params(nets, rule.points, rule.weights),
         "materialize_input_params": lambda: materialize_input_params(nets, rule.points),
@@ -567,9 +739,9 @@ def tape_calls(forward_only):
         "energy_forward": lambda: energy_forward(nets.energy[1], 0.25, -0.5),
         "decoder_forward": lambda: decoder_forward(nets.decoder[0], 0.25),
         "materialize_nested": lambda: materialize_nested(pic, lambda latent, parent_value: rule, nets),
+        "hclt_loglik": lambda: tensors.loglik(x),
     }
     if not forward_only:
-        tensors = HcltTensors.random(tree, 4, "categorical", 3, seed=5)
         calls["train_pic_step"] = lambda: train_pic_step(nets, x, rule, Adam(nets.param_arrays(), TrainConfig()))
         calls["hclt_adam_step"] = lambda: hclt_adam_step(tensors, x, Adam(tensors.param_arrays(), TrainConfig()))
         calls["hclt_em_step"] = lambda: hclt_em_step(tensors, x, 0.5)
