@@ -315,7 +315,7 @@ _TINY = np.finfo(np.float64).tiny
 _LOG_TINY = float(np.log(_TINY))
 
 
-def _lse_matmul_parts(a, b):
+def _lse_matmul_parts(a, b, product=np.matmul):
     """log(exp(a) @ exp(b)) for a (J, K) and b (K, B), with what its backward needs.
 
     Each row of a and each column of b is shifted by its own max, and the
@@ -325,7 +325,9 @@ def _lse_matmul_parts(a, b):
     falls below K * tiny * 1e12 (underflowed, or too close to the flush to
     keep 1e-12) is recomputed by an exact logsumexp over k, vectorized over
     chunks of such cells; (rows, cols) lists them.  NaN in an operand
-    propagates to its row or column.
+    propagates to its row or column.  ``product`` multiplies the shifted
+    exponentials: BLAS by default; the explicit-circuit evaluator passes a
+    column-invariant one.
     """
     m1 = a.max(axis=1, keepdims=True)
     m2 = b.max(axis=0, keepdims=True)
@@ -333,7 +335,7 @@ def _lse_matmul_parts(a, b):
     m2 = np.where(np.isfinite(m2), m2, 0.0)
     ea = _flushed_exp(a - m1)
     eb = _flushed_exp(b - m2)
-    prod = ea @ eb
+    prod = product(ea, eb)
     with np.errstate(divide="ignore"):
         out = np.log(prod)
     out += m1

@@ -191,25 +191,26 @@ class Circuit:
 def post_order(circuit: Circuit) -> list[int]:
     """Children-before-parents order from the root; deterministic.
 
-    Iterative depth-first traversal following stored child order; raises
-    on cycles, naming the unit where the back-edge was found.
+    Iterative depth-first traversal following stored child order: each
+    stack frame holds an iterator over its unit's children.  Raises on
+    cycles, naming the unit where the back-edge was found.
     """
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * len(circuit.units)
+    units = circuit.units
+    color = [WHITE] * len(units)
     order: list[int] = []
-    stack: list[tuple[int, int]] = [(circuit.root, 0)]
+    stack = [(circuit.root, iter(units[circuit.root].children))]
     color[circuit.root] = GRAY
     while stack:
-        uid, child_pos = stack[-1]
-        children = circuit.units[uid].children
-        if child_pos < len(children):
-            stack[-1] = (uid, child_pos + 1)
-            c = children[child_pos]
-            if color[c] == GRAY:
-                raise CircuitError(f"cycle detected at unit {c}")
-            if color[c] == WHITE:
+        uid, children = stack[-1]
+        for c in children:
+            state = color[c]
+            if state == WHITE:
                 color[c] = GRAY
-                stack.append((c, 0))
+                stack.append((c, iter(units[c].children)))
+                break
+            if state == GRAY:
+                raise CircuitError(f"cycle detected at unit {c}")
         else:
             stack.pop()
             color[uid] = BLACK

@@ -1,7 +1,13 @@
 """Numerically stable evaluation of materialized circuits.
 
-Everything here works in log space.  ``log_forward`` is the single-pass
-bottom-up evaluator over an explicit circuit.  Circuits in latent-tree
+Everything here works in log space.  An explicit circuit runs one layer at
+a time: ``circuit_layers`` groups its units by shape on every call (inputs
+by variable and family, sums by their shared children tuple, products by
+arity, each at its depth), and ``forward_values`` (so ``log_forward`` and
+``marginal``), ``training.em_step`` and ``sample_pc`` run each layer as one
+array operation.  Each sum layer is one contraction by
+``autodiff._lse_matmul_parts``, with a product that keeps every row's bits
+independent of the chunk it is evaluated in.  Circuits in latent-tree
 tensor form (the shape produced by materialization) are evaluated by the
 one latent-tree engine, ``upward_pass``, fed by the one vectorized
 evidence kernel, ``evidence_rows``.  The engine only adds blocks and
@@ -18,11 +24,12 @@ maxima misalign.  NaN marks a marginalized evidence cell, in training too:
 from __future__ import annotations
 
 import time
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
 
-from .autodiff import _logsumexp_data, _lse_matmul_data
+from .autodiff import _logsumexp_data, _lse_matmul_data, _lse_matmul_parts
 from .circuit import Circuit, in_support, post_order
 from .errors import NumericError, UnsupportedStructureError
 from .structures import top_down_order
@@ -60,15 +67,18 @@ def evidence_rows(table: np.ndarray, family: str, num_states, x_col: np.ndarray,
     out and contribute log 1 = 0.
     """
     observed, v = observed_evidence(family, num_states, x_col, var)
-    out = np.zeros((table.shape[0], len(x_col)))
+    full = np.zeros(len(x_col), dtype=v.dtype)
+    full[observed] = v
     if family == "categorical":
-        out[:, observed] = table[:, v]
+        out = np.take(table, full, axis=1)
     elif family == "binomial":
         k = num_states
         p = table[:, :1]
-        out[:, observed] = gammaln(k + 1) - gammaln(v + 1) - gammaln(k - v + 1) + v * np.log(p) + (k - v) * np.log1p(-p)
+        out = gammaln(k + 1) - gammaln(full + 1) - gammaln(k - full + 1) + full * np.log(p) + (k - full) * np.log1p(-p)
     else:
-        out[:, observed] = gaussian_logpdf(v, table[:, :1], table[:, 1:2])
+        out = gaussian_logpdf(full, table[:, :1], table[:, 1:2])
+    if not observed.all():
+        out[:, ~observed] = 0.0
     return out
 
 
@@ -84,23 +94,105 @@ def _check_concrete(qpc: Circuit) -> None:
             )
 
 
-def forward_values(qpc: Circuit, ev: np.ndarray, order=None) -> np.ndarray:
-    """Per-unit log values of one evidence block, shape (units, B)."""
-    if order is None:
-        order = post_order(qpc)
-    values = np.empty((len(qpc.units), ev.shape[0]))
-    for uid in order:
-        u = qpc.units[uid]
+class Layer(NamedTuple):
+    """Units of a concrete circuit evaluated together: one kind, one shape.
+
+    ``index`` is the observable of an input layer, the (K,) child ids
+    shared by every unit of a sum layer, and the (U, A) child-id matrix of
+    a product layer.  A layer holds structure only: weights and input
+    parameters are read from the units when it runs.
+    """
+
+    kind: str
+    uids: np.ndarray
+    index: object
+
+
+def circuit_layers(qpc: Circuit) -> list[Layer]:
+    """The units of a concrete circuit in layers, children before parents.
+
+    One pass over ``post_order``: input units are grouped by (variable,
+    family, state count), sum units by their children tuple and product
+    units by arity, each at its depth (0 for inputs, else 1 + the deepest
+    child).  Layers come in order of depth, so every child runs in an
+    earlier layer than its parents.
+    """
+    units = qpc.units
+    depth = [0] * len(units)
+    memo: dict[tuple, int] = {}
+    groups: dict[tuple, list[int]] = {}
+    for uid in post_order(qpc):
+        u = units[uid]
         if u.kind == "input":
-            d = u.dist
-            vals = evidence_rows(d.params[None, :], d.family, d.num_states, ev[:, u.var], u.var)[0]
-        elif u.kind == "product":
-            vals = values[list(u.children)].sum(axis=0)
+            key = (0, "input", u.var, u.dist.family, u.dist.num_states)
         else:
-            vals = _logsumexp_data(values[list(u.children)] + u.weights[:, None], 0, False)
-        if np.isnan(vals).any() or np.isposinf(vals).any():
-            raise NumericError(f"non-finite value at unit {uid}")
-        values[uid] = vals
+            d = memo.get(u.children)
+            if d is None:
+                d = memo[u.children] = 1 + max(map(depth.__getitem__, u.children))
+            depth[uid] = d
+            key = (d, "sum", u.children) if u.kind == "sum" else (d, "product", len(u.children))
+        groups.setdefault(key, []).append(uid)
+    layers = []
+    for key, uids in sorted(groups.items(), key=lambda kv: kv[0][0]):
+        kind = key[1]
+        if kind == "input":
+            index = key[2]
+        elif kind == "sum":
+            index = np.array(key[2], dtype=np.intp)
+        else:
+            index = np.array([units[uid].children for uid in uids], dtype=np.intp)
+        layers.append(Layer(kind, np.array(uids, dtype=np.intp), index))
+    return layers
+
+
+def _column_product(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
+    """ea @ eb without BLAS, each column summed in the same order whatever its neighbours.
+
+    ``np.einsum`` loops over the columns innermost.  A lone column would
+    turn into a contiguous dot product, summed in another order, so it is
+    computed as the first of two.
+    """
+    if eb.shape[1] == 1:
+        return np.einsum("jk,kb->jb", ea, np.repeat(eb, 2, axis=1))[:, :1]
+    return np.einsum("jk,kb->jb", ea, eb)
+
+
+def layer_table(qpc: Circuit, layer: Layer) -> np.ndarray:
+    """A layer's parameters read from its units: (U, K) log weights of a sum layer, the (U, I) table of an input layer."""
+    if layer.kind == "sum":
+        return np.stack([qpc.units[uid].weights for uid in layer.uids])
+    return np.stack([qpc.units[uid].dist.params for uid in layer.uids])
+
+
+def forward_values(qpc: Circuit, ev: np.ndarray, layers=None, product=_column_product) -> np.ndarray:
+    """Per-unit log values of one evidence block, shape (units, B), one layer at a time.
+
+    An input layer is one ``evidence_rows`` call on its parameter table, a
+    product layer adds its children's rows one column of its child-index
+    matrix at a time, and a sum layer is one ``autodiff._lse_matmul_parts``
+    of its log weights against its children's values, multiplied by
+    ``product``.  With the default product a row's values do not depend on
+    the other rows of the block, bit for bit.  A NaN or +inf value raises
+    NumericError naming its unit.
+    """
+    if layers is None:
+        layers = circuit_layers(qpc)
+    units = qpc.units
+    values = np.empty((len(units), ev.shape[0]))
+    for layer in layers:
+        if layer.kind == "input":
+            d = units[layer.uids[0]].dist
+            vals = evidence_rows(layer_table(qpc, layer), d.family, d.num_states, ev[:, layer.index], layer.index)
+        elif layer.kind == "product":
+            vals = values[layer.index[:, 0]]
+            for column in layer.index.T[1:]:
+                vals += values[column]
+        else:
+            vals = _lse_matmul_parts(layer_table(qpc, layer), values[layer.index], product)[0]
+        ok = vals < np.inf
+        if not ok.all():
+            raise NumericError(f"non-finite value at unit {layer.uids[np.flatnonzero(~ok.all(axis=1))[0]]}")
+        values[layer.uids] = vals
     return values
 
 
@@ -108,7 +200,9 @@ def log_forward(qpc: Circuit, evidence: np.ndarray, chunk: int = 4096) -> np.nda
     """Batched log-likelihoods of evidence rows under a concrete circuit.
 
     evidence is (B, D) or (D,); NaN marks a variable as marginalized out.
-    Returns (B,) log-likelihoods (or a scalar for 1-D input).
+    Returns (B,) log-likelihoods (or a scalar for 1-D input).  The rows
+    run in chunks of ``chunk`` through ``forward_values``; the result does
+    not depend on the chunk size, bit for bit.
     """
     evidence = np.asarray(evidence, dtype=np.float64)
     single = evidence.ndim == 1
@@ -117,11 +211,11 @@ def log_forward(qpc: Circuit, evidence: np.ndarray, chunk: int = 4096) -> np.nda
     if evidence.shape[1] != qpc.num_vars:
         raise ValueError(f"evidence has {evidence.shape[1]} columns, circuit has {qpc.num_vars}")
     _check_concrete(qpc)
-    order = post_order(qpc)
+    layers = circuit_layers(qpc)
     out = np.empty(evidence.shape[0])
     for lo in range(0, evidence.shape[0], chunk):
         ev = evidence[lo : lo + chunk]
-        out[lo : lo + chunk] = forward_values(qpc, ev, order)[qpc.root]
+        out[lo : lo + chunk] = forward_values(qpc, ev, layers)[qpc.root]
     return out[0] if single else out
 
 
@@ -134,37 +228,76 @@ def marginal(qpc: Circuit, evidence: np.ndarray) -> np.ndarray:
     return log_forward(qpc, evidence)
 
 
+def _cdf_rows(log_p: np.ndarray) -> np.ndarray:
+    """Row-wise cumulative distributions of (U, K) unnormalized log-probabilities; each ends at exactly 1."""
+    cdf = np.cumsum(np.exp(log_p - _logsumexp_data(log_p, 1, True)), axis=1)
+    return cdf / cdf[:, -1:]
+
+
+def _draw(cdf: np.ndarray, rng) -> np.ndarray:
+    """One inverse-CDF draw per row of cdf: the first index whose value exceeds a uniform."""
+    return (cdf <= rng.random(len(cdf))[:, None]).sum(axis=1)
+
+
+SAMPLE_BLOCK = 4096
+
+
 def sample_pc(qpc: Circuit, n: int, seed: int) -> np.ndarray:
     """Ancestral sampling: n rows over the circuit's observables.
 
-    Sum units draw a child proportionally to exp(weights), products
-    descend into all children, input units draw from their family.
+    Top-down over ``circuit_layers``, vectorized over rows: a sum layer
+    sends each row that reaches one of its units to one child, drawn by
+    inverse CDF from exp(weights); a product layer sends it to all
+    children; an input layer draws its variable from its family.  Rows
+    run in blocks of ``SAMPLE_BLOCK``, so memory grows with the rows a
+    block visits, never with units times n.
     """
     _check_concrete(qpc)
+    units = qpc.units
+    layers = circuit_layers(qpc)
+    layer_of = np.empty(len(units), dtype=np.intp)
+    slot_of = np.empty(len(units), dtype=np.intp)
+    tables = []
+    for li, layer in enumerate(layers):
+        layer_of[layer.uids] = li
+        slot_of[layer.uids] = np.arange(len(layer.uids))
+        if layer.kind == "product":
+            tables.append(None)
+        elif layer.kind == "sum" or units[layer.uids[0]].dist.family == "categorical":
+            tables.append(_cdf_rows(layer_table(qpc, layer)))
+        else:
+            tables.append(layer_table(qpc, layer))
     rng = np.random.default_rng(seed)
     out = np.full((n, qpc.num_vars), np.nan)
-    child_probs = {}
-    for u in qpc.units:
-        if u.kind == "sum":
-            p = np.exp(u.weights - _logsumexp_data(u.weights, 0, False))
-            child_probs[u.uid] = p / p.sum()
-    for row in range(n):
-        stack = [qpc.root]
-        while stack:
-            u = qpc.units[stack.pop()]
-            if u.kind == "sum":
-                stack.append(u.children[rng.choice(len(u.children), p=child_probs[u.uid])])
-            elif u.kind == "product":
-                stack.extend(u.children)
-            else:
-                d = u.dist
+    for lo in range(0, n, SAMPLE_BLOCK):
+        rows = np.arange(lo, min(n, lo + SAMPLE_BLOCK))
+        pending: list[list] = [[] for _ in layers]
+        pending[layer_of[qpc.root]].append((np.full(len(rows), slot_of[qpc.root]), rows))
+        for li in range(len(layers) - 1, -1, -1):
+            if not pending[li]:
+                continue
+            slots = np.concatenate([s for s, _ in pending[li]])
+            at = np.concatenate([r for _, r in pending[li]])
+            pending[li] = None
+            layer, table = layers[li], tables[li]
+            if layer.kind == "input":
+                d = units[layer.uids[0]].dist
                 if d.family == "categorical":
-                    val = rng.choice(d.num_states, p=np.exp(d.params))
+                    out[at, layer.index] = _draw(table[slots], rng)
                 elif d.family == "binomial":
-                    val = rng.binomial(d.num_states, d.params[0])
+                    out[at, layer.index] = rng.binomial(d.num_states, table[slots, 0])
                 else:
-                    val = d.params[0] + np.exp(d.params[1]) * rng.standard_normal()
-                out[row, u.var] = val
+                    out[at, layer.index] = table[slots, 0] + np.exp(table[slots, 1]) * rng.standard_normal(len(slots))
+                continue
+            if layer.kind == "sum":
+                child = layer.index[_draw(table[slots], rng)]
+            else:
+                child = layer.index[slots].ravel()
+                at = np.repeat(at, layer.index.shape[1])
+            target = layer_of[child]
+            for t in np.unique(target):
+                hit = target == t
+                pending[t].append((slot_of[child[hit]], at[hit]))
     return out
 
 

@@ -18,27 +18,29 @@ on tape constants, which record nothing; the unit-by-unit
 ``unitwise_loglik_node`` stays independent of it as the test oracle.  EM
 takes its expected counts from the same tape: the gradient of the summed
 log-likelihood with respect to the normalized log sum rows is the
-expected count of every sum edge.  ``train_pic``,
-``train_hclt_adam`` and ``train_hclt_em`` share one mini-batch loop with
-the cosine-annealed step size and best-validation early stopping.
-``em_step`` on the explicit circuit is the EM oracle.
+expected count of every sum edge.  ``em_step`` is EM on any concrete
+circuit, one layer of units at a time (``runtime.circuit_layers``), with
+the same identity: each sum layer's counts are the ``lse_matmul``
+backward of its flows.  ``train_pic``, ``train_hclt_adam`` and
+``train_hclt_em`` share one mini-batch loop with the cosine-annealed step
+size and best-validation early stopping.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, Tape, _logsumexp_data
-from .circuit import Circuit, InputDist, param_width, post_order
+from .circuit import Circuit, InputDist, Unit, param_width, post_order
 from .errors import NumericError
 from .materialize import _build_regions, _read_pic, input_param_node, materialize_input_params, materialize_sum_params, sum_param_node
 from .nets import ParamNets, squash
 from .quadrature import QuadratureRule, make_rule
-from .runtime import bpd, evidence_rows, forward_values, observed_evidence, upward_pass
+from .runtime import bpd, circuit_layers, evidence_rows, forward_values, layer_table, observed_evidence, upward_pass
 from .runtime import latent_tree_loglik  # noqa: F401  (looked up here by perfbench's tracer)
 from .structures import LatentTree, bn_to_pic
 
@@ -279,8 +281,10 @@ def dataset_nll(nets: ParamNets, rule: QuadratureRule, x: np.ndarray, chunk: int
     """Mean negative log-likelihood of a dataset under the current nets.
 
     Materializes the parameter tensors once and streams the data through
-    the one likelihood in chunks.
+    the one likelihood in chunks.  No rows raises ValueError.
     """
+    if not len(x):
+        raise ValueError("dataset has no rows")
     sp = materialize_sum_params(nets, rule.points, rule.weights)
     ip = materialize_input_params(nets, rule.points)
     sum_rows = [sp.s[i][:1] if p is None else sp.s[i] for i, p in enumerate(nets.latent_parent)]
@@ -355,46 +359,50 @@ def train_pic(nets: ParamNets, train_x: np.ndarray, valid_x: np.ndarray, config:
 
 
 def em_step(pc: Circuit, batch: np.ndarray, eta: float) -> float:
-    """One EM update on every sum unit's weights.
+    """One EM update on every sum unit's weights, one layer at a time.
 
-    Expected counts come from one forward pass and one top-down flow
-    pass; a sum unit whose total incoming flow is zero keeps its old
-    weights for this batch.  Updated units replace the old ones in the
+    The expected edge counts are the gradient of the batch's summed
+    log-likelihood with respect to the log weights.  So, walking the
+    layers in reverse, a sum layer's counts and its children's flows are
+    the ``lse_matmul`` backward of its own flows (its contraction is run
+    again there rather than kept from the forward pass, which would hold
+    every sum layer's operands at once); a product layer passes its flows
+    to its children.  Each row of a sum layer moves to
+    (1 - eta) softmax(w) + eta counts / rowsum; a unit whose counts sum to
+    zero keeps its weights.  Updated units replace the old ones in the
     unit list (weight arrays stay immutable).  Returns the batch mean
     log-likelihood under the pre-update parameters.
     """
-    order = post_order(pc)
-    values = forward_values(pc, batch, order)
+    layers = circuit_layers(pc)
+    values = forward_values(pc, batch, layers, np.matmul)
     flows = np.zeros_like(values)
     flows[pc.root] = 1.0
-    counts: dict[int, np.ndarray] = {}
-    for uid in order[::-1]:
-        u = pc.units[uid]
-        fl = flows[uid]
-        if u.kind == "product":
-            for c in u.children:
-                flows[c] += fl
-        elif u.kind == "sum":
-            kids = list(u.children)
-            with np.errstate(invalid="ignore"):
-                ratio = np.exp(values[kids] + u.weights[:, None] - values[uid][None, :])
-            ratio[:, ~np.isfinite(values[uid])] = 0.0
-            child_flow = fl[None, :] * ratio
-            counts[uid] = child_flow.sum(axis=1)
-            for k, c in enumerate(kids):
-                flows[c] += child_flow[k]
-    for uid, cnt in counts.items():
-        total = cnt.sum()
-        if total <= 0.0:
-            continue
-        u = pc.units[uid]
-        theta = np.exp(u.weights - _logsumexp_data(u.weights, None, False))
-        theta = (1.0 - eta) * theta + eta * (cnt / total)
-        with np.errstate(divide="ignore"):
-            w = np.log(theta)
-        w.setflags(write=False)
-        pc.units[uid] = replace(u, weights=w)
+    for layer in reversed(layers):
+        if layer.kind == "product":
+            _scatter_add(flows, layer.index, flows[layer.uids][:, None, :])
+        elif layer.kind == "sum":
+            weights, kids = layer_table(pc, layer), values[layer.index]
+            ctx = (weights, kids, *ad._lse_matmul_parts(weights, kids))
+            counts, child_flow = ad._lse_matmul_bwd(ctx, flows[layer.uids])
+            _scatter_add(flows, layer.index, child_flow)
+            total = counts.sum(axis=1, keepdims=True)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                theta = (1.0 - eta) * np.exp(weights - _logsumexp_data(weights, 1, True)) + eta * (counts / total)
+                log_theta = np.log(theta)
+            for uid, w, t in zip(layer.uids, log_theta, total[:, 0]):
+                if t > 0.0:
+                    u = pc.units[uid]
+                    w.setflags(write=False)
+                    pc.units[uid] = Unit(u.uid, "sum", u.children, u.scope, weights=w)
     return float(values[pc.root].mean())
+
+
+def _scatter_add(flows: np.ndarray, index: np.ndarray, contrib: np.ndarray) -> None:
+    """flows[index] += contrib, summing over repeated indices."""
+    if np.unique(index).size == index.size:
+        flows[index] += contrib
+    else:
+        np.add.at(flows, index, contrib)
 
 
 @dataclass

@@ -204,7 +204,11 @@ class TestPipeline:
         blank.write_text("c0,c1,c2\n,,\n")
         capsys.readouterr()
         assert run(["eval", "--model", str(qpc_path), "--data", str(blank)]) == 0
-        assert "mean_loglik 0.0" in capsys.readouterr().out
+        # total mass 1 up to rounding: a few ulps, far below any mass leak
+        printed = dict(line.split() for line in capsys.readouterr().out.splitlines())
+        assert set(printed) == {"mean_loglik", "bpd"}
+        for value in printed.values():
+            assert abs(float(value)) <= 1e-12
 
     def test_gaussian_pipeline_needs_no_nets(self, tmp_path, capsys):
         data, tree_path = tmp_path / "g.csv", tmp_path / "t.json"

@@ -1,6 +1,5 @@
 import gc
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from scipy.special import gammaln
 
 import picirc.autodiff as ad
 from picirc.autodiff import Tape
-from picirc.circuit import Circuit, CircuitBuilder, InputDist, structurally_equal
+from picirc.circuit import CircuitBuilder, InputDist, structurally_equal
 from picirc.errors import NumericError
 from picirc.materialize import (
     InputParamTensor,
@@ -42,6 +41,7 @@ from picirc.training import (
     train_pic_step,
     unitwise_loglik_node,
 )
+from reference import copy_circuit
 
 NEURAL = {"type": "neural"}
 
@@ -71,12 +71,6 @@ def family_data(family, k, rows, cols, seed):
         return rng.normal(0.0, 1.5, (rows, cols))
     top = k if family == "binomial" else k - 1
     return rng.integers(0, top + 1, (rows, cols)).astype(float)
-
-
-def copy_circuit(pc: Circuit) -> Circuit:
-    """Fresh unit list with independently owned weight arrays, for ``em_step`` to update."""
-    units = [replace(u, weights=None if u.weights is None else u.weights.copy()) for u in pc.units]
-    return Circuit(units=units, root=pc.root, num_vars=pc.num_vars)
 
 
 def two_component_mixture(prior=(0.3, 0.7)):
