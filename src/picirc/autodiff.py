@@ -328,14 +328,34 @@ def _lse_matmul_parts(a, b, product=np.matmul):
     propagates to its row or column.  ``product`` multiplies the shifted
     exponentials: BLAS by default; the explicit-circuit evaluator passes a
     column-invariant one.
+
+    The product runs on ea scaled in place by 2^s (``_product_scale``),
+    and ea and prod are scaled back after it: x86 BLAS runs about half as
+    fast on subnormal products, and a kept product ea * eb is then
+    subnormal only below 2^-2022.  Power-of-two scaling is exact on normal
+    floats, a cell whose product is below tiny is under the recompute cut,
+    and above the cut the unscaled product's rounding of a subnormal term
+    moves a cell by under 2^-38 of its last place.  So ea and eb come back
+    unchanged, out has matched the unscaled product bit for bit on every
+    contraction measured, and prod differs only in recomputed cells.  A
+    row whose max is NaN or +inf keeps scale 1, and so does every row when
+    a column's max is: its shift falls back to 0, so its exponentials can
+    exceed 1 and would overflow.
     """
     m1 = a.max(axis=1, keepdims=True)
     m2 = b.max(axis=0, keepdims=True)
+    scale = 2.0 ** _product_scale(a.shape[1]) if (m2 < np.inf).all() else 1.0
+    if not (m1 < np.inf).all():
+        scale = np.where(m1 < np.inf, scale, 1.0)
     m1 = np.where(np.isfinite(m1), m1, 0.0)
     m2 = np.where(np.isfinite(m2), m2, 0.0)
     ea = _flushed_exp(a - m1)
     eb = _flushed_exp(b - m2)
+    ea *= scale
     prod = product(ea, eb)
+    scale = 1.0 / scale
+    ea *= scale
+    prod *= scale
     with np.errstate(divide="ignore"):
         out = np.log(prod)
     out += m1
@@ -347,6 +367,12 @@ def _lse_matmul_parts(a, b, product=np.matmul):
         with np.errstate(divide="ignore"):
             out[cells] = np.log(_exp_above_tiny(terms - m).sum(axis=1)) + m[:, 0]
     return out, ea, eb, prod, rows, cols
+
+
+def _product_scale(k):
+    """The exponent s of the 2^s that scales a (J, k) contraction's ea: 1000, less
+    for huge k, so that a sum of k products of at most 2^s stays below 2^1022."""
+    return min(1000, 1022 - int(k).bit_length())
 
 
 def _flushed_exp(x):

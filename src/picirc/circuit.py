@@ -307,10 +307,24 @@ def _encode_cond(cond: dict) -> dict:
     return out
 
 
-def _decode_cond(cond: dict) -> dict:
-    out = {}
-    for key, val in cond.items():
-        out[key] = float(val) if key in _COND_FLOAT_KEYS else val
+def _decode_cond(cond, what: str = "conditional") -> dict:
+    if not isinstance(cond, dict):
+        raise SchemaError(f"{what} must be an object, got {type(cond).__name__}")
+    try:
+        return {key: float(val) if key in _COND_FLOAT_KEYS else val for key, val in cond.items()}
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"{what}: {e}") from e
+
+
+def _decode_floats(values, what: str) -> np.ndarray:
+    """A read-only float array from a JSON list of numbers or decimal strings."""
+    try:
+        if not isinstance(values, list):
+            raise TypeError(f"expected a list, got {type(values).__name__}")
+        out = np.array([float(v) for v in values])
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"{what}: {e}") from e
+    out.setflags(write=False)
     return out
 
 
@@ -357,8 +371,10 @@ def deserialize(data: bytes | str) -> Circuit:
         num_vars = int(doc["num_vars"])
         root = int(doc["root"])
         raw_units = doc["units"]
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"circuit JSON missing required field: {e}") from e
+    if not isinstance(raw_units, list):
+        raise SchemaError(f"circuit JSON field 'units' must be a list, got {type(raw_units).__name__}")
 
     slots: list[Unit | None] = [None] * len(raw_units)
     for rec in raw_units:
@@ -373,22 +389,18 @@ def deserialize(data: bytes | str) -> Circuit:
             raise SchemaError(f"unit {uid}: unknown kind {kind!r}")
         if not 0 <= uid < len(raw_units) or slots[uid] is not None:
             raise SchemaError(f"unit ids must be dense and unique; offending id {uid}")
-        weights = None
-        if "weights" in rec:
-            weights = np.array([float(w) for w in rec["weights"]])
-            weights.setflags(write=False)
+        weights = _decode_floats(rec["weights"], f"unit {uid}: weights") if "weights" in rec else None
         dist = None
         if "dist" in rec:
             d = rec["dist"]
-            params = None
-            if "params" in d:
-                params = np.array([float(p) for p in d["params"]])
-                params.setflags(write=False)
+            if not isinstance(d, dict):
+                raise SchemaError(f"unit {uid}: dist must be an object, got {type(d).__name__}")
+            params = _decode_floats(d["params"], f"unit {uid}: params") if "params" in d else None
             dist = InputDist(
                 family=d.get("family"),
                 num_states=d.get("k"),
                 params=params,
-                conditional=_decode_cond(d["conditional"]) if "conditional" in d else None,
+                conditional=_decode_cond(d["conditional"], f"unit {uid}: conditional") if "conditional" in d else None,
             )
         latent = None
         if "latent" in rec:
@@ -397,9 +409,9 @@ def deserialize(data: bytes | str) -> Circuit:
                 latent = {
                     "var": int(lt["var"]),
                     "parent": None if lt["parent"] is None else int(lt["parent"]),
-                    "cond": _decode_cond(lt["cond"]),
+                    "cond": _decode_cond(lt["cond"], f"unit {uid}: latent cond"),
                 }
-            except (KeyError, TypeError) as e:
+            except (KeyError, TypeError, ValueError) as e:
                 raise SchemaError(f"unit {uid}: bad latent descriptor: {e}") from e
         slots[uid] = Unit(uid, kind, children, scope, weights=weights, dist=dist, latent=latent)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .circuit import Circuit, deserialize, serialize
 from .data import Dataset, load_csv, save_csv
-from .errors import NumericError, PicircError
+from .errors import NumericError, PicircError, SchemaError
 from .gaussian import model_from_pic, domain_rules, random_model, sample, sanity_check
 from .materialize import (
     materialize_input_params,
@@ -236,6 +236,8 @@ def _cmd_eval(args) -> int:
     dataset = load_csv(args.data, _schema_of_circuit(qpc))
     if dataset.num_cols != qpc.num_vars:
         raise ValueError(f"model has {qpc.num_vars} variables, data has {dataset.num_cols} columns")
+    if not dataset.num_rows:
+        raise SchemaError(f"{args.data}: no data rows to evaluate")
     loglik = log_forward(qpc, dataset.values)
     if args.out:
         _write_csv(args.out, ["loglik"], [[v] for v in loglik])

@@ -53,9 +53,19 @@ def observed_evidence(family: str, num_states, x_col: np.ndarray, var=None) -> t
 
 
 def gaussian_logpdf(x, mean, log_sigma):
-    """Gaussian log-density log N(x; mean, exp(log_sigma)^2), broadcasting."""
-    z = (x - mean) * np.exp(-log_sigma)
-    return -0.5 * z * z - log_sigma - 0.5 * LOG_2PI
+    """Gaussian log-density log N(x; mean, exp(log_sigma)^2), broadcasting.
+
+    Two arrays of the broadcast shape are allocated, z and the result,
+    which is (((-0.5 * z) * z) - log_sigma) - 0.5 * log(2 pi) in that order.
+    """
+    z = np.empty(np.broadcast_shapes(np.shape(x), np.shape(mean), np.shape(log_sigma)))
+    np.subtract(x, mean, out=z)
+    z *= np.exp(-log_sigma)
+    out = -0.5 * z
+    out *= z
+    out -= log_sigma
+    out -= 0.5 * LOG_2PI
+    return out
 
 
 def evidence_rows(table: np.ndarray, family: str, num_states, x_col: np.ndarray, var=None) -> np.ndarray:

@@ -413,6 +413,124 @@ class TestLseMatmul:
         upward_pass(model.latent_parent, model.obs_parent, obs_loglik, contract)
 
 
+def subnormal_operands(seed):
+    """Operands whose kept products ea * eb fall in [2^-1074, 2^-1022) in many cells.
+
+    Every row of exp(a - max) and column of exp(b - max) holds a 1, "mid"
+    entries near 2^-520 and "deep" entries near 2^-1000: mid * mid is
+    subnormal, deep * deep still at least 2^-2020.  A cell keeps a term
+    near 1 or 2^-520 (above the recompute cut) unless both of its maxima
+    meet deep entries.
+    """
+    rng = np.random.default_rng(seed)
+    j, k, c = 9, 8, 10
+
+    def log_operand(shape, axis):
+        e = rng.uniform(510, 530, shape)
+        deep = rng.random(shape) < 0.35
+        e[deep] = rng.uniform(990, 1010, deep.sum())
+        top = rng.integers(0, k, shape[1 - axis])
+        if axis == 1:
+            e[np.arange(shape[0]), top] = 0.0
+        else:
+            e[top, np.arange(shape[1])] = 0.0
+        return -np.log(2.0) * e
+
+    a = log_operand((j, k), 1) + rng.uniform(-40, 40, (j, 1))
+    b = log_operand((k, c), 0) + rng.uniform(-40, 40, (1, c))
+    return a, b
+
+
+def unscaled_lse_matmul_parts(a, b):
+    """The kernel's algorithm with a plain BLAS product of the unscaled exponentials."""
+    m1 = a.max(axis=1, keepdims=True)
+    m2 = b.max(axis=0, keepdims=True)
+    m1 = np.where(np.isfinite(m1), m1, 0.0)
+    m2 = np.where(np.isfinite(m2), m2, 0.0)
+    ea = ad._flushed_exp(a - m1)
+    eb = ad._flushed_exp(b - m2)
+    prod = ea @ eb
+    with np.errstate(divide="ignore"):
+        out = np.log(prod)
+    out += m1
+    out += m2
+    rows, cols = np.divmod(np.flatnonzero(prod < a.shape[1] * ad._TINY * 1e12), prod.shape[1])
+    for cells, terms in ad._cell_terms(a, b, rows, cols):
+        m = terms.max(axis=1, keepdims=True)
+        m = np.where(np.isfinite(m), m, 0.0)
+        out[cells] = np.log(ad._exp_above_tiny(terms - m).sum(axis=1)) + m[:, 0]
+    return out, ea, eb, prod, rows, cols
+
+
+class TestSubnormalFreeProduct:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_operands_reach_subnormal_products_on_both_sides_of_the_cut(self, seed):
+        a, b = subnormal_operands(seed)
+        _, ea, eb, _, rows, cols = unscaled_lse_matmul_parts(a, b)
+        # 2^600 keeps the check itself off subnormals; it is exact
+        terms = (ea * 2.0**600)[:, :, None] * eb[None]
+        subnormal = ((terms >= 2.0 ** (600 - 1074)) & (terms < 2.0 ** (600 - 1022))).any(axis=1)
+        flagged = np.zeros(subnormal.shape, dtype=bool)
+        flagged[rows, cols] = True
+        assert (subnormal & flagged).any() and (subnormal & ~flagged).any()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_unscaled_reference_bitwise(self, seed):
+        a, b = subnormal_operands(seed)
+        got = ad._lse_matmul_parts(a, b)
+        want = unscaled_lse_matmul_parts(a, b)
+        out, ea, eb, prod, rows, cols = got
+        np.testing.assert_array_equal(out, want[0])
+        np.testing.assert_allclose(out, dense_lse_matmul(a, b), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(ea, ad._flushed_exp(a - a.max(axis=1, keepdims=True)))
+        np.testing.assert_array_equal(ea, want[1])
+        np.testing.assert_array_equal(eb, want[2])
+        np.testing.assert_array_equal(rows, want[4])
+        np.testing.assert_array_equal(cols, want[5])
+        kept = np.ones(prod.shape, dtype=bool)
+        kept[rows, cols] = False
+        np.testing.assert_array_equal(prod[kept], want[3][kept])
+        g = np.random.default_rng(seed).normal(size=out.shape)
+        for got_grad, want_grad in zip(ad._lse_matmul_bwd((a, b) + got, g), ad._lse_matmul_bwd((a, b) + want, g)):
+            np.testing.assert_array_equal(got_grad, want_grad)
+        check_contraction(a, b, g)
+
+    def test_product_sees_no_subnormal_terms(self):
+        a, b = subnormal_operands(0)
+        seen = []
+
+        def product(x, y):
+            terms = x[:, :, None] * y[None]
+            seen.append(int(((terms > 0) & (terms < ad._TINY)).sum()))
+            return x @ y
+
+        ad._lse_matmul_parts(a, b, product=product)
+        assert seen == [0]
+
+    @pytest.mark.parametrize("k", [1, 512, 2**21, 2**23, 2**24, 2**30, 2**40])
+    def test_scale_keeps_a_full_row_finite(self, k):
+        # k products of at most 2^s each, summed: no array of k columns is needed
+        s = ad._product_scale(k)
+        assert s <= 1000
+        assert np.float64(k) * 2.0**s < 2.0**1022
+        if k < 2**21:
+            assert s == 1000
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_shifts_leave_their_rows_unscaled(self):
+        # a row or column whose max is NaN or +inf falls back to shift 0, so its
+        # exponentials may exceed 1 and must not be scaled up
+        a = np.array([[np.nan, 700.0, -3.0], [0.0, -1.0, -2.0], [-np.inf, -np.inf, -np.inf]])
+        b = np.array([[0.0, -5.0], [-1.0, -2.0], [-1000.0, 0.0]])
+        out = ad._lse_matmul_data(a, b)
+        assert np.isnan(out[0]).all() and np.isneginf(out[2]).all()
+        np.testing.assert_allclose(out[1], dense_lse_matmul(a[1:2], b)[0], rtol=0, atol=1e-12)
+        b[0, 0], b[1, 0] = 700.0, np.nan
+        out = ad._lse_matmul_data(a[1:], b)
+        np.testing.assert_allclose(out[0, 1], dense_lse_matmul(a[1:2], b[:, 1:])[0, 0], rtol=0, atol=1e-12)
+        assert np.isnan(out[:, 0]).all()
+
+
 class TestTapeContract:
     def test_unregistered_primitive_fails_loudly(self):
         t = Tape()

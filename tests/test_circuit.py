@@ -1,5 +1,7 @@
 """Circuit model: traversal, structure checks, serialization round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,62 @@ class TestSerialization:
     def test_missing_field(self):
         with pytest.raises(SchemaError, match="missing"):
             deserialize(b'{"root": 0, "units": []}')
+
+    @staticmethod
+    def _sum_doc(**fields):
+        """A valid two-input sum circuit as a JSON object, with the sum unit's fields replaced."""
+        b = CircuitBuilder()
+        i0 = b.add_input(0, cat([0.3, 0.7]))
+        i1 = b.add_input(0, cat([0.9, 0.1]))
+        b.add_sum([i0, i1], [np.log(0.3), np.log(0.7)])
+        doc = json.loads(serialize(b.finish()))
+        doc["units"][2].update(fields)
+        return doc
+
+    @pytest.mark.parametrize(
+        "fields,match",
+        [
+            ({"weights": [None]}, "unit 2: weights"),
+            ({"weights": 5}, "unit 2: weights: expected a list"),
+            ({"weights": ["abc"]}, "unit 2: weights"),
+            ({"dist": "x"}, "unit 2: dist must be an object"),
+        ],
+    )
+    def test_malformed_unit_field_is_schema_error(self, fields, match):
+        with pytest.raises(SchemaError, match=match):
+            deserialize(json.dumps(self._sum_doc(**fields)))
+
+    def test_units_not_a_list(self):
+        doc = self._sum_doc()
+        doc["units"] = 3
+        with pytest.raises(SchemaError, match="'units' must be a list"):
+            deserialize(json.dumps(doc))
+
+    def test_malformed_params_is_schema_error(self):
+        doc = self._sum_doc()
+        doc["units"][0]["dist"]["params"] = [None, None]
+        with pytest.raises(SchemaError, match="unit 0: params"):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("cond", [5, {"a": "abc", "b": "0.1", "sigma": "1.1"}])
+    def test_malformed_latent_cond_is_schema_error(self, cond):
+        doc = json.loads(serialize(self._symbolic()))
+        doc["units"][1]["latent"]["cond"] = cond
+        with pytest.raises(SchemaError, match="unit 1"):
+            deserialize(json.dumps(doc))
+        doc = json.loads(serialize(self._symbolic()))
+        doc["units"][0]["dist"]["conditional"] = cond
+        with pytest.raises(SchemaError, match="unit 0: conditional"):
+            deserialize(json.dumps(doc))
+
+    @staticmethod
+    def _symbolic():
+        b = CircuitBuilder()
+        gc = {"type": "linear-gaussian", "c": 1.25, "d": -0.125, "tau": 0.7}
+        zc = {"type": "linear-gaussian", "a": 0.3, "b": 0.1, "sigma": 1.1}
+        i = b.add_input(0, InputDist("gaussian", conditional=gc))
+        b.add_integral(i, var=0, parent=None, cond=zc)
+        return b.finish()
 
     def test_non_integer_state_count(self):
         doc = (

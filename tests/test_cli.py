@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from picirc.circuit import deserialize
+from picirc.circuit import CircuitBuilder, InputDist, deserialize, serialize
 from picirc.cli import run, thread_cap
 from picirc.nets import ParamNets, save_checkpoint
 from picirc.structures import LatentTree, tree_from_json, tree_to_json
@@ -28,7 +28,38 @@ def write_categorical(path, rows, k=3, cols=3, seed=0):
     return path
 
 
+def write_two_var_qpc(path):
+    """A concrete two-variable categorical product circuit as JSON."""
+    b = CircuitBuilder()
+    i0 = b.add_input(0, InputDist("categorical", 2, params=np.log([0.3, 0.7])))
+    i1 = b.add_input(1, InputDist("categorical", 2, params=np.log([0.6, 0.4])))
+    b.add_product([i0, i1])
+    path.write_bytes(serialize(b.finish()))
+    return path
+
+
 class TestExitCodes:
+    def test_eval_header_only_csv_is_user_error(self, tmp_path, capsys):
+        model = write_two_var_qpc(tmp_path / "q.json")
+        empty = tmp_path / "empty.csv"
+        empty.write_text("c0,c1\n")
+        assert run(["eval", "--model", str(model), "--data", str(empty)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {empty}: no data rows" in captured.err
+        assert "mean_loglik" not in captured.out
+
+    def test_eval_malformed_dist_is_user_error(self, tmp_path, capsys):
+        model = write_two_var_qpc(tmp_path / "q.json")
+        doc = json.loads(model.read_text())
+        doc["units"][1]["dist"] = "x"
+        model.write_text(json.dumps(doc))
+        data = tmp_path / "d.csv"
+        data.write_text("c0,c1\n0,1\n")
+        assert run(["eval", "--model", str(model), "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert "error: unit 1: dist must be an object" in err
+        assert "Traceback" not in err
+
     def test_unknown_subcommand_is_user_error(self, capsys):
         assert run(["frobnicate"]) == 1
         assert "usage" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from picirc.errors import NumericError
-from picirc.quadrature import QuadratureRule, integrate, make_rule
+from picirc.quadrature import QuadratureRule, _legendre_nodes, integrate, make_rule
 
 
 def poly_integral(coeffs, a, b):
@@ -151,3 +151,17 @@ def test_rule_is_frozen():
         rule.kind = "other"
     with pytest.raises(ValueError):
         rule.points[0] = 99.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 512])
+def test_legendre_nodes_cached_read_only(n):
+    x, w = _legendre_nodes(n)
+    assert not x.flags.writeable and not w.flags.writeable
+    assert _legendre_nodes(n)[0] is x and _legendre_nodes(n)[1] is w
+    want_x, want_w = _legendre_nodes.__wrapped__(n)
+    np.testing.assert_array_equal(x, want_x)
+    np.testing.assert_array_equal(w, want_w)
+    # rules on other domains are new arrays and leave the cached nodes alone
+    rule = make_rule("gauss_legendre", n, -3.0, 5.0)
+    assert rule.points is not x and not rule.points.flags.writeable
+    np.testing.assert_array_equal(_legendre_nodes(n)[0], want_x)

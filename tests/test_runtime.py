@@ -9,7 +9,17 @@ from scipy import stats
 from picirc import gaussian
 from picirc.circuit import Circuit, CircuitBuilder, InputDist, Unit
 from picirc.errors import UnsupportedStructureError
-from picirc.runtime import benchmark_eval, bpd, evidence_rows, latent_tree_loglik, log_forward, marginal, sample_pc
+from picirc.runtime import (
+    LOG_2PI,
+    benchmark_eval,
+    bpd,
+    evidence_rows,
+    gaussian_logpdf,
+    latent_tree_loglik,
+    log_forward,
+    marginal,
+    sample_pc,
+)
 
 
 def cat(probs):
@@ -275,3 +285,18 @@ def test_benchmark_reports_throughput():
     assert report["times"].shape == (3,)
     assert report["edges_per_second"] > 0
     assert report["num_edges"] == c.num_edges
+
+
+@pytest.mark.parametrize(
+    "sx,smean,ssigma",
+    [((1, 7), (5, 1), (5, 1)), ((1, 7), (5, 1), ()), ((), (3,), (2, 1)), ((4,), (), ()), ((2, 1, 3), (4, 1), (1, 1, 3))],
+)
+def test_gaussian_logpdf_broadcasts_and_keeps_its_bits(sx, smean, ssigma):
+    rng = np.random.default_rng(len(sx) + 3 * len(ssigma))
+    x, mean, log_sigma = rng.normal(0, 3, sx), rng.normal(0, 3, smean), rng.normal(0, 1, ssigma)
+    got = gaussian_logpdf(x, mean, log_sigma)
+    z = (x - mean) * np.exp(-log_sigma)
+    want = -0.5 * z * z - log_sigma - 0.5 * LOG_2PI
+    assert got.shape == np.broadcast_shapes(sx, smean, ssigma)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_allclose(got, stats.norm.logpdf(x, mean, np.exp(log_sigma)), rtol=1e-13, atol=1e-13)
