@@ -17,7 +17,7 @@ materialization).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,9 +131,6 @@ class Circuit:
     @property
     def num_edges(self) -> int:
         return sum(len(u.children) for u in self.units)
-
-    def unit(self, uid: int) -> Unit:
-        return self.units[uid]
 
     def integral_units(self) -> list[Unit]:
         return [u for u in self.units if u.kind == "integral"]

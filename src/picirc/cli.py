@@ -68,10 +68,15 @@ def _note(msg: str) -> None:
 
 
 def thread_cap(args) -> int:
-    """--threads flag, PICIRC_THREADS fallback, else 1."""
-    if getattr(args, "threads", None):
+    """--threads flag, PICIRC_THREADS fallback, else 1; a cap below 1 raises ValueError."""
+    if args.threads is not None:
+        if args.threads < 1:
+            raise ValueError("--threads must be at least 1")
         return args.threads
-    return int(os.environ.get("PICIRC_THREADS", "1"))
+    raw = os.environ.get("PICIRC_THREADS", "1")
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"PICIRC_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _schema_of_circuit(pc: Circuit) -> list[str]:
@@ -119,6 +124,9 @@ def _cmd_sanity_check(args) -> int:
     n_list = [int(tok) for tok in args.n_list.split(",") if tok]
     if not n_list:
         raise ValueError("--n-list must name at least one point count")
+    for flag, value in (("--models", args.models), ("--samples", args.samples)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1")
     rows = sanity_check(
         args.models, args.nodes, args.samples, n_list, args.seed, kind=args.rule, workers=thread_cap(args)
     )

@@ -10,7 +10,7 @@ marginalized (missing) value.  A schema declares each column's family:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,14 +36,14 @@ def parse_family(text: str) -> tuple[str, int | None]:
 class Dataset:
     """Row-major value matrix plus per-column family declarations.
 
-    ``values`` is float64 with NaN for marginalized cells.  ``splits``
-    optionally names disjoint row-index subsets (train/valid/test).
+    ``values`` is float64 with NaN for marginalized cells.  Training and
+    validation data come from separate files, so a dataset carries no
+    split.
     """
 
     columns: list[str]
     families: list[tuple[str, int | None]]
     values: np.ndarray
-    splits: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def num_rows(self) -> int:
@@ -52,9 +52,6 @@ class Dataset:
     @property
     def num_cols(self) -> int:
         return self.values.shape[1]
-
-    def subset(self, name: str) -> np.ndarray:
-        return self.values[self.splits[name]]
 
     def validate(self) -> None:
         if self.values.ndim != 2:
@@ -75,14 +72,6 @@ class Dataset:
                     f"row {r}, column {self.columns[j]!r}: value {col[r]:g} outside {family}"
                     f"{f'({k})' if k else ''} support{detail}"
                 )
-        taken: set[int] = set()
-        for name, idx in self.splits.items():
-            rows = set(int(i) for i in idx)
-            if not all(0 <= i < self.num_rows for i in rows):
-                raise SchemaError(f"split {name!r} indexes outside the dataset")
-            if taken & rows:
-                raise SchemaError(f"split {name!r} overlaps another split")
-            taken |= rows
 
 
 def _broadcast_schema(schema, width: int) -> list[tuple[str, int | None]]:
@@ -129,19 +118,3 @@ def save_csv(dataset: Dataset, path) -> None:
         for row in dataset.values:
             writer.writerow(["" if np.isnan(v) else repr(float(v)) for v in row])
 
-
-def random_split(dataset: Dataset, valid_fraction: float, seed, test_fraction: float = 0.0) -> Dataset:
-    """Attach disjoint train/valid(/test) index splits, shuffled by seed."""
-    if not 0.0 < valid_fraction + test_fraction < 1.0:
-        raise ValueError("split fractions must leave a nonempty training set")
-    perm = np.random.default_rng(seed).permutation(dataset.num_rows)
-    n_valid = int(round(valid_fraction * dataset.num_rows))
-    n_test = int(round(test_fraction * dataset.num_rows))
-    dataset.splits = {
-        "valid": np.sort(perm[:n_valid]),
-        "train": np.sort(perm[n_valid + n_test :]),
-    }
-    if n_test:
-        dataset.splits["test"] = np.sort(perm[n_valid : n_valid + n_test])
-    dataset.validate()
-    return dataset

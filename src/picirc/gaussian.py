@@ -170,40 +170,6 @@ def exact_loglik(model: LinearGaussianLTM, x: np.ndarray) -> np.ndarray:
     raise AssertionError("unreachable: root handled inside the loop")
 
 
-def joint_gaussian(model: LinearGaussianLTM) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of the exact Gaussian joint over observables.
-
-    Assembled by the affine recursions (latent variances/covariances top
-    down, then the observable projections).  Quadratic in the node count;
-    intended for small models and as the cross-check for exact_loglik.
-    """
-    n = model.num_latents
-    order = top_down_order(model.latent_parent)
-    mu_z = np.zeros(n)
-    cov_z = np.zeros((n, n))
-    for i in order:
-        p = model.latent_parent[i]
-        if p is None:
-            mu_z[i] = model.b[i]
-            cov_z[i, i] = model.sigma[i] ** 2
-            continue
-        mu_z[i] = model.a[i] * mu_z[p] + model.b[i]
-        row = model.a[i] * cov_z[p]
-        cov_z[i, :] = row
-        cov_z[:, i] = row
-        cov_z[i, i] = model.a[i] ** 2 * cov_z[p, p] + model.sigma[i] ** 2
-    m = model.num_observables
-    mean = np.empty(m)
-    cov = np.empty((m, m))
-    for u in range(m):
-        pu = model.obs_parent[u]
-        mean[u] = model.c[u] * mu_z[pu] + model.d[u]
-        for v in range(m):
-            cov[u, v] = model.c[u] * model.c[v] * cov_z[pu, model.obs_parent[v]]
-        cov[u, u] += model.tau[u] ** 2
-    return mean, cov
-
-
 def domain_rules(model: LinearGaussianLTM, n: int, kind: str = "trapezoidal") -> dict[int, QuadratureRule]:
     """Quadrature rule per latent on its integration window: the affine
     image of the parent's quadrature points widened by k(N) conditional

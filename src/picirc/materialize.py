@@ -16,9 +16,11 @@ Neural conditionals are first materialized into log-space parameter
 tensors: S[i][j][k] = log(w_k p(z_k | z_j)) with the normalizer of the
 energy model approximated by the same rule, which makes every row
 logsumexp to exactly zero, and I[i][j] = decoder params at point j.
-The tape nodes ``sum_param_node`` and ``input_param_node`` are the one
-definition of both; the ndarray tensors are their data, computed over
-the weights as tape constants, so nothing is recorded.
+In the static mode and in training the tape nodes ``sum_param_node``
+and ``input_param_node`` define both; the ndarray tensors are their data,
+computed over the weights as tape constants, so nothing is recorded.  The
+nested mode builds each parent point's blocks with
+``_nested_neural_density`` and ``nets.decoder_forward`` instead.
 
 ``streamed_loglik`` evaluates a batch without building the concrete
 circuit: it is ``training.batch_loglik_node`` over the nets' weights as

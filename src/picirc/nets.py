@@ -71,13 +71,6 @@ class FourierFeatureLayer:
         return tape.const(np.stack([cos, sin], axis=-1).reshape(x.shape[0], self.output_dim))
 
 
-def ffl_forward(layer: FourierFeatureLayer, x) -> np.ndarray:
-    """Feature vector of one input point: (cos 2pi f1.x, sin 2pi f1.x, ...)."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, layer.input_dim)
-    tape = Tape()
-    return layer.forward(tape, tape.const(x)).data[0]
-
-
 def _init_dense(rng, fan_in: int, fan_out: int):
     w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), (fan_in, fan_out))
     return w, np.zeros(fan_out)
@@ -168,29 +161,12 @@ class DecoderNet(_Mlp):
         return squash(self.family, raw)
 
 
-def _check_latent_range(x: np.ndarray) -> None:
-    if np.any(np.abs(x) > 1.0 + 1e-12):
+def decoder_forward(net: DecoderNet, z: float) -> np.ndarray:
+    """Squashed parameter vector of one decoder at one latent point in [-1, 1]."""
+    if abs(z) > 1.0 + 1e-12:
         raise ValueError("latent inputs must lie in [-1, 1]")
-
-
-def energy_forward(net: EnergyNet, z_child: float, z_parent: float | None = None) -> float:
-    """Scalar energy at one (child, parent) point; inputs must be in [-1, 1]."""
-    if (z_parent is None) != (net.input_dim == 1):
-        raise ValueError("parent value must match the net's conditioning arity")
-    x = np.array([[z_child]] if z_parent is None else [[z_child, z_parent]])
-    _check_latent_range(x)
     tape = Tape()
-    return float(net.forward(tape, _const_weights(tape, net), tape.const(x)).data[0])
-
-
-def decoder_forward(net: DecoderNet, z: float, family: str | None = None) -> np.ndarray:
-    """Squashed parameter vector of one decoder at one latent point."""
-    if family is not None and family != net.family:
-        raise ValueError(f"net has family {net.family!r}, requested {family!r}")
-    x = np.array([[z]])
-    _check_latent_range(x)
-    tape = Tape()
-    return net.squash(net.forward(tape, _const_weights(tape, net), tape.const(x))).data[0]
+    return net.squash(net.forward(tape, _const_weights(tape, net), tape.const([[z]]))).data[0]
 
 
 class ParamNets:
@@ -271,13 +247,6 @@ class ParamNets:
             out.update({f"{net.name}.{k}": v for k, v in net.params.items()})
         return out
 
-    def apply_params(self, arrays: dict[str, np.ndarray]) -> None:
-        for net in self._unique_nets():
-            for k in net.params:
-                net.params[k] = np.array(arrays[f"{net.name}.{k}"], dtype=np.float64)
-
-    def frequency_arrays(self) -> dict[str, np.ndarray]:
-        return {net.name: net.ffl.frequencies for net in self._unique_nets()}
 
 
 def _net_record(net) -> dict:

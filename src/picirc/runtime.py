@@ -12,13 +12,15 @@ tensor form (the shape produced by materialization) are evaluated by the
 one latent-tree engine, ``upward_pass``, fed by the one vectorized
 evidence kernel, ``evidence_rows``.  The engine only adds blocks and
 hands them to a per-latent ``contract`` callback, so it serves ndarrays
-here (``latent_tree_loglik``, for ``gaussian``'s closed-form blocks) and
-tape nodes alike: every neural and free-tensor log-likelihood goes
-through ``training.tree_loglik_node``.  On ndarrays each latent is
-contracted by ``autodiff._lse_matmul_data``, the kernel of the tape
-primitive ``lse_matmul``, which stays exact when the row and column
-maxima misalign.  NaN marks a marginalized evidence cell, in training too:
-``evidence_rows`` is the forward of the tape's ``evidence`` op.
+and tape nodes alike.  On ndarrays it is ``latent_tree_loglik``, which
+``gaussian.qpc_loglik``, ``training.dataset_nll`` and
+``HcltTensors.loglik`` run; on a tape it is ``training.tree_loglik_node``,
+which the training steps and ``materialize.streamed_loglik`` run.  On
+ndarrays each latent is contracted by ``autodiff._lse_matmul_data``, the
+kernel of the tape primitive ``lse_matmul``, which stays exact when the
+row and column maxima misalign.  NaN marks a marginalized evidence cell,
+in training too: ``evidence_rows`` is the forward of the tape's
+``evidence`` op.
 """
 
 from __future__ import annotations

@@ -72,12 +72,6 @@ class LatentTree:
     def num_observables(self) -> int:
         return len(self.obs_parent)
 
-    def latent_children(self, i: int) -> list[int]:
-        return [k for k, p in enumerate(self.latent_parent) if p == i]
-
-    def obs_children(self, i: int) -> list[int]:
-        return [j for j, p in enumerate(self.obs_parent) if p == i]
-
     @property
     def root(self) -> int:
         return top_down_order(self.latent_parent)[0]
@@ -90,13 +84,6 @@ class LatentTree:
                 raise ValueError(f"observable {j}: parent latent {p} out of range")
         if len(self.latent_cond) != n or len(self.obs_cond) != self.num_observables:
             raise ValueError("conditional lists must align with node lists")
-
-    @property
-    def is_hclt(self) -> bool:
-        """One observable leaf per latent, paired by index."""
-        if self.num_latents != self.num_observables:
-            return False
-        return all(p == j for j, p in enumerate(self.obs_parent))
 
 
 def tree_to_json(tree: LatentTree) -> bytes:
@@ -265,50 +252,32 @@ def _symbolic_input_dist(cond: dict) -> InputDist:
     return InputDist(family, num_states=cond.get("k"), conditional=cond)
 
 
-def bn_to_pic(tree: LatentTree, order="default") -> Circuit:
+def bn_to_pic(tree: LatentTree) -> Circuit:
     """Compile a latent tree into a symbolic integral circuit.
 
-    Latents are eliminated one at a time: the pending units below a latent
-    (input units of its observable children plus integral units of its
-    already-eliminated latent children) are combined with a product unit
-    (skipped when there is a single child) and wrapped in an integral unit
-    conditioned on the parent latent.  The root's integral carries the
-    prior.  The order must visit every latent exactly once, children
-    before parents; the default is reverse breadth-first from the root.
+    Latents are eliminated one at a time, children before parents, in
+    reverse breadth-first order from the root (``top_down_order``): the
+    pending units below a latent (input units of its observable children
+    plus integral units of its already-eliminated latent children) are
+    combined with a product unit (skipped when there is a single child)
+    and wrapped in an integral unit conditioned on the parent latent.  The
+    root's integral carries the prior.
     """
     tree.validate()
-    n = tree.num_latents
-    if order == "default":
-        order = top_down_order(tree.latent_parent)[::-1]
-    else:
-        order = list(order)
-        if sorted(order) != list(range(n)):
-            missing = sorted(set(range(n)) - set(order))
-            raise ValueError(f"elimination order must cover every latent exactly once; missing {missing}")
-    eliminated = [False] * n
-    for i in order:
-        for c in tree.latent_children(i):
-            if not eliminated[c]:
-                raise ValueError(
-                    f"elimination order visits latent {i} before its child {c}; "
-                    "children must be eliminated first"
-                )
-        eliminated[i] = True
-
     builder = CircuitBuilder()
-    pending: list[list[int]] = [[] for _ in range(n)]
+    pending: list[list[int]] = [[] for _ in range(tree.num_latents)]
     for j in range(tree.num_observables):
         uid = builder.add_input(j, _symbolic_input_dist(tree.obs_cond[j]))
         pending[tree.obs_parent[j]].append(uid)
 
     root_unit = None
-    for i in order:
+    for i in reversed(top_down_order(tree.latent_parent)):
         units = pending[i]
         if not units:
             raise ValueError(f"latent {i} has no children to integrate over")
         body = builder.add_product(units) if len(units) > 1 else units[0]
-        u = builder.add_integral(body, var=i, parent=tree.latent_parent[i], cond=tree.latent_cond[i])
         p = tree.latent_parent[i]
+        u = builder.add_integral(body, var=i, parent=p, cond=tree.latent_cond[i])
         if p is None:
             root_unit = u
         else:

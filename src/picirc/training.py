@@ -9,13 +9,14 @@ The latent-tree baseline with free categorical parameters is trained
 either by mini-batch Expectation-Maximization or by Adam on log-softmax
 reparameterized tensors.
 
-Every log-likelihood here is ``tree_loglik_node``: one ``evidence`` tape
-op per observable (forward ``runtime.evidence_rows``, so a NaN cell is
-marginalized in training as in inference), then the latent-tree engine,
-``runtime.upward_pass``, with one ``autodiff.lse_matmul`` op per latent
-(``lse_matmul_node``).  ``dataset_nll`` and ``HcltTensors.loglik`` run it
-on tape constants, which record nothing; the unit-by-unit
-``unitwise_loglik_node`` stays independent of it as the test oracle.  EM
+Every log-likelihood on a tape is ``tree_loglik_node``: one ``evidence``
+tape op per observable (forward ``runtime.evidence_rows``, so a NaN cell
+is marginalized in training as in inference), then the latent-tree
+engine, ``runtime.upward_pass``, with one ``autodiff.lse_matmul`` op per
+latent (``lse_matmul_node``).  The training steps and
+``materialize.streamed_loglik`` run it.  ``dataset_nll`` and
+``HcltTensors.loglik`` take no gradient and run its forward on ndarrays:
+``runtime.latent_tree_loglik`` over ``evidence_rows`` blocks.  EM
 takes its expected counts from the same tape: the gradient of the summed
 log-likelihood with respect to the normalized log sum rows is the
 expected count of every sum edge.  ``em_step`` is EM on any concrete
@@ -35,13 +36,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, Tape, _logsumexp_data
-from .circuit import Circuit, InputDist, Unit, param_width, post_order
+from .circuit import Circuit, InputDist, Unit, param_width
 from .errors import NumericError
 from .materialize import _build_regions, _read_pic, input_param_node, materialize_input_params, materialize_sum_params, sum_param_node
 from .nets import ParamNets, squash
 from .quadrature import QuadratureRule, make_rule
-from .runtime import bpd, circuit_layers, evidence_rows, forward_values, layer_table, observed_evidence, upward_pass
-from .runtime import latent_tree_loglik  # noqa: F401  (looked up here by perfbench's tracer)
+from .runtime import bpd, circuit_layers, evidence_rows, forward_values, latent_tree_loglik, layer_table, observed_evidence, upward_pass
 from .structures import LatentTree, bn_to_pic
 
 
@@ -160,13 +160,6 @@ def tree_loglik_node(tape: Tape, model, tables, sum_rows, x: np.ndarray) -> Node
     return ad.reshape(loglik, (x.shape[0],))
 
 
-def _const_tree_loglik(model, tables, sum_rows, x: np.ndarray) -> np.ndarray:
-    """``tree_loglik_node`` over ndarray blocks as tape constants: records nothing."""
-    tape = Tape()
-    rows = [tape.const(r) for r in sum_rows]
-    return tree_loglik_node(tape, model, [tape.const(t) for t in tables], rows.__getitem__, x).data
-
-
 def batch_loglik_node(tape: Tape, nets: ParamNets, pnodes, rule: QuadratureRule, x: np.ndarray) -> Node:
     """Batch log-likelihood (B,) through the circuit materialized on the tape.
 
@@ -181,68 +174,6 @@ def batch_loglik_node(tape: Tape, nets: ParamNets, pnodes, rule: QuadratureRule,
         return sum_param_node(tape, net, nets.net_pnodes(net, pnodes), rule.points, rule.weights)
 
     return tree_loglik_node(tape, nets, tables, sum_rows, x)
-
-
-def _row(node: Node, j: int) -> Node:
-    """Row j of a 2-D node as a 1-D node."""
-    picked = ad.gather(node, np.array([j]), axis=0)
-    return ad.reshape(picked, (node.shape[1],))
-
-
-def _entry(row: Node, k: int) -> Node:
-    return ad.reshape(ad.gather(row, np.array([k]), axis=0), ())
-
-
-def _sum_nodes(nodes: list[Node]) -> Node:
-    total = nodes[0]
-    for node in nodes[1:]:
-        total = total + node
-    return total
-
-
-def _logsumexp_list(tape: Tape, nodes: list[Node]) -> Node:
-    """Elementwise logsumexp over equal-shape nodes, shifted by their detached elementwise max."""
-    m = np.max([n.data for n in nodes], axis=0)
-    m = tape.const(np.where(np.isfinite(m), m, 0.0))
-    total = ad.exp(nodes[0] - m)
-    for node in nodes[1:]:
-        total = total + ad.exp(node - m)
-    return ad.log(total) + m
-
-
-def unitwise_loglik_node(tape: Tape, pic: Circuit, nets: ParamNets, pnodes, rule: QuadratureRule, x: np.ndarray) -> Node:
-    """Same quantity as batch_loglik_node via the fully materialized circuit.
-
-    Walks the symbolic circuit exactly like the static materializer and
-    creates one (B,) tape node per concrete unit it would build.  Slow by
-    construction; exists to pin the fused path's loss and gradients.
-    """
-    tables = {}
-    for j, net in enumerate(nets.decoder):
-        block = input_param_node(tape, net, nets.net_pnodes(net, pnodes), rule.points)
-        tables[j] = evidence_node(tape, block, nets.family, nets.num_states, x[:, j])
-    srows = {}
-    for i, net in enumerate(nets.energy):
-        srows[i] = sum_param_node(tape, net, nets.net_pnodes(net, pnodes), rule.points, rule.weights)
-
-    n = rule.n
-    regions: dict[int, list[Node]] = {}
-    for uid in post_order(pic):
-        u = pic.units[uid]
-        if u.kind == "input":
-            regions[uid] = [_row(tables[u.var], j) for j in range(n)]
-        elif u.kind == "integral":
-            child = regions[u.children[0]]
-            s = srows[u.latent["var"]]
-            region = []
-            for j in range(s.shape[0]):
-                row = _row(s, j)
-                region.append(_logsumexp_list(tape, [_entry(row, k) + child[k] for k in range(n)]))
-            regions[uid] = region
-        else:
-            groups = [regions[c] for c in u.children]
-            regions[uid] = [_sum_nodes([g[j] for g in groups]) for j in range(len(groups[0]))]
-    return regions[pic.root][0]
 
 
 @dataclass
@@ -280,15 +211,20 @@ def train_pic_step(nets: ParamNets, batch: np.ndarray, rule: QuadratureRule, opt
 def dataset_nll(nets: ParamNets, rule: QuadratureRule, x: np.ndarray, chunk: int = 4096) -> float:
     """Mean negative log-likelihood of a dataset under the current nets.
 
-    Materializes the parameter tensors once and streams the data through
-    the one likelihood in chunks.  No rows raises ValueError.
+    Materializes the parameter tensors once and streams the data in chunks
+    through ``runtime.latent_tree_loglik``, the forward of
+    ``tree_loglik_node`` on ndarrays.  No rows raises ValueError.
     """
     if not len(x):
         raise ValueError("dataset has no rows")
     sp = materialize_sum_params(nets, rule.points, rule.weights)
     ip = materialize_input_params(nets, rule.points)
     sum_rows = [sp.s[i][:1] if p is None else sp.s[i] for i, p in enumerate(nets.latent_parent)]
-    total = sum(_const_tree_loglik(nets, ip.table, sum_rows, x[lo : lo + chunk]).sum() for lo in range(0, len(x), chunk))
+    total = 0.0
+    for lo in range(0, len(x), chunk):
+        xc = x[lo : lo + chunk]
+        obs_rows = [evidence_rows(table, nets.family, nets.num_states, xc[:, j], j) for j, table in enumerate(ip.table)]
+        total += latent_tree_loglik(nets.latent_parent, nets.obs_parent, sum_rows, obs_rows).sum()
     return float(-total / len(x))
 
 
@@ -446,7 +382,9 @@ class HcltTensors:
         return [logits - _logsumexp_data(logits, 1, True) for logits in self.sum_logits]
 
     def loglik(self, x: np.ndarray) -> np.ndarray:
-        return _const_tree_loglik(self, self.input_tables(), self.sum_rows(), x)
+        """Per-row log-likelihood (B,): ``runtime.latent_tree_loglik`` of the tensors."""
+        obs_rows = [evidence_rows(table, self.family, self.num_states, x[:, j], j) for j, table in enumerate(self.input_tables())]
+        return latent_tree_loglik(self.latent_parent, self.obs_parent, self.sum_rows(), obs_rows)
 
     def to_circuit(self) -> Circuit:
         """The concrete circuit of these tensors, built by the static materializer's region builder."""

@@ -1,8 +1,12 @@
-"""Slow reference implementations of the explicit-circuit paths.
+"""Slow reference implementations that pin the package's fast paths in the tests.
 
-Each walks a circuit one unit at a time, independently of the layered
-evaluator in ``picirc.runtime`` and ``picirc.training.em_step``, and
-exists only to pin those fast paths in the tests.
+The explicit-circuit oracles walk a circuit one unit at a time,
+independently of the layered evaluator in ``picirc.runtime`` and
+``picirc.training.em_step``.  ``unitwise_loglik_node`` builds one tape
+node per concrete unit of the static QPC, independently of the latent-tree
+engine behind ``training.batch_loglik_node``.  ``joint_gaussian`` is the
+dense Gaussian joint that checks ``gaussian.exact_loglik``, and
+``energy_forward`` evaluates an energy net at one point.
 """
 
 from __future__ import annotations
@@ -12,10 +16,17 @@ from dataclasses import replace
 import numpy as np
 from scipy.special import gammaln
 
-from picirc.autodiff import _logsumexp_data
+from picirc import autodiff as ad
+from picirc.autodiff import Node, Tape, _logsumexp_data
 from picirc.circuit import Circuit
 from picirc.errors import CircuitError
+from picirc.gaussian import LinearGaussianLTM
+from picirc.materialize import input_param_node, sum_param_node
+from picirc.nets import EnergyNet, ParamNets, _const_weights
+from picirc.quadrature import QuadratureRule
 from picirc.runtime import gaussian_logpdf, observed_evidence
+from picirc.structures import top_down_order
+from picirc.training import evidence_node
 
 
 def copy_circuit(pc: Circuit) -> Circuit:
@@ -142,3 +153,110 @@ def sample_pc(qpc: Circuit, n: int, seed: int) -> np.ndarray:
                     val = d.params[0] + np.exp(d.params[1]) * rng.standard_normal()
                 out[row, u.var] = val
     return out
+
+
+def _row(node: Node, j: int) -> Node:
+    """Row j of a 2-D node as a 1-D node."""
+    picked = ad.gather(node, np.array([j]), axis=0)
+    return ad.reshape(picked, (node.shape[1],))
+
+
+def _entry(row: Node, k: int) -> Node:
+    return ad.reshape(ad.gather(row, np.array([k]), axis=0), ())
+
+
+def _sum_nodes(nodes: list[Node]) -> Node:
+    total = nodes[0]
+    for node in nodes[1:]:
+        total = total + node
+    return total
+
+
+def _logsumexp_list(tape: Tape, nodes: list[Node]) -> Node:
+    """Elementwise logsumexp over equal-shape nodes, shifted by their detached elementwise max."""
+    m = np.max([n.data for n in nodes], axis=0)
+    m = tape.const(np.where(np.isfinite(m), m, 0.0))
+    total = ad.exp(nodes[0] - m)
+    for node in nodes[1:]:
+        total = total + ad.exp(node - m)
+    return ad.log(total) + m
+
+
+def unitwise_loglik_node(tape: Tape, pic: Circuit, nets: ParamNets, pnodes, rule: QuadratureRule, x: np.ndarray) -> Node:
+    """Same quantity as ``training.batch_loglik_node`` via the fully materialized circuit.
+
+    Walks the symbolic circuit exactly like the static materializer and
+    creates one (B,) tape node per concrete unit it would build.  Slow by
+    construction; exists to pin the fused path's loss and gradients.
+    """
+    tables = {}
+    for j, net in enumerate(nets.decoder):
+        block = input_param_node(tape, net, nets.net_pnodes(net, pnodes), rule.points)
+        tables[j] = evidence_node(tape, block, nets.family, nets.num_states, x[:, j])
+    srows = {}
+    for i, net in enumerate(nets.energy):
+        srows[i] = sum_param_node(tape, net, nets.net_pnodes(net, pnodes), rule.points, rule.weights)
+
+    n = rule.n
+    regions: dict[int, list[Node]] = {}
+    for uid in post_order(pic):
+        u = pic.units[uid]
+        if u.kind == "input":
+            regions[uid] = [_row(tables[u.var], j) for j in range(n)]
+        elif u.kind == "integral":
+            child = regions[u.children[0]]
+            s = srows[u.latent["var"]]
+            region = []
+            for j in range(s.shape[0]):
+                row = _row(s, j)
+                region.append(_logsumexp_list(tape, [_entry(row, k) + child[k] for k in range(n)]))
+            regions[uid] = region
+        else:
+            groups = [regions[c] for c in u.children]
+            regions[uid] = [_sum_nodes([g[j] for g in groups]) for j in range(len(groups[0]))]
+    return regions[pic.root][0]
+
+
+def joint_gaussian(model: LinearGaussianLTM) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of the exact Gaussian joint over observables.
+
+    Assembled by the affine recursions (latent variances/covariances top
+    down, then the observable projections).  Quadratic in the node count;
+    intended for small models and as the cross-check for exact_loglik.
+    """
+    n = model.num_latents
+    order = top_down_order(model.latent_parent)
+    mu_z = np.zeros(n)
+    cov_z = np.zeros((n, n))
+    for i in order:
+        p = model.latent_parent[i]
+        if p is None:
+            mu_z[i] = model.b[i]
+            cov_z[i, i] = model.sigma[i] ** 2
+            continue
+        mu_z[i] = model.a[i] * mu_z[p] + model.b[i]
+        row = model.a[i] * cov_z[p]
+        cov_z[i, :] = row
+        cov_z[:, i] = row
+        cov_z[i, i] = model.a[i] ** 2 * cov_z[p, p] + model.sigma[i] ** 2
+    m = model.num_observables
+    mean = np.empty(m)
+    cov = np.empty((m, m))
+    for u in range(m):
+        pu = model.obs_parent[u]
+        mean[u] = model.c[u] * mu_z[pu] + model.d[u]
+        for v in range(m):
+            cov[u, v] = model.c[u] * model.c[v] * cov_z[pu, model.obs_parent[v]]
+        cov[u, u] += model.tau[u] ** 2
+    return mean, cov
+
+
+def energy_forward(net: EnergyNet, z_child: float, z_parent: float | None = None) -> float:
+    """Scalar energy at one (child, parent) point; inputs must be in [-1, 1]."""
+    if (z_parent is None) != (net.input_dim == 1):
+        raise ValueError("parent value must match the net's conditioning arity")
+    x = np.array([[z_child]] if z_parent is None else [[z_child, z_parent]])
+    if np.any(np.abs(x) > 1.0 + 1e-12):
+        raise ValueError("latent inputs must lie in [-1, 1]")
+    tape = Tape()
+    return float(net.forward(tape, _const_weights(tape, net), tape.const(x)).data[0])

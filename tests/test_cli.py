@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 
@@ -190,6 +191,37 @@ class TestSanityCheck:
         assert header == ["model_id", "N", "mse"]
         assert len(rows) == 4
         assert all(float(r[2]) >= 0 for r in rows)
+
+    @pytest.mark.parametrize(
+        "flags, env, named",
+        [
+            (["--models", "0"], None, "--models"),
+            (["--samples", "0"], None, "--samples"),
+            (["--threads", "0"], "2", "--threads"),
+            (["--threads", "-2"], None, "--threads"),
+            ([], "0", "PICIRC_THREADS"),
+            ([], "-1", "PICIRC_THREADS"),
+            ([], "two", "PICIRC_THREADS"),
+            ([], "", "PICIRC_THREADS"),
+        ],
+    )
+    def test_counts_below_one_are_user_errors(self, tmp_path, capsys, monkeypatch, flags, env, named):
+        if env is None:
+            monkeypatch.delenv("PICIRC_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("PICIRC_THREADS", env)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        out = tmp_path / "mse.csv"
+        code = run(["sanity-check", "--nodes", "4", "--models", "2", "--samples", "30", "--n-list", "8",
+                    *flags, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()
 
 
 class TestPipeline:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from picirc.data import Dataset, load_csv, parse_family, random_split, save_csv
+from picirc.data import Dataset, load_csv, parse_family, save_csv
 from picirc.errors import SchemaError
 
 
@@ -114,36 +114,3 @@ class TestRoundTrip:
         save_csv(dataset, path)
         back = load_csv(path, "categorical:2")
         np.testing.assert_array_equal(back.values, values)
-
-
-class TestSplits:
-    def test_random_split_partitions_rows(self):
-        dataset = Dataset(
-            columns=["a"], families=[("gaussian", None)], values=np.arange(20.0)[:, None]
-        )
-        random_split(dataset, valid_fraction=0.25, seed=1, test_fraction=0.1)
-        train, valid, test = (dataset.splits[k] for k in ("train", "valid", "test"))
-        assert len(valid) == 5 and len(test) == 2 and len(train) == 13
-        assert not (set(train) & set(valid) or set(train) & set(test) or set(valid) & set(test))
-        assert dataset.subset("valid").shape == (5, 1)
-
-    def test_overlapping_splits_rejected(self):
-        dataset = Dataset(
-            columns=["a"], families=[("gaussian", None)], values=np.zeros((4, 1)),
-            splits={"train": np.array([0, 1]), "valid": np.array([1, 2])},
-        )
-        with pytest.raises(SchemaError, match="overlaps"):
-            dataset.validate()
-
-    def test_out_of_range_split_rejected(self):
-        dataset = Dataset(
-            columns=["a"], families=[("gaussian", None)], values=np.zeros((4, 1)),
-            splits={"train": np.array([3, 4])},
-        )
-        with pytest.raises(SchemaError, match="outside"):
-            dataset.validate()
-
-    def test_degenerate_fractions_rejected(self):
-        dataset = Dataset(columns=["a"], families=[("gaussian", None)], values=np.zeros((4, 1)))
-        with pytest.raises(ValueError, match="nonempty training set"):
-            random_split(dataset, valid_fraction=1.0, seed=0)

@@ -10,7 +10,6 @@ from picirc.gaussian import (
     LinearGaussianLTM,
     domain_rules,
     exact_loglik,
-    joint_gaussian,
     model_from_pic,
     qpc_loglik,
     random_model,
@@ -21,6 +20,7 @@ from picirc.gaussian import (
     to_pic,
 )
 from picirc.quadrature import make_rule
+from reference import joint_gaussian
 
 
 def single_pair_model(a0=0.0, mu1=0.0, sigma1=1.0, c=1.0, d=0.0, tau=1.0):

@@ -51,7 +51,8 @@ def chain3():
 
 
 def zeroed(nets):
-    nets.apply_params({name: np.zeros_like(a) for name, a in nets.param_arrays().items()})
+    for a in nets.param_arrays().values():
+        a[...] = 0.0
     return nets
 
 
@@ -455,7 +456,6 @@ class TestMaterializeNested:
 
         qpc = materialize_nested(pic, selector)
         x = gaussian.sample(model, 5, seed=12)
-        skeleton = model.tree()
 
         def oracle_row(row):
             def down(latent, parent_value):
@@ -464,9 +464,9 @@ class TestMaterializeNested:
                 total = 0.0
                 for zk, wk in zip(rule.points, rule.weights):
                     val = wk * norm.pdf(zk, mean, model.sigma[latent])
-                    for j in skeleton.obs_children(latent):
+                    for j in (j for j, p in enumerate(model.obs_parent) if p == latent):
                         val *= norm.pdf(row[j], model.c[j] * zk + model.d[j], model.tau[j])
-                    for c in skeleton.latent_children(latent):
+                    for c in (c for c, p in enumerate(model.latent_parent) if p == latent):
                         val *= down(c, zk)
                     total += val
                 return total

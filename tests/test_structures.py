@@ -134,7 +134,6 @@ class TestHcltStructure:
         tree = hclt_structure(np.array([-1, 0]), family="categorical", num_states=2)
         assert tree.latent_parent == (None, 0)
         assert tree.obs_parent == (0, 1)
-        assert tree.is_hclt
 
     def test_counts(self):
         parent = np.array([-1, 0, 0, 1])
@@ -207,21 +206,6 @@ class TestBnToPic:
         pic = bn_to_pic(tree)
         assert len(pic.units) == 2
         assert [u.kind for u in pic.units] == ["input", "integral"]
-
-    def test_explicit_children_first_order(self):
-        pic = bn_to_pic(fig_c1_tree(), order=[3, 1, 2, 0])
-        assert len(pic.integral_units()) == 4
-        rep = check_structure(pic)
-        assert rep.smooth and rep.decomposable and rep.structured
-        assert pic.units[pic.root].latent["var"] == 0
-
-    def test_parent_before_child_rejected(self):
-        with pytest.raises(ValueError, match="before its child"):
-            bn_to_pic(fig_c1_tree(), order=[0, 1, 2, 3])
-
-    def test_missing_latent_rejected(self):
-        with pytest.raises(ValueError, match="missing"):
-            bn_to_pic(fig_c1_tree(), order=[1, 2, 0])
 
     def test_single_child_products_pruned(self):
         pic = bn_to_pic(fig_c1_tree())

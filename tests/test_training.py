@@ -18,7 +18,7 @@ from picirc.materialize import (
     materialize_sum_params,
     streamed_loglik,
 )
-from picirc.nets import ParamNets, decoder_forward, energy_forward, load_checkpoint, save_checkpoint
+from picirc.nets import ParamNets, decoder_forward, load_checkpoint, save_checkpoint
 from picirc.quadrature import make_rule
 from picirc.runtime import evidence_rows, latent_tree_loglik, log_forward
 from picirc.structures import LatentTree, bn_to_pic
@@ -26,7 +26,6 @@ from picirc.training import (
     Adam,
     HcltTensors,
     TrainConfig,
-    _logsumexp_list,
     batch_loglik_node,
     dataset_nll,
     em_step,
@@ -39,9 +38,9 @@ from picirc.training import (
     train_hclt_em,
     train_pic,
     train_pic_step,
-    unitwise_loglik_node,
+    tree_loglik_node,
 )
-from reference import copy_circuit
+from reference import _logsumexp_list, copy_circuit, energy_forward, unitwise_loglik_node
 
 NEURAL = {"type": "neural"}
 
@@ -161,15 +160,15 @@ class TestPicStep:
         tree = neural_tree((None, 0), (0, 1))
         nets = small_nets(tree, seed=3)
         rule = make_rule("trapezoidal", 6, -1.0, 1.0)
-        freqs_before = {k: v.copy() for k, v in nets.frequency_arrays().items()}
+        freqs_before = {net.name: net.ffl.frequencies.copy() for net in (*nets.energy, *nets.decoder)}
         points_before = rule.points.copy()
         weights_before = rule.weights.copy()
         x = np.random.default_rng(0).integers(0, 3, size=(8, 2)).astype(float)
         opt = Adam(nets.param_arrays(), TrainConfig(batch_size=8, n=6))
         for _ in range(5):
             train_pic_step(nets, x, rule, opt)
-        for k, v in nets.frequency_arrays().items():
-            np.testing.assert_array_equal(v, freqs_before[k])
+        for net in (*nets.energy, *nets.decoder):
+            np.testing.assert_array_equal(net.ffl.frequencies, freqs_before[net.name])
         np.testing.assert_array_equal(rule.points, points_before)
         np.testing.assert_array_equal(rule.weights, weights_before)
 
@@ -382,6 +381,39 @@ class TestTrainingOnMissingCells:
         np.testing.assert_allclose(tensors.loglik(x), log_forward(tensors.to_circuit(), x), rtol=0, atol=1e-12)
         loss = hclt_adam_step(tensors, x, Adam(tensors.param_arrays(), TrainConfig(batch_size=25, n=4)))
         np.testing.assert_allclose(loss, expected, rtol=0, atol=1e-12)
+
+
+def const_tree_loglik(model, tables, sum_rows, x):
+    """``tree_loglik_node`` over ndarray blocks as tape constants, which record nothing."""
+    tape = Tape()
+    rows = [tape.const(r) for r in sum_rows]
+    return tree_loglik_node(tape, model, [tape.const(t) for t in tables], rows.__getitem__, x).data
+
+
+class TestNdarrayLikelihoods:
+    """dataset_nll and HcltTensors.loglik are tree_loglik_node's forward on ndarrays, bit for bit."""
+
+    @pytest.mark.parametrize("family, k", FAMILIES)
+    def test_dataset_nll_equals_tape_forward(self, family, k):
+        tree = neural_tree((None, 0, 0, 1), (0, 1, 2, 3, 3), family=family, k=k)
+        nets = small_nets(tree, k=k, seed=11, family=family)
+        rule = make_rule("trapezoidal", 6, -1.0, 1.0)
+        x = with_missing(family_data(family, k, 50, 5, 12), share=0.1, seed=13)
+        sp = materialize_sum_params(nets, rule.points, rule.weights)
+        ip = materialize_input_params(nets, rule.points)
+        sum_rows = [sp.s[i][:1] if p is None else sp.s[i] for i, p in enumerate(tree.latent_parent)]
+        chunk = 7
+        total = sum(const_tree_loglik(nets, ip.table, sum_rows, x[lo : lo + chunk]).sum() for lo in range(0, len(x), chunk))
+        assert np.array_equal(dataset_nll(nets, rule, x, chunk=chunk), float(-total / len(x)))
+
+    @pytest.mark.parametrize("family, k", FAMILIES)
+    def test_hclt_loglik_equals_tape_forward(self, family, k):
+        tree = neural_tree((None, 0, 0, 1), (0, 1, 2, 3, 3), family=family, k=k)
+        tensors = HcltTensors.random(tree, n=6, family=family, num_states=k, seed=14, scale=1.0)
+        x = with_missing(family_data(family, k, 50, 5, 15), share=0.1, seed=16)
+        expected = const_tree_loglik(tensors, tensors.input_tables(), tensors.sum_rows(), x)
+        assert np.isnan(x).any() and np.isfinite(expected).all()
+        assert np.array_equal(tensors.loglik(x), expected)
 
 
 def engine_callers(tree, x):
