@@ -15,7 +15,6 @@ from picirc.gaussian import (
     qpc_loglik,
     random_model,
     sample,
-    select_domains,
     to_pic,
 )
 from picirc.materialize import materialize_qpc
@@ -31,7 +30,8 @@ print(f"exact mean log-likelihood: {truth.mean():.4f}")
 
 print("\nintegration domains at N = 64 (child domains cover the images of")
 print("their parent's points, widened by k(64) = 3.10 conditional stddevs):")
-for i, (lo, hi) in select_domains(model, 64).items():
+for i, rule in domain_rules(model, 64).items():
+    lo, hi = rule.domain
     print(f"  z{i}: [{lo:8.3f}, {hi:8.3f}]")
 
 print("\nquadrature error vs number of integration points")

@@ -8,18 +8,19 @@ points at its tape, so a tape dies with its last node, freed by reference
 counting.  A pass over constants only records nothing, and each of its
 intermediates dies with its last consumer.
 
-Only the primitives needed by this package are implemented: elementwise
-arithmetic, matrix products, exp, log, ``tanh`` (one primitive on
-``np.tanh``), ``sigmoid`` and softplus (both through ``_sigmoid``, which is
+Only the primitives that the package records are implemented: ``add``,
+``neg``, ``multiply`` (a + b and a - b on nodes record the first two),
+``sigmoid`` and ``softplus`` (both through ``_sigmoid``, which is
 ``scipy.special.expit``), the dense layer ``dense`` (tanh(h @ w + b), or
 h @ w + b on a head, as one op that saves only h, w and its output),
-logsumexp, the log-space contraction ``lse_matmul`` (log(exp(a) @ exp(b)),
-every sum layer of a QPC), gather, reductions, and reshape; ``training``
-adds ``evidence``.  Every primitive registers its backward rule at
-import; recording an op with no registered rule fails immediately rather
-than silently producing zero gradients.  ``_logsumexp_data`` and
-``_lse_matmul_data`` are the forwards of ``logsumexp`` and
-``lse_matmul``, so ndarray evaluation and the tape share one kernel each.
+``logsumexp``, the log-space contraction ``lse_matmul`` (log(exp(a) @
+exp(b)), every sum layer of a QPC), ``sum`` and ``reshape``; ``training``
+adds ``evidence`` through ``_backward_rule``.  Every primitive registers
+its backward rule at import; recording an op with no registered rule
+fails immediately rather than silently producing zero gradients.
+``_logsumexp_data`` and ``_lse_matmul_data`` are the forwards of
+``logsumexp`` and ``lse_matmul``, so ndarray evaluation and the tape share
+one kernel each.
 
 Values that are not registered as parameters (constants: data batches,
 quadrature points and weights, Fourier features, and net weights
@@ -69,26 +70,8 @@ class Node:
     def __add__(self, other):
         return add(self, self._lift(other))
 
-    def __radd__(self, other):
-        return add(self._lift(other), self)
-
     def __sub__(self, other):
         return add(self, neg(self._lift(other)))
-
-    def __rsub__(self, other):
-        return add(self._lift(other), neg(self))
-
-    def __mul__(self, other):
-        return multiply(self, self._lift(other))
-
-    def __rmul__(self, other):
-        return multiply(self._lift(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, self._lift(other))
 
     def __repr__(self):
         return f"Node(shape={self.data.shape}, needs_grad={self.needs_grad})"
@@ -199,43 +182,6 @@ def _multiply_bwd(ctx, g):
     return _unbroadcast(g * db, da.shape), _unbroadcast(g * da, db.shape)
 
 
-def matmul(a: Node, b: Node) -> Node:
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        raise ValueError(f"matmul supports 1-D/2-D operands, got {a.ndim}-D @ {b.ndim}-D")
-    return a.tape.record("matmul", a.data @ b.data, (a, b), (a.data, b.data))
-
-
-@_backward_rule("matmul")
-def _matmul_bwd(ctx, g):
-    da, db = ctx
-    if da.ndim == 2 and db.ndim == 2:
-        return g @ db.T, da.T @ g
-    if da.ndim == 2 and db.ndim == 1:
-        return np.outer(g, db), da.T @ g
-    if da.ndim == 1 and db.ndim == 2:
-        return db @ g, np.outer(da, g)
-    return g * db, g * da
-
-
-def exp(a: Node) -> Node:
-    out = np.exp(a.data)
-    return a.tape.record("exp", out, (a,), out)
-
-
-@_backward_rule("exp")
-def _exp_bwd(ctx, g):
-    return (g * ctx,)
-
-
-def log(a: Node) -> Node:
-    return a.tape.record("log", np.log(a.data), (a,), a.data)
-
-
-@_backward_rule("log")
-def _log_bwd(ctx, g):
-    return (g / ctx,)
-
-
 _sigmoid = expit
 
 
@@ -249,16 +195,6 @@ def _sigmoid_bwd(ctx, g):
     # where the sigmoid is subnormal its gradient underflows toward 0, its true value
     with np.errstate(under="ignore"):
         return (g * ctx * (1.0 - ctx),)
-
-
-def tanh(a: Node) -> Node:
-    out = np.tanh(a.data)
-    return a.tape.record("tanh", out, (a,), out)
-
-
-@_backward_rule("tanh")
-def _tanh_bwd(ctx, g):
-    return (g * (1.0 - ctx * ctx),)
 
 
 def dense(h: Node, w: Node, b: Node, act: bool) -> Node:
@@ -453,21 +389,6 @@ def _logsumexp_bwd(ctx, g):
     with np.errstate(invalid="ignore"):
         p = np.where(np.isneginf(x), 0.0, np.exp(x - out_e))
     return (g_e * p,)
-
-
-def gather(a: Node, index, axis=0) -> Node:
-    index = np.asarray(index, dtype=np.intp)
-    out = np.take(a.data, index, axis=axis)
-    return a.tape.record("gather", out, (a,), (a.data.shape, index, axis))
-
-
-@_backward_rule("gather")
-def _gather_bwd(ctx, g):
-    shape, index, axis = ctx
-    out = np.zeros(shape)
-    sel = (slice(None),) * axis + (index,)
-    np.add.at(out, sel, g)
-    return (out,)
 
 
 def reduce_sum(a: Node, axis=None, keepdims=False) -> Node:

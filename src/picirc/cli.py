@@ -104,6 +104,10 @@ def _progress_path(args) -> str:
 
 
 def _cmd_gen_gaussian(args) -> int:
+    if args.rows < 1:
+        raise ValueError(f"--rows must be at least 1, got {args.rows}")
+    if args.nodes < 2 or args.nodes % 2:
+        raise ValueError(f"--nodes must be even and at least 2 (latent/observable pairs), got {args.nodes}")
     seeds = np.random.SeedSequence(args.seed).spawn(2)
     model = random_model(args.nodes, seeds[0])
     values = sample(model, args.rows, seeds[1])
@@ -203,6 +207,11 @@ def _train_structure(args, dataset: Dataset):
 
 
 def _cmd_train(args) -> int:
+    for flag, value in (("--n", args.n), ("--batch", args.batch), ("--eval-interval", args.eval_interval)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1")
+    if not 0 <= args.patience <= args.steps:
+        raise ValueError(f"--patience must be in [0, --steps], got {args.patience} with --steps {args.steps}")
     train_set = load_csv(args.data, args.schema)
     valid_set = load_csv(args.valid, args.schema)
     if train_set.families != valid_set.families or train_set.num_cols != valid_set.num_cols:

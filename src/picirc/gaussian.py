@@ -198,11 +198,6 @@ def domain_rules(model: LinearGaussianLTM, n: int, kind: str = "trapezoidal") ->
     return rules
 
 
-def select_domains(model: LinearGaussianLTM, n: int, kind: str = "trapezoidal") -> dict[int, tuple[float, float]]:
-    """Integration window (lo, hi) per latent, as chosen by ``domain_rules``."""
-    return {i: rule.domain for i, rule in domain_rules(model, n, kind).items()}
-
-
 def gaussian_region_tensors(model: LinearGaussianLTM, rules: dict[int, QuadratureRule], x: np.ndarray):
     """Tensor form of the quadrature approximation of a model.
 

@@ -19,8 +19,9 @@ logsumexp to exactly zero, and I[i][j] = decoder params at point j.
 In the static mode and in training the tape nodes ``sum_param_node``
 and ``input_param_node`` define both; the ndarray tensors are their data,
 computed over the weights as tape constants, so nothing is recorded.  The
-nested mode builds each parent point's blocks with
-``_nested_neural_density`` and ``nets.decoder_forward`` instead.
+nested mode builds each parent point's sum row with
+``_nested_neural_density``.  Both modes build every input region with
+``_input_region``, a neural one from one ``input_param_node`` block.
 
 ``streamed_loglik`` evaluates a batch without building the concrete
 circuit: it is ``training.batch_loglik_node`` over the nets' weights as
@@ -38,7 +39,7 @@ from . import autodiff as ad
 from .autodiff import Node, Tape
 from .circuit import Circuit, CircuitBuilder, InputDist, post_order
 from .errors import NumericError, SizeError, UnsupportedStructureError
-from .nets import ParamNets, _const_weights, decoder_forward
+from .nets import ParamNets, _const_weights
 from .quadrature import QuadratureRule
 from .runtime import gaussian_logpdf
 from .runtime import evidence_rows  # noqa: F401  (looked up here by perfbench)
@@ -103,9 +104,11 @@ def _energy_grid(tape, net, pnodes, child_z, parent_z) -> Node:
 
 
 def input_param_node(tape: Tape, net, pnodes, z: np.ndarray) -> Node:
-    """One observable's squashed decoder outputs over the grid, shape (N, I)."""
-    raw = net.forward(tape, pnodes, tape.const(np.asarray(z)[:, None]))
-    return net.squash(raw)
+    """One observable's squashed decoder outputs over the grid in [-1, 1], shape (N, I)."""
+    z = np.asarray(z)
+    if np.any(np.abs(z) > 1.0 + 1e-12):
+        raise ValueError("decoder latents live on [-1, 1]; got points outside")
+    return net.squash(net.forward(tape, pnodes, tape.const(z[:, None])))
 
 
 def materialize_sum_params(nets: ParamNets, z, w, norm_rule: QuadratureRule | None = None) -> SumParamTensor:
@@ -133,8 +136,6 @@ def materialize_sum_params(nets: ParamNets, z, w, norm_rule: QuadratureRule | No
 def materialize_input_params(nets: ParamNets, z) -> InputParamTensor:
     """All observables' decoder outputs, stacked into one (D, N, I) tensor."""
     z = np.asarray(z, dtype=np.float64)
-    if np.any(np.abs(z) > 1.0 + 1e-12):
-        raise ValueError("decoder latents live on [-1, 1]; got points outside")
     tape = Tape()
     rows = [input_param_node(tape, net, _const_weights(tape, net), z).data for net in nets.decoder]
     return InputParamTensor(
@@ -220,21 +221,17 @@ def _rule_map(num_latents: int, rules) -> dict[int, QuadratureRule]:
     return {i: rules[i] for i in range(num_latents)}
 
 
-def _linear_gaussian_input(cond: dict, z: float) -> InputDist:
-    """Concrete input of a linear-Gaussian observable at latent point z."""
-    return InputDist("gaussian", params=np.array([cond["c"] * z + cond["d"], np.log(cond["tau"])]))
-
-
-def _input_dist_at(dist: InputDist, var: int, z: float, j: int, ip: InputParamTensor | None) -> InputDist:
+def _input_region(dist: InputDist, points: np.ndarray, table) -> list[InputDist]:
+    """An observable's input units, one per point of its latent: a concrete dist
+    repeated, a linear-Gaussian one in closed form over all the points, or a
+    neural one from the rows of ``table()``, its squashed decoder block."""
     if not dist.symbolic:
-        return dist
+        return [dist] * len(points)
     cond = dist.conditional
     if cond["type"] == "linear-gaussian":
-        return _linear_gaussian_input(cond, z)
-    if ip is None:
-        raise ValueError("neural input conditionals need a materialized parameter tensor")
-    row = ip.table[var, j]
-    return InputDist(dist.family, num_states=dist.num_states, params=row.copy())
+        log_tau = np.log(cond["tau"])
+        return [InputDist("gaussian", params=np.array([mean, log_tau])) for mean in cond["c"] * points + cond["d"]]
+    return [InputDist(dist.family, num_states=dist.num_states, params=row.copy()) for row in table()]
 
 
 def _linear_gaussian_rows(cond: dict, rule: QuadratureRule, parent_points) -> np.ndarray:
@@ -268,8 +265,13 @@ def materialize_qpc(pic: Circuit, rules, params=None) -> Circuit:
             if not np.array_equal(rule.points, ref):
                 raise ValueError(f"rule for latent {i} differs from the points the tensors were built on")
 
+    def decoder_block(var):
+        if ip is None:
+            raise ValueError("neural input conditionals need a materialized parameter tensor")
+        return ip.table[var]
+
     def input_dists(u):
-        return [_input_dist_at(u.dist, u.var, z, j, ip) for j, z in enumerate(rule_of[obs_parent[u.var]].points)]
+        return _input_region(u.dist, rule_of[obs_parent[u.var]].points, lambda: decoder_block(u.var))
 
     return _build_regions(pic, parts, input_dists, lambda u: _sum_rows(u, latent_parent, rule_of, params))
 
@@ -318,6 +320,13 @@ def materialize_nested(pic: Circuit, point_selector, nets: ParamNets | None = No
 
     builder = CircuitBuilder()
 
+    def decoder_block(var, points):
+        if nets is None:
+            raise ValueError("neural input conditionals need the parameter nets")
+        tape = Tape()
+        net = nets.decoder[var]
+        return input_param_node(tape, net, _const_weights(tape, net), points).data
+
     def quad(int_unit, parent_value) -> int:
         var = int_unit.latent["var"]
         rule = point_selector(var, parent_value)
@@ -329,12 +338,10 @@ def materialize_nested(pic: Circuit, point_selector, nets: ParamNets | None = No
                 raise ValueError("neural conditionals need the parameter nets")
             row = np.log(rule.weights) + _nested_neural_density(nets.energy[var], rule, parent_value)
         below = [pic.units[c] for c in parts[var]]
+        regions = {u.uid: _input_region(u.dist, rule.points, lambda: decoder_block(u.var, rule.points)) for u in below if u.kind == "input"}
         children = []
-        for zn in rule.points:
-            kids = [
-                builder.add_input(u.var, _nested_input_dist(u.dist, u.var, zn, nets)) if u.kind == "input" else quad(u, zn)
-                for u in below
-            ]
+        for j, zn in enumerate(rule.points):
+            kids = [builder.add_input(u.var, regions[u.uid][j]) if u.kind == "input" else quad(u, zn) for u in below]
             children.append(kids[0] if len(kids) == 1 else builder.add_product(kids))
         return builder.add_sum(children, row)
 
@@ -350,18 +357,6 @@ def _nested_neural_density(net, rule: QuadratureRule, parent_value) -> np.ndarra
     energy = _energy_grid(tape, net, _const_weights(tape, net), rule.points, parent).data[0]
     lognorm = ad._logsumexp_data(np.log(rule.weights) - energy, None, False)
     return -energy - lognorm
-
-
-def _nested_input_dist(dist: InputDist, var: int, z: float, nets: ParamNets | None) -> InputDist:
-    if not dist.symbolic:
-        return dist
-    cond = dist.conditional
-    if cond["type"] == "linear-gaussian":
-        return _linear_gaussian_input(cond, z)
-    if nets is None:
-        raise ValueError("neural input conditionals need the parameter nets")
-    row = decoder_forward(nets.decoder[var], float(z))
-    return InputDist(dist.family, num_states=dist.num_states, params=row)
 
 
 def pic_tree_maps(pic: Circuit) -> tuple[tuple, tuple]:

@@ -161,14 +161,6 @@ class DecoderNet(_Mlp):
         return squash(self.family, raw)
 
 
-def decoder_forward(net: DecoderNet, z: float) -> np.ndarray:
-    """Squashed parameter vector of one decoder at one latent point in [-1, 1]."""
-    if abs(z) > 1.0 + 1e-12:
-        raise ValueError("latent inputs must lie in [-1, 1]")
-    tape = Tape()
-    return net.squash(net.forward(tape, _const_weights(tape, net), tape.const([[z]]))).data[0]
-
-
 class ParamNets:
     """All nets of one model: an energy net per latent, a decoder per observable.
 

@@ -6,7 +6,13 @@ independently of the layered evaluator in ``picirc.runtime`` and
 node per concrete unit of the static QPC, independently of the latent-tree
 engine behind ``training.batch_loglik_node``.  ``joint_gaussian`` is the
 dense Gaussian joint that checks ``gaussian.exact_loglik``, and
-``energy_forward`` evaluates an energy net at one point.
+``energy_forward`` and ``decoder_forward`` evaluate an energy net and a
+decoder at one point.
+
+The tape ops that only these oracles and the tests record live here, not
+in ``picirc.autodiff``: ``gather``, ``exp``, ``log`` and ``matmul``.  Each
+registers its backward rule through ``autodiff._backward_rule`` on import,
+as ``picirc.training`` registers ``evidence``.
 """
 
 from __future__ import annotations
@@ -22,11 +28,63 @@ from picirc.circuit import Circuit
 from picirc.errors import CircuitError
 from picirc.gaussian import LinearGaussianLTM
 from picirc.materialize import input_param_node, sum_param_node
-from picirc.nets import EnergyNet, ParamNets, _const_weights
+from picirc.nets import DecoderNet, EnergyNet, ParamNets, _const_weights
 from picirc.quadrature import QuadratureRule
 from picirc.runtime import gaussian_logpdf, observed_evidence
 from picirc.structures import top_down_order
 from picirc.training import evidence_node
+
+
+def gather(a: Node, index, axis=0) -> Node:
+    index = np.asarray(index, dtype=np.intp)
+    out = np.take(a.data, index, axis=axis)
+    return a.tape.record("gather", out, (a,), (a.data.shape, index, axis))
+
+
+@ad._backward_rule("gather")
+def _gather_bwd(ctx, g):
+    shape, index, axis = ctx
+    out = np.zeros(shape)
+    sel = (slice(None),) * axis + (index,)
+    np.add.at(out, sel, g)
+    return (out,)
+
+
+def exp(a: Node) -> Node:
+    out = np.exp(a.data)
+    return a.tape.record("exp", out, (a,), out)
+
+
+@ad._backward_rule("exp")
+def _exp_bwd(ctx, g):
+    return (g * ctx,)
+
+
+def log(a: Node) -> Node:
+    return a.tape.record("log", np.log(a.data), (a,), a.data)
+
+
+@ad._backward_rule("log")
+def _log_bwd(ctx, g):
+    return (g / ctx,)
+
+
+def matmul(a: Node, b: Node) -> Node:
+    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
+        raise ValueError(f"matmul supports 1-D/2-D operands, got {a.ndim}-D @ {b.ndim}-D")
+    return a.tape.record("matmul", a.data @ b.data, (a, b), (a.data, b.data))
+
+
+@ad._backward_rule("matmul")
+def _matmul_bwd(ctx, g):
+    da, db = ctx
+    if da.ndim == 2 and db.ndim == 2:
+        return g @ db.T, da.T @ g
+    if da.ndim == 2 and db.ndim == 1:
+        return np.outer(g, db), da.T @ g
+    if da.ndim == 1 and db.ndim == 2:
+        return db @ g, np.outer(da, g)
+    return g * db, g * da
 
 
 def copy_circuit(pc: Circuit) -> Circuit:
@@ -157,12 +215,12 @@ def sample_pc(qpc: Circuit, n: int, seed: int) -> np.ndarray:
 
 def _row(node: Node, j: int) -> Node:
     """Row j of a 2-D node as a 1-D node."""
-    picked = ad.gather(node, np.array([j]), axis=0)
+    picked = gather(node, np.array([j]), axis=0)
     return ad.reshape(picked, (node.shape[1],))
 
 
 def _entry(row: Node, k: int) -> Node:
-    return ad.reshape(ad.gather(row, np.array([k]), axis=0), ())
+    return ad.reshape(gather(row, np.array([k]), axis=0), ())
 
 
 def _sum_nodes(nodes: list[Node]) -> Node:
@@ -176,10 +234,10 @@ def _logsumexp_list(tape: Tape, nodes: list[Node]) -> Node:
     """Elementwise logsumexp over equal-shape nodes, shifted by their detached elementwise max."""
     m = np.max([n.data for n in nodes], axis=0)
     m = tape.const(np.where(np.isfinite(m), m, 0.0))
-    total = ad.exp(nodes[0] - m)
+    total = exp(nodes[0] - m)
     for node in nodes[1:]:
-        total = total + ad.exp(node - m)
-    return ad.log(total) + m
+        total = total + exp(node - m)
+    return log(total) + m
 
 
 def unitwise_loglik_node(tape: Tape, pic: Circuit, nets: ParamNets, pnodes, rule: QuadratureRule, x: np.ndarray) -> Node:
@@ -260,3 +318,9 @@ def energy_forward(net: EnergyNet, z_child: float, z_parent: float | None = None
         raise ValueError("latent inputs must lie in [-1, 1]")
     tape = Tape()
     return float(net.forward(tape, _const_weights(tape, net), tape.const(x)).data[0])
+
+
+def decoder_forward(net: DecoderNet, z: float) -> np.ndarray:
+    """Squashed parameter vector of one decoder at one latent point."""
+    tape = Tape()
+    return net.squash(net.forward(tape, _const_weights(tape, net), tape.const([[z]]))).data[0]

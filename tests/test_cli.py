@@ -158,7 +158,26 @@ class TestExitCodes:
                         "--schema", "categorical:3", "--n", "3", "--steps", "4", "--eval-interval", "0",
                         "--patience", "4", "--out", str(tmp_path / "o.json")])
             assert code == 1
-            assert "error: batch_size, n, restart_period, eval_interval must be positive" in capsys.readouterr().err
+            assert "error: --eval-interval must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--n", "0"], "--n "),
+            (["--batch", "0"], "--batch"),
+            (["--steps", "2"], "--patience"),
+        ],
+        ids=["n", "batch", "steps-below-default-patience"],
+    )
+    def test_bad_train_counts_name_the_flag(self, tmp_path, capsys, flags, named):
+        data = write_categorical(tmp_path / "d.csv", rows=20, seed=0)
+        out = tmp_path / "o.json"
+        code = run(["train", "--mode", "pic", "--data", str(data), "--valid", str(data),
+                    "--schema", "categorical:3", *flags, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists() and not (tmp_path / "o.json.progress.csv").exists()
 
 
 class TestGenGaussian:
@@ -179,6 +198,25 @@ class TestGenGaussian:
         assert tree.num_latents == 3 and tree.num_observables == 3
         header, rows = read_csv(out)
         assert header == ["x0", "x1", "x2"] and len(rows) == 10
+
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--rows", "0"], "--rows"),
+            (["--rows", "-3"], "--rows"),
+            (["--nodes", "0"], "--nodes"),
+            (["--nodes", "7"], "--nodes"),
+        ],
+        ids=["rows-0", "rows-negative", "nodes-0", "nodes-odd"],
+    )
+    def test_bad_counts_are_user_errors(self, tmp_path, capsys, flags, named):
+        out, tree_path = tmp_path / "d.csv", tmp_path / "tree.json"
+        code = run(["gen-gaussian", *flags, "--out", str(out), "--model-out", str(tree_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists() and not tree_path.exists()
 
 
 class TestSanityCheck:

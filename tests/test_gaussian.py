@@ -16,7 +16,6 @@ from picirc.gaussian import (
     sample,
     sanity_check,
     sanity_mse,
-    select_domains,
     to_pic,
 )
 from picirc.quadrature import make_rule
@@ -139,7 +138,7 @@ class TestSampling:
 class TestDomains:
     def test_root_window(self):
         model = single_pair_model(mu1=0.0, sigma1=1.0)
-        assert select_domains(model, 8)[0] == (-3.0, 3.0)
+        assert domain_rules(model, 8)[0].domain == (-3.0, 3.0)
 
     def test_unlinked_child_window(self):
         model = two_latent_model()
@@ -153,7 +152,7 @@ class TestDomains:
             d=model.d,
             tau=model.tau,
         )
-        lo, hi = select_domains(model, 16)[1]
+        lo, hi = domain_rules(model, 16)[1].domain
         assert (lo, hi) == pytest.approx((0.2 - 2.7, 0.2 + 2.7))
 
     def test_expanding_child_window(self):
@@ -168,7 +167,7 @@ class TestDomains:
             tau=np.array([1.0, 1.0]),
         )
         # trapezoid points include the parent's endpoints -3 and 3
-        assert select_domains(model, 8, "trapezoidal")[1] == pytest.approx((-9.0, 9.0))
+        assert domain_rules(model, 8, "trapezoidal")[1].domain == pytest.approx((-9.0, 9.0))
 
     def test_margin_invariant(self):
         # child windows are the parent points' images widened by k(N) sigma
@@ -176,14 +175,13 @@ class TestDomains:
             k = max(3.0, norm.isf(0.5 * n**-1.5))
             for seed in range(5):
                 model = random_model(16, seed)
-                domains = select_domains(model, n)
                 rules = domain_rules(model, n)
                 for i in range(model.num_latents):
                     p = model.latent_parent[i]
                     if p is None:
                         continue
                     images = model.a[i] * rules[p].points + model.b[i]
-                    lo, hi = domains[i]
+                    lo, hi = rules[i].domain
                     assert lo == pytest.approx(images.min() - k * model.sigma[i], abs=1e-12)
                     assert hi == pytest.approx(images.max() + k * model.sigma[i], abs=1e-12)
 
@@ -192,8 +190,8 @@ class TestDomains:
         # then wide enough that each window cuts off at most N^-1.5 of its mass
         model = single_pair_model(mu1=0.4, sigma1=0.7)
         for n in (2, 8, 16, 32):
-            assert select_domains(model, n)[0] == (0.4 - 3 * 0.7, 0.4 + 3 * 0.7)
-        lo, hi = select_domains(model, 512)[0]
+            assert domain_rules(model, n)[0].domain == (0.4 - 3 * 0.7, 0.4 + 3 * 0.7)
+        lo, hi = domain_rules(model, 512)[0].domain
         assert (lo + hi) / 2 == pytest.approx(0.4, abs=1e-12)
         k = (hi - lo) / (2 * 0.7)
         assert 2 * norm.sf(k) <= 512**-1.5 * (1 + 1e-9)

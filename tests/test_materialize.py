@@ -18,10 +18,11 @@ from picirc.materialize import (
     streamed_loglik,
     sum_param_node,
 )
-from picirc.nets import ParamNets, decoder_forward
+from picirc.nets import ParamNets
 from picirc.quadrature import make_rule
 from picirc.runtime import log_forward, marginal
-from picirc.structures import LatentTree, bn_to_pic
+from picirc.structures import LatentTree, bn_to_pic, top_down_order
+from reference import decoder_forward
 
 NEURAL = {"type": "neural"}
 
@@ -186,9 +187,18 @@ class TestInputParams:
             np.testing.assert_array_equal(ip.table[j], node.data)
 
     def test_rejects_points_outside_unit_interval(self):
-        nets = small_nets(chain3(), seed=11)
-        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        # input_param_node holds the one check; a linear-Gaussian latent has none
+        # of its own, so the nested mode reaches the decoder with the selector's points
+        nets = small_nets(neural_tree((None,), (0,), k=2), k=2, seed=11)
+        net = nets.decoder[0]
+        tape = Tape()
+        outside = make_rule("trapezoidal", 3, -2.0, 2.0)
+        with pytest.raises(ValueError, match=r"decoder latents live on \[-1, 1\]"):
+            input_param_node(tape, net, nets.net_pnodes(net, nets.register(tape)), outside.points)
+        with pytest.raises(ValueError, match=r"decoder latents live on \[-1, 1\]"):
             materialize_input_params(nets, np.array([0.0, 1.5]))
+        with pytest.raises(ValueError, match=r"decoder latents live on \[-1, 1\]"):
+            materialize_nested(gaussian_latent_over_neural_input(), constant_selector(outside), nets=nets)
 
 
 def tensors_for(nets, rule):
@@ -298,6 +308,35 @@ class TestMaterializeQpc:
 
 def constant_selector(rule):
     return lambda latent, parent_value: rule
+
+
+def nested_inputs(qpc):
+    """(observable, point index, params) of every input unit of a nested QPC, read down from its root.
+
+    Child j of a sum unit sits under its latent's point j; it is one part, or
+    a product of parts, each an input unit or the sum unit of a child latent.
+    """
+    out = []
+
+    def down(uid):
+        for j, c in enumerate(qpc.units[uid].children):
+            below = qpc.units[c]
+            for k in below.children if below.kind == "product" else (c,):
+                part = qpc.units[k]
+                if part.kind == "input":
+                    out.append((part.var, j, part.dist.params))
+                else:
+                    down(k)
+
+    down(qpc.root)
+    return out
+
+
+def gaussian_latent_over_neural_input():
+    """One linear-Gaussian latent over one neural categorical(2) observable."""
+    b = CircuitBuilder()
+    leaf = b.add_input(0, InputDist("categorical", num_states=2, conditional={"type": "neural", "net": 0, "family": "categorical", "k": 2}))
+    return b.finish(root=b.add_integral(leaf, var=0, parent=None, cond={"type": "linear-gaussian", "b": 0.0, "sigma": 1.0}))
 
 
 def linear_gaussian_chain(parent_of_2):
@@ -485,6 +524,40 @@ class TestMaterializeNested:
             materialize_nested(pic, constant_selector(rule), nets=nets)
         qpc = materialize_nested(pic, constant_selector(rule), nets=nets, max_levels=4)
         assert sum(u.kind == "sum" for u in qpc.units) == 1 + 4 + 16 + 64
+
+    @pytest.mark.parametrize("family, k", [("categorical", 4), ("binomial", 5), ("gaussian", None)])
+    def test_inputs_are_rows_of_the_static_decoder_table(self, family, k):
+        tree = neural_tree((None, 0), (0, 1, 1), family=family, k=k)
+        nets = small_nets(tree, family=family, k=k, seed=25)
+        rule = make_rule("gauss_legendre", 5, -1.0, 1.0)
+        table = materialize_input_params(nets, rule.points).table
+        inputs = nested_inputs(materialize_nested(bn_to_pic(tree), constant_selector(rule), nets=nets))
+        assert len(inputs) == 5 + 2 * 5 * 5
+        for var, j, params in inputs:
+            np.testing.assert_allclose(params, table[var, j], rtol=0, atol=1e-15)
+
+    def test_linear_gaussian_inputs_equal_the_static_ones_bitwise(self):
+        model = gaussian.random_model(6, seed=13)
+        pic = gaussian.to_pic(model)
+        rules = gaussian.domain_rules(model, 4)
+        static = {}
+        for u in materialize_qpc(pic, rules).units:
+            if u.kind == "input":
+                static.setdefault(u.var, []).append(u.dist.params)
+        inputs = nested_inputs(materialize_nested(pic, lambda latent, parent_value: rules[latent]))
+        levels = {}
+        for i in top_down_order(model.latent_parent):
+            levels[i] = levels.get(model.latent_parent[i], 0) + 1
+        assert len(inputs) == sum(4 ** levels[p] for p in model.obs_parent)
+        for var, j, params in inputs:
+            np.testing.assert_array_equal(params, static[var][j])
+
+    def test_neural_pic_without_nets_names_them(self):
+        rule = make_rule("trapezoidal", 3, -1.0, 1.0)
+        with pytest.raises(ValueError, match="need the parameter nets"):
+            materialize_nested(bn_to_pic(chain3()), constant_selector(rule))
+        with pytest.raises(ValueError, match="neural input conditionals need the parameter nets"):
+            materialize_nested(gaussian_latent_over_neural_input(), constant_selector(rule))
 
     def test_rejects_sum_units(self):
         tree = chain3()

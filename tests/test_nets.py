@@ -6,20 +6,20 @@ import pytest
 from picirc import autodiff as ad
 from picirc.autodiff import Tape
 from picirc.errors import SchemaError
+from picirc.materialize import input_param_node
 from picirc.nets import (
     DecoderNet,
     EnergyNet,
     FourierFeatureLayer,
     ParamNets,
     _const_weights,
-    decoder_forward,
     load_checkpoint,
     save_checkpoint,
 )
 from picirc.quadrature import make_rule
 from picirc.structures import LatentTree
 from picirc.training import HcltTensors
-from reference import energy_forward
+from reference import decoder_forward, energy_forward
 
 
 def small_tree():
@@ -193,8 +193,9 @@ class TestDecoderNet:
 
     def test_family_mismatch_and_domain_errors(self):
         net = DecoderNet(0, "binomial", num_states=5, num_frequencies=4, hidden=(8,), rng=9)
+        tape = Tape()
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-            decoder_forward(net, -1.2)
+            input_param_node(tape, net, _const_weights(tape, net), np.array([-1.2]))
         with pytest.raises(ValueError, match="family"):
             DecoderNet(0, "poisson")
 

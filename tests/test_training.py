@@ -18,7 +18,7 @@ from picirc.materialize import (
     materialize_sum_params,
     streamed_loglik,
 )
-from picirc.nets import ParamNets, decoder_forward, load_checkpoint, save_checkpoint
+from picirc.nets import ParamNets, load_checkpoint, save_checkpoint
 from picirc.quadrature import make_rule
 from picirc.runtime import evidence_rows, latent_tree_loglik, log_forward
 from picirc.structures import LatentTree, bn_to_pic
@@ -40,7 +40,7 @@ from picirc.training import (
     train_pic_step,
     tree_loglik_node,
 )
-from reference import _logsumexp_list, copy_circuit, energy_forward, unitwise_loglik_node
+from reference import _logsumexp_list, copy_circuit, decoder_forward, energy_forward, exp, gather, log, unitwise_loglik_node
 
 NEURAL = {"type": "neural"}
 
@@ -250,21 +250,23 @@ def family_table(family, k, n, seed):
 def composed_evidence(tape, table, family, k, x_col):
     """The evidence of fully observed cells as a composition of tape primitives."""
     if family == "categorical":
-        return ad.gather(table, x_col.astype(np.intp), axis=1)
+        return gather(table, x_col.astype(np.intp), axis=1)
     if family == "binomial":
         comb = gammaln(k + 1) - gammaln(x_col + 1) - gammaln(k - x_col + 1)
-        return tape.const(comb[None, :]) + tape.const(x_col[None, :]) * ad.log(table) + tape.const((k - x_col)[None, :]) * ad.log(tape.const(1.0) - table)
-    mu = ad.gather(table, np.array([0]), axis=1)
-    log_sigma = ad.gather(table, np.array([1]), axis=1)
-    z = (tape.const(x_col[None, :]) - mu) * ad.exp(ad.neg(log_sigma))
-    return tape.const(-0.5) * z * z - log_sigma - tape.const(0.5 * np.log(2.0 * np.pi))
+        successes = ad.multiply(tape.const(x_col[None, :]), log(table))
+        failures = ad.multiply(tape.const((k - x_col)[None, :]), log(tape.const(1.0) - table))
+        return tape.const(comb[None, :]) + successes + failures
+    mu = gather(table, np.array([0]), axis=1)
+    log_sigma = gather(table, np.array([1]), axis=1)
+    z = ad.multiply(tape.const(x_col[None, :]) - mu, exp(ad.neg(log_sigma)))
+    return ad.multiply(ad.multiply(tape.const(-0.5), z), z) - log_sigma - tape.const(0.5 * np.log(2.0 * np.pi))
 
 
 def evidence_vjp(evidence, table, g):
     """Value and gradient of sum(g * evidence(table)) with respect to table."""
     tape = Tape()
     node = tape.param("t", table)
-    loss = ad.reduce_sum(evidence(tape, node) * tape.const(g))
+    loss = ad.reduce_sum(ad.multiply(evidence(tape, node), tape.const(g)))
     return float(loss.data), tape.backward(loss)["t"]
 
 
