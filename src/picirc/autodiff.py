@@ -9,18 +9,18 @@ counting.  A pass over constants only records nothing, and each of its
 intermediates dies with its last consumer.
 
 Only the primitives that the package records are implemented: ``add``,
-``neg``, ``multiply`` (a + b and a - b on nodes record the first two),
-``sigmoid`` and ``softplus`` (both through ``_sigmoid``, which is
+``neg``, ``multiply`` (a + b on two nodes records ``add``), ``sigmoid``
+and ``softplus`` (both through ``_sigmoid``, which is
 ``scipy.special.expit``), the dense layer ``dense`` (tanh(h @ w + b), or
-h @ w + b on a head, as one op that saves only h, w and its output),
-``logsumexp``, the log-space contraction ``lse_matmul`` (log(exp(a) @
-exp(b)), every sum layer of a QPC), ``sum`` and ``reshape``; ``training``
-adds ``evidence`` through ``_backward_rule``.  Every primitive registers
-its backward rule at import; recording an op with no registered rule
-fails immediately rather than silently producing zero gradients.
-``_logsumexp_data`` and ``_lse_matmul_data`` are the forwards of
-``logsumexp`` and ``lse_matmul``, so ndarray evaluation and the tape share
-one kernel each.
+h @ w + b on a head, as one op that saves only h, w and its output), the
+row-wise ``log_normalize`` (x - logsumexp(x): each sum row and categorical
+head), the log-space contraction ``lse_matmul`` (log(exp(a) @ exp(b)),
+every sum layer of a QPC), ``sum`` and ``reshape``; ``training`` adds
+``evidence`` through ``_backward_rule``.  Every primitive registers its
+backward rule at import; recording an op with no registered rule fails
+immediately rather than silently producing zero gradients.
+``_log_normalize_data`` and ``_lse_matmul_data`` are the forwards of
+``log_normalize`` and ``lse_matmul``: one kernel each for ndarray and tape.
 
 Values that are not registered as parameters (constants: data batches,
 quadrature points and weights, Fourier features, and net weights
@@ -62,16 +62,8 @@ class Node:
     def ndim(self):
         return self.data.ndim
 
-    def _lift(self, other):
-        if isinstance(other, Node):
-            return other
-        return self.tape.const(other)
-
     def __add__(self, other):
-        return add(self, self._lift(other))
-
-    def __sub__(self, other):
-        return add(self, neg(self._lift(other)))
+        return add(self, other)
 
     def __repr__(self):
         return f"Node(shape={self.data.shape}, needs_grad={self.needs_grad})"
@@ -235,16 +227,27 @@ def _softplus_bwd(ctx, g):
     return (g * _sigmoid(ctx),)
 
 
-def _logsumexp_data(x, axis, keepdims):
-    m = np.max(x, axis=axis, keepdims=True)
+def _log_normalize_data(x):
+    """x - logsumexp(x) over each row of a 2-D x (a log-softmax); an all -inf row, which has no mass, is NaN."""
+    m = np.max(x, axis=1, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True)) + m
-    if not keepdims and axis is not None:
-        out = np.squeeze(out, axis=axis)
-    elif not keepdims:
-        out = out.reshape(())
-    return out
+        lse = np.log(np.sum(np.exp(x - m), axis=1, keepdims=True)) + m
+    return x - lse
+
+
+def log_normalize(a: Node) -> Node:
+    """x - logsumexp(x) over each row of a 2-D node, as one tape op."""
+    out = _log_normalize_data(a.data)
+    return a.tape.record("log_normalize", out, (a,), (a.data, out))
+
+
+@_backward_rule("log_normalize")
+def _log_normalize_bwd(ctx, g):
+    # d out[j, k] / d x[j, l] = [k == l] - softmax(x[j])[l]; a -inf entry has softmax 0
+    x, out = ctx
+    p = np.where(np.isneginf(x), 0.0, np.exp(out))
+    return (g - g.sum(axis=1, keepdims=True) * p,)
 
 
 _TINY = np.finfo(np.float64).tiny
@@ -369,51 +372,18 @@ def _lse_matmul_bwd(ctx, g):
     return da, db
 
 
-def logsumexp(a: Node, axis=None, keepdims=False) -> Node:
-    out = _logsumexp_data(a.data, axis, keepdims)
-    return a.tape.record("logsumexp", out, (a,), (a.data, out, axis, keepdims))
-
-
-@_backward_rule("logsumexp")
-def _logsumexp_bwd(ctx, g):
-    x, out, axis, keepdims = ctx
-    if not keepdims:
-        if axis is None:
-            out_e = out.reshape((1,) * x.ndim)
-            g_e = np.asarray(g).reshape((1,) * x.ndim)
-        else:
-            out_e = np.expand_dims(out, axis)
-            g_e = np.expand_dims(g, axis)
-    else:
-        out_e, g_e = out, g
-    with np.errstate(invalid="ignore"):
-        p = np.where(np.isneginf(x), 0.0, np.exp(x - out_e))
-    return (g_e * p,)
-
-
-def reduce_sum(a: Node, axis=None, keepdims=False) -> Node:
-    out = np.sum(a.data, axis=axis, keepdims=keepdims)
-    return a.tape.record("sum", out, (a,), (a.data.shape, axis, keepdims))
+def reduce_sum(a: Node) -> Node:
+    """The sum of every entry, a scalar."""
+    return a.tape.record("sum", np.sum(a.data), (a,), a.data.shape)
 
 
 @_backward_rule("sum")
 def _sum_bwd(ctx, g):
-    shape, axis, keepdims = ctx
-    g = np.asarray(g)
-    if not keepdims:
-        if axis is None:
-            g = g.reshape((1,) * len(shape))
-        else:
-            axes = (axis,) if isinstance(axis, int) else axis
-            for ax in sorted(ax % len(shape) for ax in axes):
-                g = np.expand_dims(g, ax)
-    return (np.broadcast_to(g, shape),)
+    return (np.broadcast_to(g, ctx),)
 
 
-def mean(a: Node, axis=None) -> Node:
-    total = reduce_sum(a, axis=axis)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return multiply(total, a.tape.const(1.0 / count))
+def mean(a: Node) -> Node:
+    return multiply(reduce_sum(a), a.tape.const(1.0 / a.data.size))
 
 
 def reshape(a: Node, shape) -> Node:

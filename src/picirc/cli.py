@@ -103,11 +103,15 @@ def _progress_path(args) -> str:
     return args.progress if args.progress else f"{args.out}.progress.csv"
 
 
+def _check_nodes(nodes: int) -> None:
+    if nodes < 2 or nodes % 2:
+        raise ValueError(f"--nodes must be even and at least 2 (latent/observable pairs), got {nodes}")
+
+
 def _cmd_gen_gaussian(args) -> int:
     if args.rows < 1:
         raise ValueError(f"--rows must be at least 1, got {args.rows}")
-    if args.nodes < 2 or args.nodes % 2:
-        raise ValueError(f"--nodes must be even and at least 2 (latent/observable pairs), got {args.nodes}")
+    _check_nodes(args.nodes)
     seeds = np.random.SeedSequence(args.seed).spawn(2)
     model = random_model(args.nodes, seeds[0])
     values = sample(model, args.rows, seeds[1])
@@ -126,11 +130,12 @@ def _cmd_gen_gaussian(args) -> int:
 
 def _cmd_sanity_check(args) -> int:
     n_list = [int(tok) for tok in args.n_list.split(",") if tok]
-    if not n_list:
-        raise ValueError("--n-list must name at least one point count")
+    if not n_list or min(n_list) < 1:
+        raise ValueError(f"--n-list must name point counts of at least 1, got {args.n_list!r}")
     for flag, value in (("--models", args.models), ("--samples", args.samples)):
         if value < 1:
             raise ValueError(f"{flag} must be at least 1")
+    _check_nodes(args.nodes)
     rows = sanity_check(
         args.models, args.nodes, args.samples, n_list, args.seed, kind=args.rule, workers=thread_cap(args)
     )

@@ -19,8 +19,8 @@ logsumexp to exactly zero, and I[i][j] = decoder params at point j.
 In the static mode and in training the tape nodes ``sum_param_node``
 and ``input_param_node`` define both; the ndarray tensors are their data,
 computed over the weights as tape constants, so nothing is recorded.  The
-nested mode builds each parent point's sum row with
-``_nested_neural_density``.  Both modes build every input region with
+nested mode normalizes each parent point's sum row with the kernel of
+``log_normalize``.  Both modes build every input region with
 ``_input_region``, a neural one from one ``input_param_node`` block.
 
 ``streamed_loglik`` evaluates a batch without building the concrete
@@ -69,12 +69,12 @@ class InputParamTensor:
     num_states: int | None
 
 
-def sum_param_node(tape: Tape, net, pnodes, z: np.ndarray, w: np.ndarray, norm_rule: QuadratureRule | None = None) -> Node:
+def sum_param_node(tape: Tape, net, pnodes, z: np.ndarray, w: np.ndarray) -> Node:
     """One latent's sum-weight rows on the tape; shape (1, N) at the root.
 
-    Row j holds log w_k - E(z_k, z_j) - log normalizer(j).  With the
-    default shared rule the normalizer is the row's own logsumexp, so
-    each row logsumexps to zero identically.
+    Row j holds log w_k - E(z_k, z_j) - log normalizer(j), where the
+    normalizer is approximated by the same rule: it is the row's own
+    logsumexp (``log_normalize``), so each row logsumexps to zero.
     """
     n = len(z)
     if np.any(np.abs(z) > 1.0 + 1e-12):
@@ -82,12 +82,7 @@ def sum_param_node(tape: Tape, net, pnodes, z: np.ndarray, w: np.ndarray, norm_r
     rows = 1 if net.input_dim == 1 else n
     logw = tape.const(np.log(w))
     energy = _energy_grid(tape, net, pnodes, z, z[:rows])
-    raw = ad.add(logw, ad.neg(energy))
-    if norm_rule is None:
-        return ad.add(raw, ad.neg(ad.logsumexp(raw, axis=1, keepdims=True)))
-    fine = _energy_grid(tape, net, pnodes, norm_rule.points, z[:rows])
-    lognorm = ad.logsumexp(ad.add(tape.const(np.log(norm_rule.weights)), ad.neg(fine)), axis=1, keepdims=True)
-    return ad.add(raw, ad.neg(lognorm))
+    return ad.log_normalize(ad.add(logw, ad.neg(energy)))
 
 
 def _energy_grid(tape, net, pnodes, child_z, parent_z) -> Node:
@@ -111,7 +106,7 @@ def input_param_node(tape: Tape, net, pnodes, z: np.ndarray) -> Node:
     return net.squash(net.forward(tape, pnodes, tape.const(z[:, None])))
 
 
-def materialize_sum_params(nets: ParamNets, z, w, norm_rule: QuadratureRule | None = None) -> SumParamTensor:
+def materialize_sum_params(nets: ParamNets, z, w) -> SumParamTensor:
     """All latents' sum-weight grids, stacked into one (D', N, N) tensor.
 
     Each latent's block is the data of its sum_param_node (the root's
@@ -124,7 +119,7 @@ def materialize_sum_params(nets: ParamNets, z, w, norm_rule: QuadratureRule | No
     tape = Tape()
     out = np.empty((len(nets.energy), n, n))
     for i, net in enumerate(nets.energy):
-        s = sum_param_node(tape, net, _const_weights(tape, net), z, w, norm_rule).data
+        s = sum_param_node(tape, net, _const_weights(tape, net), z, w).data
         bad = np.argwhere(~np.isfinite(s))
         if bad.size:
             j, k = bad[0]
@@ -234,6 +229,14 @@ def _input_region(dist: InputDist, points: np.ndarray, table) -> list[InputDist]
     return [InputDist(dist.family, num_states=dist.num_states, params=row.copy()) for row in table()]
 
 
+def _check_decoders(pic: Circuit, family: str, num_states) -> None:
+    """ValueError unless every neural input unit of ``pic`` has the decoders' family and state count."""
+    for u in pic.units:
+        d = u.dist
+        if u.kind == "input" and d.symbolic and d.conditional.get("type") != "linear-gaussian" and (d.family, d.num_states) != (family, num_states):
+            raise ValueError(f"observable {u.var} reads {d.family}:{d.num_states} in the circuit, but the decoders give {family}:{num_states}")
+
+
 def _linear_gaussian_rows(cond: dict, rule: QuadratureRule, parent_points) -> np.ndarray:
     """(J, N) log-weight block of a linear-Gaussian latent under one rule.
 
@@ -254,6 +257,7 @@ def materialize_qpc(pic: Circuit, rules, params=None) -> Circuit:
     conditionals; linear-gaussian conditionals are evaluated in closed
     form and need no tensors.  Child regions are indexed by the latent's
     points and re-used by reference, so the result has O(sum N_i^2) edges.
+    Decoders of another family or state count raise ValueError.
     """
     latent_parent, obs_parent, parts = _read_pic(pic)
     rule_of = _rule_map(len(latent_parent), rules)
@@ -264,6 +268,8 @@ def materialize_qpc(pic: Circuit, rules, params=None) -> Circuit:
             ref = sp.z if sp is not None else ip.z
             if not np.array_equal(rule.points, ref):
                 raise ValueError(f"rule for latent {i} differs from the points the tensors were built on")
+        if ip is not None:
+            _check_decoders(pic, ip.family, ip.num_states)
 
     def decoder_block(var):
         if ip is None:
@@ -303,9 +309,12 @@ def materialize_nested(pic: Circuit, point_selector, nets: ParamNets | None = No
     ``point_selector(latent, parent_value)`` returns the rule used under
     that particular parent point (parent_value is None at the root).
     Every parent point gets its own child subtree, so unit count grows as
-    N^depth; depths beyond ``max_levels`` are refused up front.
+    N^depth; depths beyond ``max_levels`` are refused up front, and so
+    are decoders of another family or state count.
     """
     latent_parent, _, parts = _read_pic(pic)
+    if nets is not None:
+        _check_decoders(pic, nets.family, nets.num_states)
     levels: dict[int, int] = {}
     for i in top_down_order(latent_parent):
         levels[i] = levels.get(latent_parent[i], 0) + 1
@@ -336,7 +345,13 @@ def materialize_nested(pic: Circuit, point_selector, nets: ParamNets | None = No
         else:
             if nets is None:
                 raise ValueError("neural conditionals need the parameter nets")
-            row = np.log(rule.weights) + _nested_neural_density(nets.energy[var], rule, parent_value)
+            parent = np.zeros(0) if parent_value is None else np.array([parent_value])
+            if np.any(np.abs(np.append(rule.points, parent)) > 1.0 + 1e-12):
+                raise ValueError("energy-model latents live on [-1, 1]; got points outside")
+            tape = Tape()
+            net = nets.energy[var]
+            energy = _energy_grid(tape, net, _const_weights(tape, net), rule.points, parent).data
+            row = ad._log_normalize_data(np.log(rule.weights) - energy)[0]
         below = [pic.units[c] for c in parts[var]]
         regions = {u.uid: _input_region(u.dist, rule.points, lambda: decoder_block(u.var, rule.points)) for u in below if u.kind == "input"}
         children = []
@@ -346,17 +361,6 @@ def materialize_nested(pic: Circuit, point_selector, nets: ParamNets | None = No
         return builder.add_sum(children, row)
 
     return builder.finish(root=quad(pic.units[pic.root], None))
-
-
-def _nested_neural_density(net, rule: QuadratureRule, parent_value) -> np.ndarray:
-    bounds = rule.points if parent_value is None else np.append(rule.points, parent_value)
-    if np.any(np.abs(bounds) > 1.0 + 1e-12):
-        raise ValueError("energy-model latents live on [-1, 1]; got points outside")
-    tape = Tape()
-    parent = np.zeros(0) if parent_value is None else np.array([parent_value])
-    energy = _energy_grid(tape, net, _const_weights(tape, net), rule.points, parent).data[0]
-    lognorm = ad._logsumexp_data(np.log(rule.weights) - energy, None, False)
-    return -energy - lognorm
 
 
 def pic_tree_maps(pic: Circuit) -> tuple[tuple, tuple]:
@@ -372,13 +376,14 @@ def streamed_loglik(pic: Circuit, rule: QuadratureRule, nets: ParamNets, x: np.n
     constants: each latent's sum rows are materialized when the engine
     reaches it and dropped right after, so peak memory stays at one (N, N)
     block plus the per-latent accumulators regardless of depth.  The
-    circuit's tree must be the nets' tree.
+    circuit's tree and input families must be the nets'.
     """
     from .training import batch_loglik_node  # training imports this module
 
     maps = pic_tree_maps(pic)
     if maps != (nets.latent_parent, nets.obs_parent):
         raise ValueError(f"the circuit's latent tree {maps} differs from the nets' tree {(nets.latent_parent, nets.obs_parent)}")
+    _check_decoders(pic, nets.family, nets.num_states)
     tape = Tape()
     pnodes = {k: tape.const(v) for k, v in nets.param_arrays().items()}
     return batch_loglik_node(tape, nets, pnodes, rule, np.asarray(x, dtype=np.float64)).data

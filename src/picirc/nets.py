@@ -134,7 +134,7 @@ def squash(family: str, raw: Node) -> Node:
     stddev) pair.
     """
     if family == "categorical":
-        return raw - ad.logsumexp(raw, axis=-1, keepdims=True)
+        return ad.log_normalize(raw)
     if family == "binomial":
         return ad.sigmoid(raw)
     return raw

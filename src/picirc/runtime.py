@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln
 
-from .autodiff import _logsumexp_data, _lse_matmul_data, _lse_matmul_parts
+from .autodiff import _log_normalize_data, _lse_matmul_data, _lse_matmul_parts
 from .circuit import Circuit, in_support, post_order
 from .errors import NumericError, UnsupportedStructureError
 from .structures import top_down_order
@@ -242,7 +242,7 @@ def marginal(qpc: Circuit, evidence: np.ndarray) -> np.ndarray:
 
 def _cdf_rows(log_p: np.ndarray) -> np.ndarray:
     """Row-wise cumulative distributions of (U, K) unnormalized log-probabilities; each ends at exactly 1."""
-    cdf = np.cumsum(np.exp(log_p - _logsumexp_data(log_p, 1, True)), axis=1)
+    cdf = np.cumsum(np.exp(_log_normalize_data(log_p)), axis=1)
     return cdf / cdf[:, -1:]
 
 

@@ -35,10 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Node, Tape, _logsumexp_data
-from .circuit import Circuit, InputDist, Unit, param_width
+from .autodiff import Node, Tape, _log_normalize_data
+from .circuit import Circuit, Unit, param_width
 from .errors import NumericError
-from .materialize import _build_regions, _read_pic, input_param_node, materialize_input_params, materialize_sum_params, sum_param_node
+from .materialize import _build_regions, _input_region, _read_pic, input_param_node, materialize_input_params, materialize_sum_params, sum_param_node
 from .nets import ParamNets, squash
 from .quadrature import QuadratureRule, make_rule
 from .runtime import bpd, circuit_layers, evidence_rows, forward_values, latent_tree_loglik, layer_table, observed_evidence, upward_pass
@@ -323,7 +323,7 @@ def em_step(pc: Circuit, batch: np.ndarray, eta: float) -> float:
             _scatter_add(flows, layer.index, child_flow)
             total = counts.sum(axis=1, keepdims=True)
             with np.errstate(divide="ignore", invalid="ignore"):
-                theta = (1.0 - eta) * np.exp(weights - _logsumexp_data(weights, 1, True)) + eta * (counts / total)
+                theta = (1.0 - eta) * np.exp(_log_normalize_data(weights)) + eta * (counts / total)
                 log_theta = np.log(theta)
             for uid, w, t in zip(layer.uids, log_theta, total[:, 0]):
                 if t > 0.0:
@@ -379,7 +379,7 @@ class HcltTensors:
         return [squash(self.family, tape.const(raw)).data for raw in self.input_raw]
 
     def sum_rows(self) -> list[np.ndarray]:
-        return [logits - _logsumexp_data(logits, 1, True) for logits in self.sum_logits]
+        return [_log_normalize_data(logits) for logits in self.sum_logits]
 
     def loglik(self, x: np.ndarray) -> np.ndarray:
         """Per-row log-likelihood (B,): ``runtime.latent_tree_loglik`` of the tensors."""
@@ -392,11 +392,8 @@ class HcltTensors:
         pic = bn_to_pic(LatentTree(self.latent_parent, self.obs_parent, tuple({"type": "neural"} for _ in self.latent_parent), obs_cond))
         _, _, parts = _read_pic(pic)
         tables, rows = self.input_tables(), self.sum_rows()
-
-        def input_dists(u):
-            return [InputDist(self.family, num_states=self.num_states, params=p.copy()) for p in tables[u.var]]
-
-        return _build_regions(pic, parts, input_dists, lambda u: rows[u.latent["var"]])
+        # a neural region is read from its block alone; the block's rows stand for the N points
+        return _build_regions(pic, parts, lambda u: _input_region(u.dist, tables[u.var], lambda: tables[u.var]), lambda u: rows[u.latent["var"]])
 
 
 def hclt_adam_step(tensors: HcltTensors, batch: np.ndarray, opt: Adam) -> float:
@@ -404,9 +401,7 @@ def hclt_adam_step(tensors: HcltTensors, batch: np.ndarray, opt: Adam) -> float:
     tape = Tape()
     pnodes = {k: tape.param(k, v) for k, v in tensors.param_arrays().items()}
     tables = [squash(tensors.family, pnodes[f"i{j}"]) for j in range(len(tensors.input_raw))]
-    sum_rows = [
-        pnodes[f"s{i}"] - ad.logsumexp(pnodes[f"s{i}"], axis=1, keepdims=True) for i in range(len(tensors.sum_logits))
-    ]
+    sum_rows = [ad.log_normalize(pnodes[f"s{i}"]) for i in range(len(tensors.sum_logits))]
     loss = ad.neg(ad.mean(_finite(tree_loglik_node(tape, tensors, tables, sum_rows.__getitem__, batch))))
     grads = tape.backward(loss)
     opt.step(grads)

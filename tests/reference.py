@@ -10,9 +10,11 @@ dense Gaussian joint that checks ``gaussian.exact_loglik``, and
 decoder at one point.
 
 The tape ops that only these oracles and the tests record live here, not
-in ``picirc.autodiff``: ``gather``, ``exp``, ``log`` and ``matmul``.  Each
-registers its backward rule through ``autodiff._backward_rule`` on import,
-as ``picirc.training`` registers ``evidence``.
+in ``picirc.autodiff``: ``gather``, ``exp``, ``log``, ``matmul`` and the
+general ``logsumexp`` over any axis (with its kernel ``_logsumexp_data``),
+which pins ``autodiff.log_normalize``.  Each registers its backward rule
+through ``autodiff._backward_rule`` on import, as ``picirc.training``
+registers ``evidence``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from picirc import autodiff as ad
-from picirc.autodiff import Node, Tape, _logsumexp_data
+from picirc.autodiff import Node, Tape
 from picirc.circuit import Circuit
 from picirc.errors import CircuitError
 from picirc.gaussian import LinearGaussianLTM
@@ -85,6 +87,40 @@ def _matmul_bwd(ctx, g):
     if da.ndim == 1 and db.ndim == 2:
         return db @ g, np.outer(da, g)
     return g * db, g * da
+
+
+def _logsumexp_data(x, axis, keepdims):
+    m = np.max(x, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True)) + m
+    if not keepdims and axis is not None:
+        out = np.squeeze(out, axis=axis)
+    elif not keepdims:
+        out = out.reshape(())
+    return out
+
+
+def logsumexp(a: Node, axis=None, keepdims=False) -> Node:
+    out = _logsumexp_data(a.data, axis, keepdims)
+    return a.tape.record("logsumexp", out, (a,), (a.data, out, axis, keepdims))
+
+
+@ad._backward_rule("logsumexp")
+def _logsumexp_bwd(ctx, g):
+    x, out, axis, keepdims = ctx
+    if not keepdims:
+        if axis is None:
+            out_e = out.reshape((1,) * x.ndim)
+            g_e = np.asarray(g).reshape((1,) * x.ndim)
+        else:
+            out_e = np.expand_dims(out, axis)
+            g_e = np.expand_dims(g, axis)
+    else:
+        out_e, g_e = out, g
+    with np.errstate(invalid="ignore"):
+        p = np.where(np.isneginf(x), 0.0, np.exp(x - out_e))
+    return (g_e * p,)
 
 
 def copy_circuit(pc: Circuit) -> Circuit:
@@ -234,9 +270,9 @@ def _logsumexp_list(tape: Tape, nodes: list[Node]) -> Node:
     """Elementwise logsumexp over equal-shape nodes, shifted by their detached elementwise max."""
     m = np.max([n.data for n in nodes], axis=0)
     m = tape.const(np.where(np.isfinite(m), m, 0.0))
-    total = exp(nodes[0] - m)
+    total = exp(ad.add(nodes[0], ad.neg(m)))
     for node in nodes[1:]:
-        total = total + exp(node - m)
+        total = total + exp(ad.add(node, ad.neg(m)))
     return log(total) + m
 
 

@@ -10,6 +10,7 @@ from picirc import autodiff as ad
 from picirc import gaussian
 from picirc.autodiff import Tape
 from picirc.runtime import upward_pass
+import reference
 from reference import exp, gather, log, matmul
 
 
@@ -115,15 +116,19 @@ class TestPrimitiveGradients:
 
     @pytest.mark.parametrize("axis,keepdims", [(None, False), (0, False), (1, True), (2, False)])
     def test_logsumexp(self, axis, keepdims):
+        # the reference op that pins log_normalize
         rng = np.random.default_rng(7)
 
         def build(p):
             t = Tape()
             x = t.param("x", p["x"])
-            out = ad.logsumexp(x, axis=axis, keepdims=keepdims)
+            out = reference.logsumexp(x, axis=axis, keepdims=keepdims)
             return t, scalarize(t, out, np.random.default_rng(8))
 
         check_grads(build, {"x": rng.uniform(-2, 2, (2, 3, 4))})
+
+    def test_log_normalize(self):
+        self._check_unary(ad.log_normalize, np.random.default_rng(7).uniform(-2, 2, (3, 4)))
 
     def test_gather_with_duplicate_indices(self):
         rng = np.random.default_rng(9)
@@ -147,15 +152,13 @@ class TestPrimitiveGradients:
 
         check_grads(build, {"x": rng.uniform(-1, 1, (2, 3))})
 
-    @pytest.mark.parametrize("axis,keepdims", [(None, False), (0, False), (1, True)])
-    def test_reduce_sum(self, axis, keepdims):
+    def test_reduce_sum(self):
         rng = np.random.default_rng(13)
 
         def build(p):
             t = Tape()
             x = t.param("x", p["x"])
-            out = ad.reduce_sum(x, axis=axis, keepdims=keepdims)
-            return t, scalarize(t, out, np.random.default_rng(14))
+            return t, ad.multiply(ad.reduce_sum(x), t.const(0.7))  # a seed other than 1 reaches the sum's backward
 
         check_grads(build, {"x": rng.uniform(-1, 1, (3, 4))})
 
@@ -179,26 +182,59 @@ class TestKnownIdentities:
         grads = t.backward(loss)
         np.testing.assert_allclose(grads["w"], x)
 
-    def test_logsumexp_gradient_is_softmax(self):
-        v = np.array([0.5, -1.0, 2.0, 0.0])
+    def test_log_normalize_gradient_is_onehot_minus_softmax(self):
+        v = np.array([[0.5, -1.0, 2.0, 0.0]])
         t = Tape()
         w = t.param("v", v)
-        grads = t.backward(ad.logsumexp(w))
+        pick = np.array([[0.0, 0.0, 1.0, 0.0]])
+        grads = t.backward(ad.reduce_sum(ad.multiply(ad.log_normalize(w), t.const(pick))))
         soft = np.exp(v) / np.exp(v).sum()
-        np.testing.assert_allclose(grads["v"], soft, atol=1e-12)
+        np.testing.assert_allclose(grads["v"], pick - soft, atol=1e-12)
 
-    def test_logsumexp_all_neg_inf(self):
+    def test_log_normalize_all_neg_inf_row(self):
+        # a row without mass has no distribution: 0/0, reported by numpy, and no other row moves
+        x = np.array([[-np.inf, -np.inf, -np.inf], [0.0, 1.0, 2.0]])
         t = Tape()
-        x = t.const(np.full(3, -np.inf))
-        out = ad.logsumexp(x)
-        assert np.isneginf(out.data)
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            out = ad.log_normalize(t.const(x))
+        assert np.isnan(out.data[0]).all()
+        np.testing.assert_array_equal(out.data[1], ad._log_normalize_data(x[1:])[0])
+        assert np.isneginf(reference.logsumexp(t.const(x[0]), axis=0).data)
 
-    def test_logsumexp_partial_neg_inf_grad(self):
+    def test_log_normalize_partial_neg_inf_grad(self):
         t = Tape()
-        v = t.param("v", np.array([-np.inf, 0.0, 1.0]))
-        grads = t.backward(ad.logsumexp(v))
-        assert np.isfinite(grads["v"]).all()
-        assert grads["v"][0] == 0.0
+        v = t.param("v", np.array([[-np.inf, 0.0, 1.0]]))
+        c = np.array([[0.5, -1.0, 2.0]])
+        out = ad.log_normalize(v)
+        assert np.isneginf(out.data[0, 0])
+        grads = t.backward(ad.reduce_sum(ad.multiply(out, t.const(c))))["v"]
+        assert np.isfinite(grads).all()
+        # the -inf entry has softmax 0, so only the identity part of the Jacobian reaches it
+        assert grads[0, 0] == 0.5
+        soft = np.exp([0.0, 1.0]) / np.exp([0.0, 1.0]).sum()
+        np.testing.assert_allclose(grads[0, 1:], c[0, 1:] - c.sum() * soft, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 300.0])
+    def test_log_normalize_is_the_composed_normalizer_bit_for_bit(self, scale):
+        """Value and VJP equal x - logsumexp(x) recorded as add, neg and the reference logsumexp."""
+        rng = np.random.default_rng(19)
+        x = rng.normal(0.0, scale, (6, 9))
+        x[rng.random(x.shape) < 0.2] = -np.inf
+        x[:, 0] = rng.normal(0.0, scale, 6)
+        g = rng.normal(0.0, 1.0, x.shape)
+
+        def run(normalize):
+            t = Tape()
+            node = t.param("x", x)
+            out = normalize(node)
+            with np.errstate(invalid="ignore"):  # the loss sums infinities of both signs; the VJP seeds g alone
+                loss = ad.reduce_sum(ad.multiply(out, t.const(g)))
+            return out.data, t.backward(loss)["x"]
+
+        fused = run(ad.log_normalize)
+        composed = run(lambda node: ad.add(node, ad.neg(reference.logsumexp(node, 1, True))))
+        assert np.array_equal(fused[0], composed[0])
+        assert np.array_equal(fused[1], composed[1])
 
     def test_composed_net_gradcheck(self):
         rng = np.random.default_rng(18)
@@ -563,12 +599,16 @@ class TestTapeContract:
         assert set(grads) == {"w"}
 
     def test_operator_sugar(self):
+        # a + b on two nodes records add; there is no other operator
         t = Tape()
         a = t.param("a", np.array(3.0))
-        loss = a + a + 1.0 - a
+        loss = a + a + t.const(1.0)
         grads = t.backward(loss)
-        assert grads["a"] == pytest.approx(1.0)
-        assert loss.data == pytest.approx(4.0)
+        assert grads["a"] == pytest.approx(2.0)
+        assert loss.data == pytest.approx(7.0)
+        assert [rec[0] for rec in t._records] == ["add", "add"]
+        with pytest.raises(TypeError):
+            a - a
 
     def test_cross_tape_loss_rejected(self):
         t1, t2 = Tape(), Tape()

@@ -144,6 +144,23 @@ class TestExitCodes:
         assert "((1, None, 1), (0, 1, 2))" in err and "((None, 0, 0), (0, 1, 2))" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("family, k", [("binomial", 5), ("categorical", 4)])
+    def test_checkpoint_of_another_family_is_user_error(self, tmp_path, capsys, family, k):
+        # a binomial:5 checkpoint on a binomial:10 circuit once wrote binomial(10) units with binomial(5) probabilities
+        def tree(family, k):
+            obs_cond = tuple({"type": "neural", "net": j, "family": family, "k": k} for j in range(2))
+            return LatentTree((None, 0), (0, 1), tuple({"type": "neural"} for _ in range(2)), obs_cond)
+
+        tree_path, pic_path, nets_path, out = (tmp_path / n for n in ("t.json", "p.json", "n.json", "q.json"))
+        tree_path.write_bytes(tree_to_json(tree("binomial", 10)))
+        assert run(["compile", "--tree", str(tree_path), "--out", str(pic_path)]) == 0
+        save_checkpoint(ParamNets.for_tree(tree(family, k), family, num_states=k, num_frequencies=2, hidden=(4,), decoder_hidden=(4,)), nets_path)
+        capsys.readouterr()
+        assert run(["materialize", "--pic", str(pic_path), "--n", "4", "--nets", str(nets_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "binomial:10" in err and f"{family}:{k}" in err
+        assert not out.exists()
+
     def test_threads_belongs_to_sanity_check_only(self, tmp_path, capsys):
         code = run(["compile", "--tree", str(tmp_path / "t.json"), "--out", str(tmp_path / "p.json"), "--threads", "2"])
         assert code == 1
@@ -241,6 +258,10 @@ class TestSanityCheck:
             ([], "-1", "PICIRC_THREADS"),
             ([], "two", "PICIRC_THREADS"),
             ([], "", "PICIRC_THREADS"),
+            (["--nodes", "3"], None, "--nodes"),
+            (["--nodes", "0"], None, "--nodes"),
+            (["--n-list", "0"], None, "--n-list"),
+            (["--n-list", "8,0"], None, "--n-list"),
         ],
     )
     def test_counts_below_one_are_user_errors(self, tmp_path, capsys, monkeypatch, flags, env, named):

@@ -126,18 +126,14 @@ class TestSumParams:
         assert errs[1] < errs[0] / 6.0
         assert errs[1] < 5e-4
 
-    def test_split_normalization_rule(self):
-        tree = chain3()
-        nets = small_nets(tree, seed=4)
-        rule = make_rule("trapezoidal", 8, -1.0, 1.0)
-        fine = make_rule("trapezoidal", 513, -1.0, 1.0)
-        sp = materialize_sum_params(nets, rule.points, rule.weights, norm_rule=fine)
-        mass = np.log(np.exp(sp.s).sum(axis=2))
-        assert not np.allclose(mass, 0.0, atol=1e-12)
-        np.testing.assert_allclose(mass, 0.0, atol=0.05)
-        same = materialize_sum_params(nets, rule.points, rule.weights, norm_rule=rule)
-        base = materialize_sum_params(nets, rule.points, rule.weights)
-        np.testing.assert_allclose(same.s, base.s, atol=1e-12)
+    def test_records_one_normalizer_op(self):
+        nets = small_nets(chain3(), seed=4)
+        rule = make_rule("trapezoidal", 4, -1.0, 1.0)
+        tape = Tape()
+        net = nets.energy[1]
+        sum_param_node(tape, net, nets.net_pnodes(net, nets.register(tape)), rule.points, rule.weights)
+        ops = [rec[0] for rec in tape._records]
+        assert ops == ["dense"] * 3 + ["softplus", "reshape", "reshape", "neg", "add", "log_normalize"]
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nonfinite_energy_names_the_cell(self):
@@ -578,6 +574,38 @@ def family_data(family, k, rows, cols, seed):
 
 
 FAMILY_STATES = [("categorical", 4), ("binomial", 5), ("gaussian", None)]
+
+
+def mismatched_decoders(family, k):
+    """A binomial:10 circuit and nets whose decoders are ``family``:``k``."""
+    pic = bn_to_pic(neural_tree((None, 0), (0, 1), family="binomial", k=10))
+    return pic, small_nets(neural_tree((None, 0), (0, 1), family=family, k=k), family=family, k=k)
+
+
+MISMATCHES = pytest.mark.parametrize("family,k", [("binomial", 5), ("categorical", 4)])
+
+
+class TestDecoderSpecs:
+    """Each entry point refuses decoders of another family or state count than the circuit's inputs."""
+
+    @MISMATCHES
+    def test_materialize_qpc(self, family, k):
+        pic, nets = mismatched_decoders(family, k)
+        rule = make_rule("trapezoidal", 4, -1.0, 1.0)
+        with pytest.raises(ValueError, match=f"observable 0 reads binomial:10 in the circuit, but the decoders give {family}:{k}"):
+            materialize_qpc(pic, rule, tensors_for(nets, rule))
+
+    @MISMATCHES
+    def test_materialize_nested(self, family, k):
+        pic, nets = mismatched_decoders(family, k)
+        with pytest.raises(ValueError, match=f"reads binomial:10 in the circuit, but the decoders give {family}:{k}"):
+            materialize_nested(pic, constant_selector(make_rule("trapezoidal", 4, -1.0, 1.0)), nets=nets)
+
+    @MISMATCHES
+    def test_streamed_loglik(self, family, k):
+        pic, nets = mismatched_decoders(family, k)
+        with pytest.raises(ValueError, match=f"reads binomial:10 in the circuit, but the decoders give {family}:{k}"):
+            streamed_loglik(pic, make_rule("trapezoidal", 4, -1.0, 1.0), nets, np.zeros((3, 2)))
 
 
 class TestStreamedLoglik:

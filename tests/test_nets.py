@@ -237,6 +237,14 @@ class TestTapeOps:
         net.forward(tape, _const_weights(tape, net), tape.const(x))
         assert recorded == []
 
+    def test_categorical_squash_is_one_log_normalize_op(self):
+        net = DecoderNet(0, "categorical", num_states=4, hidden=(64,), rng=0)
+        tape = Tape()
+        raw = net.forward(tape, net.register(tape), tape.const(np.zeros((6, 1))))
+        out = net.squash(raw)
+        assert [rec[0] for rec in tape._records] == ["dense", "dense", "log_normalize"]
+        np.testing.assert_array_equal(out.data, ad._log_normalize_data(raw.data))
+
 
 class TestParamNets:
     def test_per_node_nets_have_expected_arity(self):
