@@ -6,7 +6,8 @@ records in reverse, accumulating vector-Jacobian products.  The tape holds
 records (op name, node indices, saved arrays), never the nodes: each node
 points at its tape, so a tape dies with its last node, freed by reference
 counting.  A pass over constants only records nothing, and each of its
-intermediates dies with its last consumer.
+intermediates dies with its last consumer.  ``backward`` runs once per
+tape and frees as it goes, leaving the records as an op log.
 
 Only the primitives that the package records are implemented: ``add``,
 ``neg``, ``multiply`` (a + b on two nodes records ``add``), ``sigmoid``
@@ -73,12 +74,15 @@ class Tape:
     """Operation recorder and parameter registry for one forward pass.
 
     Holds records and each parameter's (index, shape), never a ``Node``.
+    ``backward`` spends it: afterwards each record keeps its op name and
+    indices but no saved arrays, and a second ``backward`` raises.
     """
 
     def __init__(self):
         self._records = []
         self._size = 0
         self._params = {}
+        self._spent = False
 
     def _new_node(self, data, needs_grad):
         node = Node(self, np.asarray(data, dtype=np.float64), needs_grad, self._size)
@@ -110,28 +114,47 @@ class Tape:
         return out
 
     def backward(self, loss: Node) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss with respect to every registered parameter."""
+        """Gradients of a scalar loss with respect to every registered parameter.
+
+        Each record's saved arrays and its output's gradient are dropped as
+        soon as its rule has run, so the peak is about the forward tape.  A
+        first contribution is stored as the rule returned it and may alias
+        another slot (``add`` hands one g to both inputs): so no rule writes
+        into its g, no slot is written in place before a second contribution
+        has made it an array of its own, and a parameter's gradient is
+        copied on the way out if its slot never did.
+        """
         if loss.tape is not self:
             raise ValueError("loss node belongs to a different tape")
         if loss.data.shape != ():
             raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
+        if self._spent:
+            raise ValueError("this tape has already run backward; record a new one")
+        self._spent = True
         grads: list[np.ndarray | None] = [None] * self._size
+        owned = [False] * self._size
         grads[loss.idx] = np.ones(())
-        for op_name, out_idx, in_idxs, ctx in reversed(self._records):
-            g = grads[out_idx]
+        records = self._records
+        for pos in reversed(range(len(records))):
+            op_name, out_idx, in_idxs, ctx = records[pos]
+            records[pos] = (op_name, out_idx, in_idxs, None)
+            g, grads[out_idx] = grads[out_idx], None
             if g is None:
                 continue
-            contribs = _BACKWARD[op_name](ctx, g)
-            for idx, contrib in zip(in_idxs, contribs):
+            for idx, contrib in zip(in_idxs, _BACKWARD[op_name](ctx, g)):
                 if idx is None or contrib is None:
                     continue
                 if grads[idx] is None:
-                    grads[idx] = np.array(contrib, dtype=np.float64, copy=True)
-                else:
+                    grads[idx] = contrib
+                elif owned[idx]:
                     grads[idx] += contrib
+                else:
+                    grads[idx] = grads[idx] + contrib
+                    owned[idx] = True
         out = {}
         for name, (idx, shape) in self._params.items():
-            out[name] = np.zeros(shape) if grads[idx] is None else grads[idx]
+            g = grads[idx]
+            out[name] = np.zeros(shape) if g is None else np.asarray(g) if owned[idx] else np.array(g, dtype=np.float64)
         return out
 
 

@@ -129,7 +129,10 @@ def _cmd_gen_gaussian(args) -> int:
 
 
 def _cmd_sanity_check(args) -> int:
-    n_list = [int(tok) for tok in args.n_list.split(",") if tok]
+    try:
+        n_list = [int(tok) for tok in args.n_list.split(",") if tok]
+    except ValueError:
+        n_list = []
     if not n_list or min(n_list) < 1:
         raise ValueError(f"--n-list must name point counts of at least 1, got {args.n_list!r}")
     for flag, value in (("--models", args.models), ("--samples", args.samples)):

@@ -1,6 +1,7 @@
 """Tape engine: per-primitive gradient checks against central differences."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from picirc import autodiff as ad
 from picirc import gaussian
 from picirc.autodiff import Tape
 from picirc.runtime import upward_pass
+from picirc.training import evidence_node
 import reference
 from reference import exp, gather, log, matmul
 
@@ -615,3 +617,93 @@ class TestTapeContract:
         x = t1.param("x", np.array(1.0))
         with pytest.raises(ValueError, match="different tape"):
             t2.backward(x)
+
+    def test_second_backward_rejected(self):
+        t = Tape()
+        x = t.param("x", np.ones(3))
+        loss = ad.reduce_sum(ad.multiply(x, x))
+        t.backward(loss)
+        with pytest.raises(ValueError, match="already run backward"):
+            t.backward(loss)
+
+    def test_backward_peak_is_about_the_forward_tape(self):
+        # backward drops each record's saved arrays and each used gradient, so
+        # on a chain of 8 (4096, 64) dense layers it holds at most two layers
+        # more than the forward tape; keeping them all would double it
+        rng = np.random.default_rng(41)
+        layer = 8 * (4096 * 64 + 64 * 64 + 64)
+        tracemalloc.start()
+        try:
+            t = Tape()
+            h = t.param("h", rng.normal(0.0, 1.0, (4096, 64)))
+            for k in range(8):
+                h = ad.dense(h, t.param(f"w{k}", rng.normal(0.0, 0.1, (64, 64))), t.param(f"b{k}", np.zeros(64)), True)
+            loss = ad.reduce_sum(h)
+            del h
+            forward = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            t.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forward > 9 * 4096 * 64 * 8
+        assert peak < forward + 2 * layer
+
+    def test_shared_gradient_is_copied_per_parameter(self):
+        # add hands one g to both inputs; each parameter still gets its own writable array
+        t = Tape()
+        a, b = t.param("a", np.ones((2, 3))), t.param("b", np.ones((2, 3)))
+        grads = t.backward(ad.reduce_sum(ad.add(a, b)))
+        ga, gb = grads["a"], grads["b"]
+        assert ga.flags.writeable and gb.flags.writeable and not np.shares_memory(ga, gb)
+        ga[0, 0] = 5.0
+        np.testing.assert_array_equal(gb, np.ones((2, 3)))
+
+    def test_three_uses_accumulate_in_arrival_order(self):
+        # contributions arrive from the last use back; 1 + 2^-53 + 2^-53 is 1 left to right, not right to left
+        rng = np.random.default_rng(42)
+        c1 = np.concatenate([[2.0**-53], rng.normal(0.0, 1e-8, 5)])
+        c2 = np.concatenate([[2.0**-53], rng.normal(0.0, 1.0, 5)])
+        c3 = np.concatenate([[1.0], rng.normal(0.0, 1e8, 5)])
+        t = Tape()
+        x = t.param("x", rng.normal(0.0, 1.0, 6))
+        uses = [ad.multiply(x, t.const(c)) for c in (c1, c2, c3)]
+        grad = t.backward(ad.reduce_sum(uses[0] + uses[1] + uses[2]))["x"]
+        np.testing.assert_array_equal(grad, (c3 + c2) + c1)
+        assert not np.array_equal(grad, c3 + (c2 + c1))
+
+    def test_rules_leave_a_read_only_g_untouched(self):
+        # a first contribution is stored without a copy, so a rule may get a g that other slots share;
+        # every registered rule runs once, tests/reference.py's included
+        rng = np.random.default_rng(43)
+        t = Tape()
+        x = t.param("x", rng.normal(0.0, 1.0, (4, 3)))
+        w, b = t.param("w", rng.normal(0.0, 1.0, (3, 2))), t.param("b", rng.normal(0.0, 1.0, 2))
+        # cell (0, 0) underflows in the product and is recomputed exactly
+        la, lb = t.param("la", np.array([[0.0, -800.0], [0.0, 0.0]])), t.param("lb", np.array([[-800.0, 0.0], [0.0, 0.0]]))
+        x_col = np.array([0.0, 1.0, np.nan, 2.0, 1.0])
+        tables = {
+            "categorical": ad.log_normalize(t.param("tc", rng.normal(0.0, 1.0, (3, 3)))),
+            "binomial": ad.sigmoid(t.param("tb", rng.normal(0.0, 1.0, (3, 1)))),
+            "gaussian": t.param("tg", rng.normal(0.0, 1.0, (3, 2))),
+        }
+        outs = [
+            tables["categorical"], tables["binomial"],
+            ad.add(x, t.param("r", rng.normal(0.0, 1.0, 3))), ad.neg(x), ad.multiply(x, x), ad.softplus(x),
+            ad.dense(x, w, b, True), ad.dense(x, w, b, False), ad.lse_matmul(la, lb),
+            ad.reduce_sum(x), ad.reshape(x, (3, 4)),
+            *(evidence_node(t, table, family, 3, x_col) for family, table in tables.items()),
+            # the ops only the test oracles record
+            gather(x, [0, 2, 2]), exp(x), log(t.param("pos", rng.uniform(0.5, 2.0, 3))), matmul(x, w),
+            reference.logsumexp(x, axis=1), reference.logsumexp(x),
+        ]
+        assert len(t._records) == len(outs)
+        assert {rec[0] for rec in t._records} == set(ad._BACKWARD)
+        for (op_name, _, _, ctx), out in zip(t._records, outs):
+            if op_name == "lse_matmul":
+                assert ctx[-2].size > 0
+            g = rng.normal(0.0, 1.0, out.shape)
+            g.setflags(write=False)
+            before = g.copy()
+            ad._BACKWARD[op_name](ctx, g)
+            np.testing.assert_array_equal(g, before)

@@ -262,6 +262,7 @@ class TestSanityCheck:
             (["--nodes", "0"], None, "--nodes"),
             (["--n-list", "0"], None, "--n-list"),
             (["--n-list", "8,0"], None, "--n-list"),
+            (["--n-list", "8,a"], None, "--n-list must name point counts of at least 1, got '8,a'"),
         ],
     )
     def test_counts_below_one_are_user_errors(self, tmp_path, capsys, monkeypatch, flags, env, named):
