@@ -17,9 +17,11 @@ h @ w + b on a head, as one op that saves only h, w and its output), the
 row-wise ``log_normalize`` (x - logsumexp(x): each sum row and categorical
 head), the log-space contraction ``lse_matmul`` (log(exp(a) @ exp(b)),
 every sum layer of a QPC), ``sum`` and ``reshape``; ``training`` adds
-``evidence`` through ``_backward_rule``.  Every primitive registers its
-backward rule at import; recording an op with no registered rule fails
-immediately rather than silently producing zero gradients.
+``evidence`` and ``nets`` adds ``fourier_dense`` (a 2-input energy net's
+first layer over its whole grid) through ``_backward_rule``.  Every
+primitive registers its backward rule at import; recording an op with no
+registered rule fails immediately rather than silently producing zero
+gradients.
 ``_log_normalize_data`` and ``_lse_matmul_data`` are the forwards of
 ``log_normalize`` and ``lse_matmul``: one kernel each for ndarray and tape.
 
@@ -220,23 +222,33 @@ def dense(h: Node, w: Node, b: Node, act: bool) -> Node:
     """
     if h.ndim != 2 or w.ndim != 2:
         raise ValueError(f"dense needs a 2-D input and weight, got {h.ndim}-D and {w.ndim}-D")
-    out = h.data @ w.data
-    out += b.data
-    if act:
-        np.tanh(out, out=out)
+    out = _bias_act(h.data @ w.data, b.data, act)
     return h.tape.record("dense", out, (h, w, b), (h.data, w.data, out, act, h.needs_grad))
 
 
 @_backward_rule("dense")
 def _dense_bwd(ctx, g):
     h, w, out, act, h_needs_grad = ctx
-    if act:
-        gz = out * out
-        np.subtract(1.0, gz, out=gz)
-        gz *= g
-    else:
-        gz = g
+    gz = _pre_act_grad(out, g, act)
     return (gz @ w.T if h_needs_grad else None), h.T @ gz, gz.sum(axis=0)
+
+
+def _bias_act(out, b, act):
+    """out + b, then tanh with ``act``, in place: the end of a dense layer's forward."""
+    out += b
+    if act:
+        np.tanh(out, out=out)
+    return out
+
+
+def _pre_act_grad(out, g, act):
+    """The gradient before the activation of a layer that output out: g (1 - out^2) with tanh, else g."""
+    if not act:
+        return g
+    gz = out * out
+    np.subtract(1.0, gz, out=gz)
+    gz *= g
+    return gz
 
 
 def softplus(a: Node) -> Node:

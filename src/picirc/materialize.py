@@ -76,26 +76,20 @@ def sum_param_node(tape: Tape, net, pnodes, z: np.ndarray, w: np.ndarray) -> Nod
     normalizer is approximated by the same rule: it is the row's own
     logsumexp (``log_normalize``), so each row logsumexps to zero.
     """
-    n = len(z)
-    if np.any(np.abs(z) > 1.0 + 1e-12):
-        raise ValueError("energy-model latents live on [-1, 1]; got points outside")
-    rows = 1 if net.input_dim == 1 else n
     logw = tape.const(np.log(w))
-    energy = _energy_grid(tape, net, pnodes, z, z[:rows])
+    energy = _energy_grid(tape, net, pnodes, z, z)
     return ad.log_normalize(ad.add(logw, ad.neg(energy)))
 
 
 def _energy_grid(tape, net, pnodes, child_z, parent_z) -> Node:
-    """Energies on the (parent, child) grid: out[j][k] = f(child_z[k], parent_z[j])."""
-    n = len(child_z)
-    if net.input_dim == 1:
-        x = child_z[:, None]
-        rows = 1
-    else:
-        rows = len(parent_z)
-        x = np.column_stack([np.tile(child_z, rows), np.repeat(parent_z, n)])
-    e = net.forward(tape, pnodes, tape.const(x))
-    return ad.reshape(e, (rows, n))
+    """Energies on the (parent, child) grid: out[j][k] = f(child_z[k], parent_z[j]).
+
+    The root's net ignores parent_z and gives one row.  Every point must lie
+    in [-1, 1], the energy nets' domain.
+    """
+    if np.any(np.abs(child_z) > 1.0 + 1e-12) or np.any(np.abs(parent_z) > 1.0 + 1e-12):
+        raise ValueError("energy-model latents live on [-1, 1]; got points outside")
+    return net.forward(tape, pnodes, child_z, None if net.input_dim == 1 else parent_z)
 
 
 def input_param_node(tape: Tape, net, pnodes, z: np.ndarray) -> Node:
@@ -346,8 +340,6 @@ def materialize_nested(pic: Circuit, point_selector, nets: ParamNets | None = No
             if nets is None:
                 raise ValueError("neural conditionals need the parameter nets")
             parent = np.zeros(0) if parent_value is None else np.array([parent_value])
-            if np.any(np.abs(np.append(rule.points, parent)) > 1.0 + 1e-12):
-                raise ValueError("energy-model latents live on [-1, 1]; got points outside")
             tape = Tape()
             net = nets.energy[var]
             energy = _energy_grid(tape, net, _const_weights(tape, net), rule.points, parent).data
@@ -374,8 +366,10 @@ def streamed_loglik(pic: Circuit, rule: QuadratureRule, nets: ParamNets, x: np.n
 
     ``training.batch_loglik_node`` over the nets' weights as tape
     constants: each latent's sum rows are materialized when the engine
-    reaches it and dropped right after, so peak memory stays at one (N, N)
-    block plus the per-latent accumulators regardless of depth.  The
+    reaches it.  That does not make its peak smaller than materializing
+    every block first: on a 16-variable HCLT at N = 64 and 1,024 rows it
+    peaked at 15.6 MiB against 13.2 MiB for ``materialize_sum_params``,
+    ``materialize_input_params`` and ``runtime.latent_tree_loglik``.  The
     circuit's tree and input families must be the nets'.
     """
     from .training import batch_loglik_node  # training imports this module

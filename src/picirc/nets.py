@@ -10,10 +10,14 @@ expressive on the bounded latent domain while staying cheap.
 
 All forward passes run on a gradient tape, one ``autodiff.dense`` op per
 layer.  The Fourier features of the (always constant) input points enter
-as one constant: cos and sin are taken once per distinct value of each
-input column and combined by angle addition, so they never receive
-gradients.  Evaluations that take no gradient hand the weights to the tape
-as constants too (``_const_weights``), so their tape records nothing.
+as one constant, so they never receive gradients.  A 2-input energy net is
+only ever evaluated on a (parent, child) grid, and there its Fourier layer
+and first dense layer are one ``fourier_dense`` op: by angle addition the
+pre-activation is one product of the parents' cos/sin with a block built
+from the children's cos/sin and the weights, so the grid's (J n, 2K)
+features are never formed.  Evaluations that take no gradient hand the
+weights to the tape as constants too (``_const_weights``), so their tape
+records nothing.
 """
 
 from __future__ import annotations
@@ -49,26 +53,55 @@ class FourierFeatureLayer:
     def forward(self, tape: Tape, x: Node) -> Node:
         """Features of the constant points x (R, input_dim), as one tape constant.
 
-        cos and sin are taken once per distinct value of each column and the
-        columns combined by angle addition, cos(a+b) = cos a cos b - sin a sin b
-        and sin(a+b) = sin a cos b + cos a sin b: an N x N grid costs 2 N K
-        transcendentals per column, not N^2 K.
+        cos and sin of the projection x @ 2 pi F, interleaved; with one input
+        column each angle is one product.  Energy grids of two inputs go
+        through ``fourier_dense`` instead.
         """
         if x.needs_grad:
             raise ValueError("Fourier features take constant inputs only")
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(f"Fourier features need points of shape (R, {self.input_dim}), got {x.shape}")
-        cos = sin = None
-        for col, freq in zip(x.data.T, TWO_PI * self.frequencies):
-            values, inverse = np.unique(col, return_inverse=True)
-            angle = np.multiply.outer(values, freq)
-            c = np.take(np.cos(angle), inverse, axis=0)
-            s = np.take(np.sin(angle), inverse, axis=0)
-            if cos is None:
-                cos, sin = c, s
-            else:
-                cos, sin = cos * c - sin * s, sin * c + cos * s
-        return tape.const(np.stack([cos, sin], axis=-1).reshape(x.shape[0], self.output_dim))
+        angle = x.data @ (TWO_PI * self.frequencies)
+        return tape.const(np.stack([np.cos(angle), np.sin(angle)], axis=-1).reshape(x.shape[0], self.output_dim))
+
+
+def fourier_dense(frequencies: np.ndarray, child_z: np.ndarray, parent_z: np.ndarray, w: Node, b: Node, act: bool) -> Node:
+    """A 2-input net's Fourier layer and first dense layer on the (parent, child) grid, as one tape op.
+
+    Row j n + k is tanh(phi(child_z[k], parent_z[j]) @ w + b) (no tanh
+    without ``act``), where phi interleaves cos and sin of the angles
+    a[k] + c[j], a = 2 pi child_z F[0] and c = 2 pi parent_z F[1].  With
+    w_c = w[0::2] and w_s = w[1::2], angle addition gives
+    phi @ w = cos c[j] @ U[:, k] + sin c[j] @ V[:, k] for the child blocks
+    U[f, k] = cos a[k, f] w_c[f] + sin a[k, f] w_s[f] and
+    V[f, k] = cos a[k, f] w_s[f] - sin a[k, f] w_c[f]: one (J, 2K) @ (2K, n H)
+    product.  Saves the children's cos/sin (K, n, 2), the parents' (J, 2K)
+    and the output, never a (J n, 2K) array.
+    """
+    num_freq = w.shape[0] // 2
+    if frequencies.shape != (2, num_freq) or w.shape[0] != 2 * num_freq:
+        raise ValueError(f"fourier_dense needs (2, K) frequencies and a (2K, H) weight, got {frequencies.shape} and {w.shape}")
+    child_angle = np.multiply.outer(child_z, TWO_PI * frequencies[0]).T
+    parent_angle = np.multiply.outer(parent_z, TWO_PI * frequencies[1])
+    child = np.stack([np.cos(child_angle), np.sin(child_angle)], axis=2)
+    parent = np.concatenate([np.cos(parent_angle), np.sin(parent_angle)], axis=1)
+    w_c, w_s = w.data[0::2], w.data[1::2]
+    blocks = np.stack([np.stack([w_c, w_s], axis=1), np.stack([w_s, -w_c], axis=1)])
+    out = parent @ (child @ blocks).reshape(2 * num_freq, -1)
+    out = ad._bias_act(out.reshape(-1, w.shape[1]), b.data, act)
+    return w.tape.record("fourier_dense", out, (w, b), (child, parent, out, act))
+
+
+@ad._backward_rule("fourier_dense")
+def _fourier_dense_bwd(ctx, g):
+    # d[U; V] = [cos c | sin c]^T gz; the (2, K, 2, H) blocks [w_c, w_s; w_s, -w_c] get child^T d[U; V]
+    child, parent, out, act = ctx
+    gz = ad._pre_act_grad(out, g, act)
+    num_freq, n = child.shape[:2]
+    duv = parent.T @ gz.reshape(len(parent), -1)
+    dblocks = child.transpose(0, 2, 1) @ duv.reshape(2, num_freq, n, -1)
+    dw = np.stack([dblocks[0, :, 0] - dblocks[1, :, 1], dblocks[0, :, 1] + dblocks[1, :, 0]], axis=1)
+    return dw.reshape(2 * num_freq, -1), gz.sum(axis=0)
 
 
 def _init_dense(rng, fan_in: int, fan_out: int):
@@ -99,11 +132,17 @@ class _Mlp:
     def register(self, tape: Tape) -> dict[str, Node]:
         return {k: tape.param(f"{self.name}.{k}", v) for k, v in self.params.items()}
 
+    @property
+    def depth(self) -> int:
+        return len(self.params) // 2
+
     def _body(self, tape: Tape, pnodes: dict[str, Node], x: Node) -> Node:
-        h = self.ffl.forward(tape, x)
-        depth = len(self.params) // 2
-        for layer in range(depth):
-            h = ad.dense(h, pnodes[f"w{layer}"], pnodes[f"b{layer}"], act=layer < depth - 1)
+        return self._dense_layers(pnodes, self.ffl.forward(tape, x), 0)
+
+    def _dense_layers(self, pnodes: dict[str, Node], h: Node, first: int) -> Node:
+        """Dense layers ``first``, ... on h, with tanh on all but the head."""
+        for layer in range(first, self.depth):
+            h = ad.dense(h, pnodes[f"w{layer}"], pnodes[f"b{layer}"], act=layer < self.depth - 1)
         return h
 
 
@@ -121,9 +160,22 @@ class EnergyNet(_Mlp):
         super().__init__(net_id, "f", input_dim, (*hidden, 1), num_frequencies, ff_scale, rng)
         self.input_dim = input_dim
 
-    def forward(self, tape: Tape, pnodes: dict[str, Node], x: Node) -> Node:
-        out = ad.softplus(self._body(tape, pnodes, x))
-        return ad.reshape(out, (x.shape[0],))
+    def forward(self, tape: Tape, pnodes: dict[str, Node], child_z: np.ndarray, parent_z: np.ndarray | None = None) -> Node:
+        """Energies on the (parent, child) grid, (J, n): out[j, k] = f(child_z[k], parent_z[j]).
+
+        The root net takes no parent_z and gives one row (J = 1).  A 2-input
+        net's first layer is one ``fourier_dense`` op over the grid.
+        """
+        if (parent_z is None) != (self.input_dim == 1):
+            raise ValueError(f"an energy net of {self.input_dim} inputs takes {'no' if self.input_dim == 1 else 'a'} parent_z")
+        child_z = np.asarray(child_z, dtype=np.float64)
+        if parent_z is None:
+            h = self._body(tape, pnodes, tape.const(child_z[:, None]))
+        else:
+            parent_z = np.asarray(parent_z, dtype=np.float64)
+            h = fourier_dense(self.ffl.frequencies, child_z, parent_z, pnodes["w0"], pnodes["b0"], act=self.depth > 1)
+            h = self._dense_layers(pnodes, h, 1)
+        return ad.reshape(ad.softplus(h), (-1, len(child_z)))
 
 
 def squash(family: str, raw: Node) -> Node:

@@ -62,12 +62,27 @@ def gaussian_logpdf(x, mean, log_sigma):
     """
     z = np.empty(np.broadcast_shapes(np.shape(x), np.shape(mean), np.shape(log_sigma)))
     np.subtract(x, mean, out=z)
-    z *= np.exp(-log_sigma)
+    z = _times_inv_sigma(z, log_sigma)
     out = -0.5 * z
     out *= z
     out -= log_sigma
     out -= 0.5 * LOG_2PI
     return out
+
+
+def _times_inv_sigma(diff: np.ndarray, log_sigma):
+    """diff * exp(-log_sigma), in place unless exp(-log_sigma) overflows to +inf.
+
+    There a zero difference stays 0 (the density's peak), not 0 * inf = NaN.
+    Only log_sigma, a scalar or an (N, 1) column, is checked for that.
+    """
+    with np.errstate(over="ignore"):
+        inv_sigma = np.exp(-log_sigma)
+    if not np.isposinf(inv_sigma).any():
+        diff *= inv_sigma
+        return diff
+    with np.errstate(invalid="ignore"):
+        return np.where(diff == 0.0, 0.0, diff * inv_sigma)
 
 
 def evidence_rows(table: np.ndarray, family: str, num_states, x_col: np.ndarray, var=None) -> np.ndarray:

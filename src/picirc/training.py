@@ -41,7 +41,7 @@ from .errors import NumericError
 from .materialize import _build_regions, _input_region, _read_pic, input_param_node, materialize_input_params, materialize_sum_params, sum_param_node
 from .nets import ParamNets, squash
 from .quadrature import QuadratureRule, make_rule
-from .runtime import bpd, circuit_layers, evidence_rows, forward_values, latent_tree_loglik, layer_table, observed_evidence, upward_pass
+from .runtime import _times_inv_sigma, bpd, circuit_layers, evidence_rows, forward_values, latent_tree_loglik, layer_table, observed_evidence, upward_pass
 from .structures import LatentTree, bn_to_pic
 
 
@@ -141,9 +141,9 @@ def _evidence_bwd(ctx, g):
         p = table[:, :1]
         out[:, :1] = (g * (v / p - (num_states - v) / (1.0 - p))).sum(axis=1, keepdims=True)
     else:
-        inv_sigma = np.exp(-table[:, 1:2])
-        z = (v - table[:, :1]) * inv_sigma
-        out[:, 0] = (g * z).sum(axis=1) * inv_sigma[:, 0]
+        log_sigma = table[:, 1:2]
+        z = _times_inv_sigma(v - table[:, :1], log_sigma)
+        out[:, :1] = _times_inv_sigma((g * z).sum(axis=1, keepdims=True), log_sigma)
         out[:, 1] = (g * (z * z - 1.0)).sum(axis=1)
     return (out,)
 

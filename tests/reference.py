@@ -5,9 +5,10 @@ independently of the layered evaluator in ``picirc.runtime`` and
 ``picirc.training.em_step``.  ``unitwise_loglik_node`` builds one tape
 node per concrete unit of the static QPC, independently of the latent-tree
 engine behind ``training.batch_loglik_node``.  ``joint_gaussian`` is the
-dense Gaussian joint that checks ``gaussian.exact_loglik``, and
+dense Gaussian joint that checks ``gaussian.exact_loglik``,
 ``energy_forward`` and ``decoder_forward`` evaluate an energy net and a
-decoder at one point.
+decoder at one point, and ``energy_grid_direct`` is an energy grid from
+every point's own Fourier features, which pins ``nets.fourier_dense``.
 
 The tape ops that only these oracles and the tests record live here, not
 in ``picirc.autodiff``: ``gather``, ``exp``, ``log``, ``matmul`` and the
@@ -349,11 +350,35 @@ def energy_forward(net: EnergyNet, z_child: float, z_parent: float | None = None
     """Scalar energy at one (child, parent) point; inputs must be in [-1, 1]."""
     if (z_parent is None) != (net.input_dim == 1):
         raise ValueError("parent value must match the net's conditioning arity")
-    x = np.array([[z_child]] if z_parent is None else [[z_child, z_parent]])
-    if np.any(np.abs(x) > 1.0 + 1e-12):
+    if np.any(np.abs([z_child, 0.0 if z_parent is None else z_parent]) > 1.0 + 1e-12):
         raise ValueError("latent inputs must lie in [-1, 1]")
     tape = Tape()
-    return float(net.forward(tape, _const_weights(tape, net), tape.const(x)).data[0])
+    parent = None if z_parent is None else [z_parent]
+    return float(net.forward(tape, _const_weights(tape, net), np.array([z_child]), parent).data[0, 0])
+
+
+def energy_grid_direct(net: EnergyNet, child_z, parent_z=None) -> np.ndarray:
+    """(J, n) energies f(child_z[k], parent_z[j]) by the direct projection, in numpy.
+
+    Builds every grid point's features, cos and sin of x @ 2 pi F
+    interleaved, and runs the dense layers and the softplus head on them:
+    the (J n, 2K) array that ``nets.fourier_dense`` never forms.
+    """
+    child_z = np.asarray(child_z, dtype=np.float64)
+    if parent_z is None:
+        x, rows = child_z[:, None], 1
+    else:
+        parent_z = np.asarray(parent_z, dtype=np.float64)
+        x, rows = np.column_stack([np.tile(child_z, len(parent_z)), np.repeat(parent_z, len(child_z))]), len(parent_z)
+    proj = x @ (2.0 * np.pi * net.ffl.frequencies)
+    h = np.empty((len(x), 2 * proj.shape[1]))
+    h[:, 0::2], h[:, 1::2] = np.cos(proj), np.sin(proj)
+    depth = len(net.params) // 2
+    for layer in range(depth):
+        h = h @ net.params[f"w{layer}"] + net.params[f"b{layer}"]
+        if layer < depth - 1:
+            h = np.tanh(h)
+    return np.logaddexp(0.0, h).reshape(rows, len(child_z))
 
 
 def decoder_forward(net: DecoderNet, z: float) -> np.ndarray:

@@ -10,6 +10,7 @@ from scipy.special import logsumexp
 from picirc import autodiff as ad
 from picirc import gaussian
 from picirc.autodiff import Tape
+from picirc.nets import fourier_dense
 from picirc.runtime import upward_pass
 from picirc.training import evidence_node
 import reference
@@ -691,6 +692,7 @@ class TestTapeContract:
             tables["categorical"], tables["binomial"],
             ad.add(x, t.param("r", rng.normal(0.0, 1.0, 3))), ad.neg(x), ad.multiply(x, x), ad.softplus(x),
             ad.dense(x, w, b, True), ad.dense(x, w, b, False), ad.lse_matmul(la, lb),
+            fourier_dense(rng.normal(0.0, 1.0, (2, 2)), rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 2), t.param("wf", rng.normal(0.0, 1.0, (4, 2))), b, True),
             ad.reduce_sum(x), ad.reshape(x, (3, 4)),
             *(evidence_node(t, table, family, 3, x_col) for family, table in tables.items()),
             # the ops only the test oracles record

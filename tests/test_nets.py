@@ -13,13 +13,14 @@ from picirc.nets import (
     FourierFeatureLayer,
     ParamNets,
     _const_weights,
+    fourier_dense,
     load_checkpoint,
     save_checkpoint,
 )
 from picirc.quadrature import make_rule
 from picirc.structures import LatentTree
-from picirc.training import HcltTensors
-from reference import decoder_forward, energy_forward
+from picirc.training import HcltTensors, batch_loglik_node
+from reference import decoder_forward, energy_forward, energy_grid_direct
 
 
 def small_tree():
@@ -39,10 +40,10 @@ def batch_decoder(net, z):
     return out.data
 
 
-def batch_energy(net, x):
+def batch_energy(net, child, parent=None):
     tape = Tape()
     pnodes = net.register(tape)
-    return net.forward(tape, pnodes, tape.const(x)).data
+    return net.forward(tape, pnodes, child, parent).data
 
 
 def features(layer, x):
@@ -53,11 +54,6 @@ def features(layer, x):
 
 def frequencies(nets):
     return {net.name: net.ffl.frequencies for net in (*nets.energy, *nets.decoder)}
-
-
-def grid_points(child, parent):
-    """The energy grid's points: every child value against each parent value in turn."""
-    return np.column_stack([np.tile(child, len(parent)), np.repeat(parent, len(child))])
 
 
 class TestFourierFeatures:
@@ -86,25 +82,38 @@ class TestFourierFeatures:
             np.testing.assert_allclose(features(layer, x), expected, atol=1e-14)
 
     @pytest.mark.parametrize(
-        "points",
+        "grid",
         [
-            lambda rng: grid_points(make_rule("trapezoidal", 64).points, make_rule("trapezoidal", 64).points),
-            lambda rng: make_rule("gauss_legendre", 512).points[:, None],
-            lambda rng: grid_points(make_rule("gauss_legendre", 512).points, make_rule("gauss_legendre", 512).points[::32]),
-            lambda rng: rng.choice([-1.0, -0.25, 0.0, 0.5, 1.0], (300, 2)),
-            lambda rng: rng.uniform(-1, 1, (300, 2)),
+            lambda rng: (make_rule("trapezoidal", 64).points, make_rule("trapezoidal", 64).points),
+            lambda rng: (make_rule("gauss_legendre", 512).points, make_rule("gauss_legendre", 512).points[200:201]),
+            lambda rng: (make_rule("gauss_legendre", 512).points, make_rule("gauss_legendre", 512).points[::32]),
+            lambda rng: (rng.choice([-1.0, -0.25, 0.0, 0.5, 1.0], 60), rng.choice([-1.0, 0.0, 1.0], 5)),
+            lambda rng: (rng.uniform(-1, 1, 60), rng.uniform(-1, 1, 5)),
         ],
         ids=["trapezoidal-64-grid", "gauss-legendre-512", "gauss-legendre-512-grid", "repeated-points", "random-points"],
     )
-    def test_angle_addition_matches_direct_projection(self, points):
-        x = points(np.random.default_rng(8))
-        layer = FourierFeatureLayer(x.shape[1], 32, rng=12)
+    def test_angle_addition_matches_direct_projection(self, grid):
+        # fourier_dense's pre-activation against every grid point's own features times the weight
+        rng = np.random.default_rng(8)
+        child, parent = grid(rng)
+        layer = FourierFeatureLayer(2, 32, rng=12)
+        w, b = rng.normal(0.0, 0.125, (64, 16)), rng.normal(0.0, 1.0, 16)
+        x = np.column_stack([np.tile(child, len(parent)), np.repeat(parent, len(child))])
         proj = x @ (2 * np.pi * layer.frequencies)
+        feats = np.stack([np.cos(proj), np.sin(proj)], axis=-1).reshape(len(x), 64)
         tape = Tape()
-        feats = layer.forward(tape, tape.const(x))
-        assert not feats.needs_grad and feats.shape == (len(x), 64)
-        np.testing.assert_allclose(feats.data[:, 0::2], np.cos(proj), rtol=0, atol=1e-13)
-        np.testing.assert_allclose(feats.data[:, 1::2], np.sin(proj), rtol=0, atol=1e-13)
+        pre = fourier_dense(layer.frequencies, child, parent, tape.param("w", w), tape.param("b", b), act=False)
+        assert pre.shape == (len(x), 16)
+        np.testing.assert_allclose(pre.data, feats @ w + b, rtol=0, atol=1e-13)
+
+    def test_one_column_takes_one_product_per_angle(self):
+        z = make_rule("gauss_legendre", 128).points
+        layer = FourierFeatureLayer(1, 32, scale=10.0, rng=13)
+        angle = np.multiply.outer(z, 2 * np.pi * layer.frequencies[0])
+        tape = Tape()
+        feats = layer.forward(tape, tape.const(z[:, None])).data
+        np.testing.assert_array_equal(feats[:, 0::2], np.cos(angle))
+        np.testing.assert_array_equal(feats[:, 1::2], np.sin(angle))
 
     def test_refuses_inputs_that_need_a_gradient(self):
         layer = FourierFeatureLayer(2, 4, rng=0)
@@ -121,6 +130,87 @@ class TestFourierFeatures:
             layer.frequencies[0, 0] = 9.9
 
 
+class TestFourierDense:
+    """The 2-input first layer as one op over the (parent, child) grid, against every point's own features."""
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 30.0])
+    @pytest.mark.parametrize(
+        "child, parent",
+        [
+            (make_rule("trapezoidal", 64).points, make_rule("trapezoidal", 64).points),
+            (make_rule("gauss_legendre", 128).points, make_rule("gauss_legendre", 128).points),
+            (make_rule("gauss_legendre", 512).points, make_rule("gauss_legendre", 512).points[::32]),
+            (make_rule("gauss_legendre", 128).points, make_rule("gauss_legendre", 128).points[40:41]),
+        ],
+        ids=["trapezoidal-64-grid", "gauss-legendre-128-grid", "gauss-legendre-512-grid", "one-parent-row"],
+    )
+    def test_grid_matches_direct_projection(self, child, parent, scale):
+        net = EnergyNet(1, 2, ff_scale=scale, rng=12)
+        grid = batch_energy(net, child, parent)
+        assert grid.shape == (len(parent), len(child))
+        np.testing.assert_allclose(grid, energy_grid_direct(net, child, parent), rtol=0, atol=1e-13)
+
+    def test_root_grid_matches_direct_projection(self):
+        net = EnergyNet(0, 1, ff_scale=10.0, rng=12)
+        z = make_rule("gauss_legendre", 128).points
+        grid = batch_energy(net, z)
+        assert grid.shape == (1, 128)
+        np.testing.assert_allclose(grid, energy_grid_direct(net, z), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("act", [True, False], ids=["tanh", "head"])
+    @pytest.mark.parametrize("parents", [4, 1], ids=["grid", "one-parent-row"])
+    def test_gradient_matches_finite_differences(self, parents, act):
+        rng = np.random.default_rng(21)
+        freq = rng.normal(0.0, 1.5, (2, 3))
+        child, parent = rng.uniform(-1, 1, 5), rng.uniform(-1, 1, parents)
+        params = {"w": rng.normal(0.0, 0.5, (6, 4)), "b": rng.normal(0.0, 0.5, 4)}
+        seed = rng.normal(0.0, 1.0, (parents * 5, 4))
+
+        def loss(values):
+            tape = Tape()
+            nodes = {k: tape.param(k, v) for k, v in values.items()}
+            out = fourier_dense(freq, child, parent, nodes["w"], nodes["b"], act)
+            return tape, ad.reduce_sum(ad.multiply(out, tape.const(seed)))
+
+        tape, total = loss(params)
+        grads = tape.backward(total)
+        eps = 1e-6
+        for name, arr in params.items():
+            numeric = np.empty(arr.shape)
+            for idx in np.ndindex(arr.shape):
+                step = np.zeros(arr.shape)
+                step[idx] = eps
+                plus, minus = (loss({**params, name: arr + d})[1].data for d in (step, -step))
+                numeric[idx] = (plus - minus) / (2 * eps)
+            np.testing.assert_allclose(grads[name], numeric, rtol=1e-7, atol=1e-8)
+
+    def test_refuses_frequencies_that_do_not_match_the_weight(self):
+        tape = Tape()
+        w, b = tape.param("w", np.zeros((6, 4))), tape.param("b", np.zeros(4))
+        with pytest.raises(ValueError, match=r"\(2, K\) frequencies"):
+            fourier_dense(np.zeros((2, 1)), np.zeros(5), np.zeros(2), w, b, True)
+
+    def test_loglik_tape_keeps_no_grid_features(self):
+        n, num_frequencies = 64, 4
+        tree = LatentTree((None, 0, 0), (0, 1, 2), ({"type": "neural"},) * 3, ({"type": "neural"},) * 3)
+        nets = ParamNets.for_tree(tree, "categorical", num_states=3, num_frequencies=num_frequencies, hidden=(16, 16), decoder_hidden=(16,), seed=4)
+        rule = make_rule("trapezoidal", n)
+        tape = Tape()
+        x = np.random.default_rng(0).integers(0, 3, (8, 3)).astype(float)
+        batch_loglik_node(tape, nets, nets.register(tape), rule, x)
+
+        def arrays(item):
+            if isinstance(item, np.ndarray):
+                yield item
+            elif isinstance(item, tuple):
+                for sub in item:
+                    yield from arrays(sub)
+
+        shapes = {a.shape for rec in tape._records for a in arrays(rec[3])}
+        assert (n * n, 16) in shapes
+        assert (n * n, 2 * num_frequencies) not in shapes
+
+
 class TestEnergyNet:
     def test_zero_weights_give_log_two_everywhere(self):
         net = EnergyNet(0, 2, rng=5)
@@ -134,16 +224,16 @@ class TestEnergyNet:
     def test_energies_are_nonnegative(self):
         rng = np.random.default_rng(1)
         net = EnergyNet(0, 2, num_frequencies=4, hidden=(8, 8), rng=2)
-        x = rng.uniform(-1, 1, (200, 2))
-        assert np.all(batch_energy(net, x) >= 0.0)
+        assert np.all(batch_energy(net, rng.uniform(-1, 1, 20), rng.uniform(-1, 1, 10)) >= 0.0)
 
     def test_batched_matches_pointwise(self):
         rng = np.random.default_rng(2)
         net = EnergyNet(0, 2, num_frequencies=4, hidden=(8, 8), rng=3)
-        x = rng.uniform(-1, 1, (17, 2))
-        batched = batch_energy(net, x)
-        looped = [energy_forward(net, a, b) for a, b in x]
-        np.testing.assert_allclose(batched, looped, rtol=1e-12)
+        child, parent = rng.uniform(-1, 1, 17), rng.uniform(-1, 1, 5)
+        grid = batch_energy(net, child, parent)
+        assert grid.shape == (5, 17)
+        looped = [[energy_forward(net, a, b) for a in child] for b in parent]
+        np.testing.assert_allclose(grid, looped, rtol=1e-12)
 
     def test_root_net_takes_single_input(self):
         net = EnergyNet(0, 1, num_frequencies=4, hidden=(8, 8), rng=4)
@@ -153,6 +243,10 @@ class TestEnergyNet:
         two = EnergyNet(1, 2, num_frequencies=4, hidden=(8, 8), rng=4)
         with pytest.raises(ValueError, match="arity"):
             energy_forward(two, 0.3)
+        with pytest.raises(ValueError, match="takes no parent_z"):
+            batch_energy(net, np.zeros(3), np.zeros(2))
+        with pytest.raises(ValueError, match="takes a parent_z"):
+            batch_energy(two, np.zeros(3))
 
     def test_rejects_out_of_domain_points(self):
         net = EnergyNet(0, 2, num_frequencies=4, hidden=(8, 8), rng=4)
@@ -211,15 +305,15 @@ class TestTapeOps:
     """One dense op per layer: the MLP's share of the tape cannot quietly grow again."""
 
     @pytest.mark.parametrize(
-        "net, x, ops",
+        "net, args, ops",
         [
-            (EnergyNet(1, 2, hidden=(64, 64), rng=0), np.zeros((6, 2)), ["dense"] * 3 + ["softplus", "reshape"]),
-            (EnergyNet(0, 1, hidden=(64, 64), rng=0), np.zeros((6, 1)), ["dense"] * 3 + ["softplus", "reshape"]),
-            (DecoderNet(0, "categorical", num_states=4, hidden=(64,), rng=0), np.zeros((6, 1)), ["dense"] * 2),
+            (EnergyNet(1, 2, hidden=(64, 64), rng=0), (np.zeros(6), np.zeros(3)), ["fourier_dense"] + ["dense"] * 2 + ["softplus", "reshape"]),
+            (EnergyNet(0, 1, hidden=(64, 64), rng=0), (np.zeros(6),), ["dense"] * 3 + ["softplus", "reshape"]),
+            (DecoderNet(0, "categorical", num_states=4, hidden=(64,), rng=0), (np.zeros((6, 1)),), ["dense"] * 2),
         ],
         ids=["energy", "root-energy", "decoder"],
     )
-    def test_forward_records_one_dense_op_per_layer(self, net, x, ops, monkeypatch):
+    def test_forward_records_one_dense_op_per_layer(self, net, args, ops, monkeypatch):
         recorded = []
         record = Tape.record
 
@@ -229,12 +323,18 @@ class TestTapeOps:
             return record(tape, op_name, out_data, inputs, ctx)
 
         monkeypatch.setattr(Tape, "record", counting_record)
+
+        def forward(tape, pnodes):
+            if isinstance(net, DecoderNet):
+                return net.forward(tape, pnodes, tape.const(args[0]))
+            return net.forward(tape, pnodes, *args)
+
         tape = Tape()
-        net.forward(tape, net.register(tape), tape.const(x))
+        forward(tape, net.register(tape))
         assert recorded == ops
         recorded.clear()
         tape = Tape()
-        net.forward(tape, _const_weights(tape, net), tape.const(x))
+        forward(tape, _const_weights(tape, net))
         assert recorded == []
 
     def test_categorical_squash_is_one_log_normalize_op(self):
@@ -291,8 +391,8 @@ class TestParamNets:
         rng = np.random.default_rng(0)
         total = None
         for net in nets.energy:
-            x = rng.uniform(-1, 1, (3, net.input_dim))
-            e = net.forward(tape, nets.net_pnodes(net, pnodes), tape.const(x))
+            parent = None if net.input_dim == 1 else rng.uniform(-1, 1, 2)
+            e = net.forward(tape, nets.net_pnodes(net, pnodes), rng.uniform(-1, 1, 3), parent)
             term = ad.reduce_sum(e)
             total = term if total is None else total + term
         for net in nets.decoder:

@@ -300,3 +300,16 @@ def test_gaussian_logpdf_broadcasts_and_keeps_its_bits(sx, smean, ssigma):
     assert got.shape == np.broadcast_shapes(sx, smean, ssigma)
     np.testing.assert_array_equal(got, want)
     np.testing.assert_allclose(got, stats.norm.logpdf(x, mean, np.exp(log_sigma)), rtol=1e-13, atol=1e-13)
+
+
+def test_gaussian_logpdf_at_the_mean_of_an_overflowing_inverse_sigma():
+    # exp(710) overflows: the peak is -log sigma - log(2 pi) / 2, not 0 * inf; off the peak it is -inf
+    np.testing.assert_allclose(gaussian_logpdf(0.0, 0.0, -710.0), 710.0 - 0.5 * LOG_2PI, rtol=1e-15)
+    log_sigma = np.array([[-710.0], [0.3]])
+    got = gaussian_logpdf(np.array([0.0, 1.0, -2.0]), np.array([[0.0], [1.0]]), log_sigma)
+    np.testing.assert_allclose(got[0], [710.0 - 0.5 * LOG_2PI, -np.inf, -np.inf], rtol=1e-15)
+    np.testing.assert_array_equal(got[1], gaussian_logpdf(np.array([0.0, 1.0, -2.0]), 1.0, 0.3))
+    table = np.array([[0.0, -710.0], [0.5, 0.1]])
+    rows = evidence_rows(table, "gaussian", None, np.array([0.0, np.nan, 0.5]))
+    np.testing.assert_allclose(rows[0], [710.0 - 0.5 * LOG_2PI, 0.0, -np.inf], rtol=1e-15)
+    np.testing.assert_array_equal(rows[1], evidence_rows(table[1:], "gaussian", None, np.array([0.0, np.nan, 0.5]))[0])

@@ -319,6 +319,16 @@ class TestEvidenceOp:
         assert value == 0.0
         np.testing.assert_array_equal(grad, np.zeros_like(table))
 
+    def test_gaussian_gradient_at_the_mean_of_an_overflowing_inverse_sigma(self):
+        # exp(710) overflows; at x = mean the exact gradient is (0, -g) per cell, not NaN
+        table = np.array([[0.0, -710.0], [0.5, 0.1]])
+        x_col = np.array([0.0, 0.0, np.nan])
+        g = np.array([[2.0, 0.5, 7.0], [1.0, -1.0, 3.0]])
+        _, grad = evidence_vjp(lambda tape, t: evidence_node(tape, t, "gaussian", None, x_col), table, g)
+        np.testing.assert_array_equal(grad[0], [0.0, -2.5])
+        _, finite_row = evidence_vjp(lambda tape, t: evidence_node(tape, t, "gaussian", None, x_col), table[1:], g[1:])
+        np.testing.assert_array_equal(grad[1], finite_row[0])
+
     @pytest.mark.parametrize("family, k, value", [("categorical", 3, 3.0), ("binomial", 4, 1.5), ("gaussian", None, np.inf)])
     def test_out_of_support_names_the_variable(self, family, k, value):
         table, x_col, _ = self.cells(family, k)
