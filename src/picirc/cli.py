@@ -23,10 +23,10 @@ from .data import Dataset, load_csv, save_csv
 from .errors import NumericError, PicircError, SchemaError
 from .gaussian import model_from_pic, domain_rules, random_model, sample, sanity_check
 from .materialize import (
+    check_nets,
     materialize_input_params,
     materialize_qpc,
     materialize_sum_params,
-    pic_tree_maps,
     sum_region_rows,
 )
 from .nets import ParamNets, load_checkpoint, save_checkpoint
@@ -183,9 +183,10 @@ def _cmd_materialize(args) -> int:
         if not args.nets:
             raise ValueError("neural conditionals need --nets with a parameter checkpoint")
         nets = load_checkpoint(args.nets)
-        maps = pic_tree_maps(pic)
-        if maps != (nets.latent_parent, nets.obs_parent):
-            raise ValueError(f"checkpoint {args.nets} was built for latent tree {(nets.latent_parent, nets.obs_parent)}, the circuit's is {maps}")
+        try:
+            check_nets(pic, nets)
+        except ValueError as e:
+            raise ValueError(f"checkpoint {args.nets}: {e}") from e
         rule = make_rule(args.rule, args.n, -1.0, 1.0)
         params = (
             materialize_sum_params(nets, rule.points, rule.weights),

@@ -16,17 +16,18 @@ Neural conditionals are first materialized into log-space parameter
 tensors: S[i][j][k] = log(w_k p(z_k | z_j)) with the normalizer of the
 energy model approximated by the same rule, which makes every row
 logsumexp to exactly zero, and I[i][j] = decoder params at point j.
-In the static mode and in training the tape nodes ``sum_param_node``
-and ``input_param_node`` define both; the ndarray tensors are their data,
-computed over the weights as tape constants, so nothing is recorded.  The
-nested mode normalizes each parent point's sum row with the kernel of
-``log_normalize``.  Both modes build every input region with
-``_input_region``, a neural one from one ``input_param_node`` block.
+One evaluator, ``param_nodes``, turns the nets into both, through the
+tape nodes ``sum_param_node`` and ``input_param_node``.  Training takes
+them over the registered parameters.  The static tensors, the nested
+mode's row under each parent point and its decoder blocks take their
+data over the weights as tape constants, so nothing is recorded.  Both
+modes build every input region with ``_input_region``, a neural one from
+one ``input_param_node`` block.
 
 ``streamed_loglik`` evaluates a batch without building the concrete
-circuit: it is ``training.batch_loglik_node`` over the nets' weights as
-tape constants, which materializes each latent's sum rows only when the
-latent-tree engine reaches it.
+circuit: it is ``training.dataset_loglik``, the static tensors streamed
+in chunks through ``runtime.latent_tree_loglik``.  ``check_nets`` is the
+one check that nets fit a circuit, for it, the nested mode and the CLI.
 """
 
 from __future__ import annotations
@@ -69,35 +70,49 @@ class InputParamTensor:
     num_states: int | None
 
 
-def sum_param_node(tape: Tape, net, pnodes, z: np.ndarray, w: np.ndarray) -> Node:
-    """One latent's sum-weight rows on the tape; shape (1, N) at the root.
+def sum_param_node(tape: Tape, net, pnodes, z: np.ndarray, w: np.ndarray, parent_z=None) -> Node:
+    """One latent's sum-weight rows on the tape, (J, N) under J parent points; (1, N) at the root.
 
-    Row j holds log w_k - E(z_k, z_j) - log normalizer(j), where the
-    normalizer is approximated by the same rule: it is the row's own
-    logsumexp (``log_normalize``), so each row logsumexps to zero.
+    The parent points are ``parent_z``, by default z itself; the root's net
+    ignores them.  Row j holds log w_k - E(z_k, parent_z[j]) - log
+    normalizer(j), where the normalizer is approximated by the same rule:
+    it is the row's own logsumexp (``log_normalize``), so each row
+    logsumexps to zero.  Every point must lie in [-1, 1], the energy nets'
+    domain.
     """
-    logw = tape.const(np.log(w))
-    energy = _energy_grid(tape, net, pnodes, z, z)
-    return ad.log_normalize(ad.add(logw, ad.neg(energy)))
-
-
-def _energy_grid(tape, net, pnodes, child_z, parent_z) -> Node:
-    """Energies on the (parent, child) grid: out[j][k] = f(child_z[k], parent_z[j]).
-
-    The root's net ignores parent_z and gives one row.  Every point must lie
-    in [-1, 1], the energy nets' domain.
-    """
-    if np.any(np.abs(child_z) > 1.0 + 1e-12) or np.any(np.abs(parent_z) > 1.0 + 1e-12):
+    parent_z = z if parent_z is None else parent_z
+    if not (np.all(np.abs(z) <= 1.0 + 1e-12) and np.all(np.abs(parent_z) <= 1.0 + 1e-12)):
         raise ValueError("energy-model latents live on [-1, 1]; got points outside")
-    return net.forward(tape, pnodes, child_z, None if net.input_dim == 1 else parent_z)
+    logw = tape.const(np.log(w))
+    energy = net.forward(tape, pnodes, z, None if net.input_dim == 1 else parent_z)
+    return ad.log_normalize(ad.add(logw, ad.neg(energy)))
 
 
 def input_param_node(tape: Tape, net, pnodes, z: np.ndarray) -> Node:
     """One observable's squashed decoder outputs over the grid in [-1, 1], shape (N, I)."""
     z = np.asarray(z)
-    if np.any(np.abs(z) > 1.0 + 1e-12):
+    if not np.all(np.abs(z) <= 1.0 + 1e-12):
         raise ValueError("decoder latents live on [-1, 1]; got points outside")
     return net.squash(net.forward(tape, pnodes, tape.const(z[:, None])))
+
+
+def param_nodes(tape: Tape, nets: ParamNets, pnodes, z: np.ndarray, w: np.ndarray):
+    """The one evaluator of the nets over points z and weights w: functions (table, sum_rows).
+
+    ``table(j)`` gives ``input_param_node`` of decoder j and ``sum_rows(i, parent_z=None)``
+    ``sum_param_node`` of energy net i, built when called over pnodes: the
+    registered parameters, or the weights as constants (``nets._const_weights``).
+    """
+
+    def table(j):
+        net = nets.decoder[j]
+        return input_param_node(tape, net, nets.net_pnodes(net, pnodes), z)
+
+    def sum_rows(i, parent_z=None):
+        net = nets.energy[i]
+        return sum_param_node(tape, net, nets.net_pnodes(net, pnodes), z, w, parent_z)
+
+    return table, sum_rows
 
 
 def materialize_sum_params(nets: ParamNets, z, w) -> SumParamTensor:
@@ -111,9 +126,10 @@ def materialize_sum_params(nets: ParamNets, z, w) -> SumParamTensor:
     w = np.asarray(w, dtype=np.float64)
     n = len(z)
     tape = Tape()
+    _, sum_rows = param_nodes(tape, nets, _const_weights(tape, nets), z, w)
     out = np.empty((len(nets.energy), n, n))
-    for i, net in enumerate(nets.energy):
-        s = sum_param_node(tape, net, _const_weights(tape, net), z, w).data
+    for i in range(len(nets.energy)):
+        s = sum_rows(i).data
         bad = np.argwhere(~np.isfinite(s))
         if bad.size:
             j, k = bad[0]
@@ -126,7 +142,8 @@ def materialize_input_params(nets: ParamNets, z) -> InputParamTensor:
     """All observables' decoder outputs, stacked into one (D, N, I) tensor."""
     z = np.asarray(z, dtype=np.float64)
     tape = Tape()
-    rows = [input_param_node(tape, net, _const_weights(tape, net), z).data for net in nets.decoder]
+    table, _ = param_nodes(tape, nets, _const_weights(tape, nets), z, None)
+    rows = [table(j).data for j in range(len(nets.decoder))]
     return InputParamTensor(
         table=np.stack(rows), z=z, family=nets.family, num_states=nets.num_states
     )
@@ -223,6 +240,14 @@ def _input_region(dist: InputDist, points: np.ndarray, table) -> list[InputDist]
     return [InputDist(dist.family, num_states=dist.num_states, params=row.copy()) for row in table()]
 
 
+def check_nets(pic: Circuit, nets: ParamNets) -> None:
+    """ValueError unless the nets were built for the circuit's latent tree and its inputs' family and state count."""
+    maps = pic_tree_maps(pic)
+    if maps != (nets.latent_parent, nets.obs_parent):
+        raise ValueError(f"the circuit's latent tree {maps} differs from the nets' tree {(nets.latent_parent, nets.obs_parent)}")
+    _check_decoders(pic, nets.family, nets.num_states)
+
+
 def _check_decoders(pic: Circuit, family: str, num_states) -> None:
     """ValueError unless every neural input unit of ``pic`` has the decoders' family and state count."""
     for u in pic.units:
@@ -304,11 +329,15 @@ def materialize_nested(pic: Circuit, point_selector, nets: ParamNets | None = No
     that particular parent point (parent_value is None at the root).
     Every parent point gets its own child subtree, so unit count grows as
     N^depth; depths beyond ``max_levels`` are refused up front, and so
-    are decoders of another family or state count.
+    are nets that ``check_nets`` refuses.  The nets are evaluated by
+    ``param_nodes`` over each rule, for the one parent point and only for
+    the decoders that the rule's inputs read.
     """
     latent_parent, _, parts = _read_pic(pic)
     if nets is not None:
-        _check_decoders(pic, nets.family, nets.num_states)
+        check_nets(pic, nets)
+        tape = Tape()
+        pnodes = _const_weights(tape, nets)
     levels: dict[int, int] = {}
     for i in top_down_order(latent_parent):
         levels[i] = levels.get(latent_parent[i], 0) + 1
@@ -323,36 +352,30 @@ def materialize_nested(pic: Circuit, point_selector, nets: ParamNets | None = No
 
     builder = CircuitBuilder()
 
-    def decoder_block(var, points):
+    def nets_over(rule, what):
         if nets is None:
-            raise ValueError("neural input conditionals need the parameter nets")
-        tape = Tape()
-        net = nets.decoder[var]
-        return input_param_node(tape, net, _const_weights(tape, net), points).data
+            raise ValueError(f"neural {what} need the parameter nets")
+        return param_nodes(tape, nets, pnodes, rule.points, rule.weights)
 
-    def quad(int_unit, parent_value) -> int:
+    # nets_over is passed down, not closed over: quad's closure holds quad, a cycle that must not hold the tape
+    def quad(int_unit, parent_value, nets_over) -> int:
         var = int_unit.latent["var"]
         rule = point_selector(var, parent_value)
         cond = int_unit.latent["cond"]
         if cond.get("type") == "linear-gaussian":
             row = _linear_gaussian_rows(cond, rule, None if parent_value is None else [parent_value])[0]
         else:
-            if nets is None:
-                raise ValueError("neural conditionals need the parameter nets")
-            parent = np.zeros(0) if parent_value is None else np.array([parent_value])
-            tape = Tape()
-            net = nets.energy[var]
-            energy = _energy_grid(tape, net, _const_weights(tape, net), rule.points, parent).data
-            row = ad._log_normalize_data(np.log(rule.weights) - energy)[0]
+            _, sum_rows = nets_over(rule, "conditionals")
+            row = sum_rows(var, None if parent_value is None else np.array([parent_value])).data[0]
         below = [pic.units[c] for c in parts[var]]
-        regions = {u.uid: _input_region(u.dist, rule.points, lambda: decoder_block(u.var, rule.points)) for u in below if u.kind == "input"}
+        regions = {u.uid: _input_region(u.dist, rule.points, lambda: nets_over(rule, "input conditionals")[0](u.var).data) for u in below if u.kind == "input"}
         children = []
         for j, zn in enumerate(rule.points):
-            kids = [builder.add_input(u.var, regions[u.uid][j]) if u.kind == "input" else quad(u, zn) for u in below]
+            kids = [builder.add_input(u.var, regions[u.uid][j]) if u.kind == "input" else quad(u, zn, nets_over) for u in below]
             children.append(kids[0] if len(kids) == 1 else builder.add_product(kids))
         return builder.add_sum(children, row)
 
-    return builder.finish(root=quad(pic.units[pic.root], None))
+    return builder.finish(root=quad(pic.units[pic.root], None, nets_over))
 
 
 def pic_tree_maps(pic: Circuit) -> tuple[tuple, tuple]:
@@ -362,22 +385,8 @@ def pic_tree_maps(pic: Circuit) -> tuple[tuple, tuple]:
 
 
 def streamed_loglik(pic: Circuit, rule: QuadratureRule, nets: ParamNets, x: np.ndarray) -> np.ndarray:
-    """Batch log-likelihood without building the concrete circuit.
+    """Batch log-likelihood (B,) without building the circuit: ``training.dataset_loglik`` once ``check_nets`` passes."""
+    from .training import dataset_loglik  # training imports this module
 
-    ``training.batch_loglik_node`` over the nets' weights as tape
-    constants: each latent's sum rows are materialized when the engine
-    reaches it.  That does not make its peak smaller than materializing
-    every block first: on a 16-variable HCLT at N = 64 and 1,024 rows it
-    peaked at 15.6 MiB against 13.2 MiB for ``materialize_sum_params``,
-    ``materialize_input_params`` and ``runtime.latent_tree_loglik``.  The
-    circuit's tree and input families must be the nets'.
-    """
-    from .training import batch_loglik_node  # training imports this module
-
-    maps = pic_tree_maps(pic)
-    if maps != (nets.latent_parent, nets.obs_parent):
-        raise ValueError(f"the circuit's latent tree {maps} differs from the nets' tree {(nets.latent_parent, nets.obs_parent)}")
-    _check_decoders(pic, nets.family, nets.num_states)
-    tape = Tape()
-    pnodes = {k: tape.const(v) for k, v in nets.param_arrays().items()}
-    return batch_loglik_node(tape, nets, pnodes, rule, np.asarray(x, dtype=np.float64)).data
+    check_nets(pic, nets)
+    return dataset_loglik(nets, rule, np.asarray(x, dtype=np.float64))

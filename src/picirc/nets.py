@@ -15,9 +15,9 @@ only ever evaluated on a (parent, child) grid, and there its Fourier layer
 and first dense layer are one ``fourier_dense`` op: by angle addition the
 pre-activation is one product of the parents' cos/sin with a block built
 from the children's cos/sin and the weights, so the grid's (J n, 2K)
-features are never formed.  Evaluations that take no gradient hand the
-weights to the tape as constants too (``_const_weights``), so their tape
-records nothing.
+features are never formed.  Evaluations that take no gradient hand all
+the weights of a ``ParamNets`` to the tape as constants too
+(``_const_weights``), so their tape records nothing.
 """
 
 from __future__ import annotations
@@ -146,11 +146,6 @@ class _Mlp:
         return h
 
 
-def _const_weights(tape: Tape, net: _Mlp) -> dict[str, Node]:
-    """A net's weights as tape constants, for forward-only evaluations."""
-    return {k: tape.const(v) for k, v in net.params.items()}
-
-
 class EnergyNet(_Mlp):
     """Nonnegative conditional energy f_i(z_child, z_parent); softplus head."""
 
@@ -218,8 +213,8 @@ class ParamNets:
 
     With ``share=True`` a single energy net serves every non-root latent
     and a single decoder serves every observable (the root keeps its own
-    1-input net); parameter names then coincide, so sharing falls out of
-    the tape's parameter registry.
+    1-input net); parameter names then coincide, so ``param_arrays``, and
+    with it the tape's parameter registry, holds a shared net once.
     """
 
     def __init__(self, latent_parent, obs_parent, energy, decoder, family, num_states, share=False):
@@ -248,49 +243,32 @@ class ParamNets:
         m = tree.num_observables
         streams = np.random.SeedSequence(seed).spawn(n + m)
         root = tree.root
-        energy: list[EnergyNet] = [None] * n
-        shared_energy = None
-        for i in range(n):
-            dim = 1 if i == root else 2
-            if share and dim == 2:
-                if shared_energy is None:
-                    shared_energy = EnergyNet(i, 2, num_frequencies, hidden, ff_scale, streams[i])
-                energy[i] = shared_energy
-            else:
-                energy[i] = EnergyNet(i, dim, num_frequencies, hidden, ff_scale, streams[i])
-        decoder: list[DecoderNet] = []
-        shared_decoder = None
-        for j in range(m):
-            if share:
-                if shared_decoder is None:
-                    shared_decoder = DecoderNet(j, family, num_states, num_frequencies, decoder_hidden, ff_scale, streams[n + j])
-                decoder.append(shared_decoder)
-            else:
-                decoder.append(DecoderNet(j, family, num_states, num_frequencies, decoder_hidden, ff_scale, streams[n + j]))
+        energy = [EnergyNet(i, 1 if i == root else 2, num_frequencies, hidden, ff_scale, streams[i]) for i in range(n)]
+        decoder = [DecoderNet(j, family, num_states, num_frequencies, decoder_hidden, ff_scale, streams[n + j]) for j in range(m)]
+        if share:
+            # each net draws from its own stream: the shared nets are the unshared model's first child net and first decoder
+            child = next((net for i, net in enumerate(energy) if i != root), None)
+            energy = [net if i == root else child for i, net in enumerate(energy)]
+            decoder = decoder[:1] * m
         return cls(tree.latent_parent, tree.obs_parent, energy, decoder, family, num_states, share)
 
-    def _unique_nets(self):
-        seen = {}
-        for net in (*self.energy, *self.decoder):
-            seen.setdefault(id(net), net)
-        return list(seen.values())
-
     def register(self, tape: Tape) -> dict[str, Node]:
-        pnodes = {}
-        for net in self._unique_nets():
-            reg = net.register(tape)
-            pnodes.update({f"{net.name}.{k}": v for k, v in reg.items()})
-        return pnodes
+        return {k: tape.param(k, v) for k, v in self.param_arrays().items()}
 
     def net_pnodes(self, net, pnodes: dict[str, Node]) -> dict[str, Node]:
         return {k: pnodes[f"{net.name}.{k}"] for k in net.params}
 
     def param_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for net in self._unique_nets():
-            out.update({f"{net.name}.{k}": v for k, v in net.params.items()})
-        return out
+        """Every net's weights under the name ``{net.name}.{key}``; a shared net appears once."""
+        nets = list({id(net): net for net in (*self.energy, *self.decoder)}.values())
+        if len({net.name for net in nets}) < len(nets):
+            raise ValueError("two different nets share a name; only a shared net may repeat one")
+        return {f"{net.name}.{k}": v for net in nets for k, v in net.params.items()}
 
+
+def _const_weights(tape: Tape, nets: ParamNets) -> dict[str, Node]:
+    """Every net's weights as tape constants, named as ``register`` names them, for forward-only evaluations."""
+    return {k: tape.const(v) for k, v in nets.param_arrays().items()}
 
 
 def _net_record(net) -> dict:

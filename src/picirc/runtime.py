@@ -13,9 +13,9 @@ one latent-tree engine, ``upward_pass``, fed by the one vectorized
 evidence kernel, ``evidence_rows``.  The engine only adds blocks and
 hands them to a per-latent ``contract`` callback, so it serves ndarrays
 and tape nodes alike.  On ndarrays it is ``latent_tree_loglik``, which
-``gaussian.qpc_loglik``, ``training.dataset_nll`` and
-``HcltTensors.loglik`` run; on a tape it is ``training.tree_loglik_node``,
-which the training steps and ``materialize.streamed_loglik`` run.  On
+``gaussian.qpc_loglik`` and ``training.tree_loglik`` (so ``dataset_nll``,
+``materialize.streamed_loglik`` and ``HcltTensors.loglik``) run; on a tape
+it is ``training.tree_loglik_node``, which the training steps run.  On
 ndarrays each latent is contracted by ``autodiff._lse_matmul_data``, the
 kernel of the tape primitive ``lse_matmul``, which stays exact when the
 row and column maxima misalign.  NaN marks a marginalized evidence cell,

@@ -13,10 +13,12 @@ Every log-likelihood on a tape is ``tree_loglik_node``: one ``evidence``
 tape op per observable (forward ``runtime.evidence_rows``, so a NaN cell
 is marginalized in training as in inference), then the latent-tree
 engine, ``runtime.upward_pass``, with one ``autodiff.lse_matmul`` op per
-latent (``lse_matmul_node``).  The training steps and
-``materialize.streamed_loglik`` run it.  ``dataset_nll`` and
-``HcltTensors.loglik`` take no gradient and run its forward on ndarrays:
-``runtime.latent_tree_loglik`` over ``evidence_rows`` blocks.  EM
+latent (``lse_matmul_node``).  The training steps run it.  Its forward on
+ndarrays is ``tree_loglik``, ``runtime.latent_tree_loglik`` over
+``evidence_rows`` blocks, which takes no gradient: ``HcltTensors.loglik``
+and ``dataset_loglik`` run it, and ``dataset_nll`` and
+``materialize.streamed_loglik`` are the mean and the rows of the latter.
+Both check that the evidence has one column per observable.  EM
 takes its expected counts from the same tape: the gradient of the summed
 log-likelihood with respect to the normalized log sum rows is the
 expected count of every sum edge.  ``em_step`` is EM on any concrete
@@ -38,7 +40,7 @@ from . import autodiff as ad
 from .autodiff import Node, Tape, _log_normalize_data
 from .circuit import Circuit, Unit, param_width
 from .errors import NumericError
-from .materialize import _build_regions, _input_region, _read_pic, input_param_node, materialize_input_params, materialize_sum_params, sum_param_node
+from .materialize import _build_regions, _input_region, _read_pic, materialize_input_params, materialize_sum_params, param_nodes
 from .nets import ParamNets, squash
 from .quadrature import QuadratureRule, make_rule
 from .runtime import _times_inv_sigma, bpd, circuit_layers, evidence_rows, forward_values, latent_tree_loglik, layer_table, observed_evidence, upward_pass
@@ -148,6 +150,13 @@ def _evidence_bwd(ctx, g):
     return (out,)
 
 
+def _obs_rows(model, tables, x: np.ndarray, evidence):
+    """``evidence(table, family, num_states, x[:, j], j)`` per observable j; ValueError unless x has one column each."""
+    if np.ndim(x) != 2 or np.shape(x)[1] != len(model.obs_parent):
+        raise ValueError(f"evidence of shape {np.shape(x)} is not (rows, {len(model.obs_parent)}): one column per observable")
+    return (evidence(table, model.family, model.num_states, x[:, j], j) for j, table in enumerate(tables))
+
+
 def tree_loglik_node(tape: Tape, model, tables, sum_rows, x: np.ndarray) -> Node:
     """The one latent-tree log-likelihood (B,) on the tape.
 
@@ -155,25 +164,26 @@ def tree_loglik_node(tape: Tape, model, tables, sum_rows, x: np.ndarray) -> Node
     family; tables yields observable j's squashed (N, I) block in order and
     sum_rows(i) latent i's normalized (J, N) log rows, both as tape nodes.
     """
-    obs_rows = (evidence_node(tape, table, model.family, model.num_states, x[:, j], var=j) for j, table in enumerate(tables))
+    obs_rows = _obs_rows(model, tables, x, lambda *args: evidence_node(tape, *args))
     loglik = upward_pass(model.latent_parent, model.obs_parent, obs_rows, lambda i, acc: lse_matmul_node(tape, sum_rows(i), acc))
     return ad.reshape(loglik, (x.shape[0],))
+
+
+def tree_loglik(model, tables, sum_rows, x: np.ndarray) -> np.ndarray:
+    """``tree_loglik_node``'s forward on ndarray tables and sum rows: ``runtime.latent_tree_loglik`` over ``evidence_rows`` blocks."""
+    return latent_tree_loglik(model.latent_parent, model.obs_parent, sum_rows, list(_obs_rows(model, tables, x, evidence_rows)))
 
 
 def batch_loglik_node(tape: Tape, nets: ParamNets, pnodes, rule: QuadratureRule, x: np.ndarray) -> Node:
     """Batch log-likelihood (B,) through the circuit materialized on the tape.
 
-    ``tree_loglik_node`` over the nets: each observable's parameter block
-    and each latent's sum rows exist only as tape nodes, built when the
-    engine reaches them (the concrete circuit is never assembled).
+    ``tree_loglik_node`` over ``materialize.param_nodes``: each
+    observable's parameter block and each latent's sum rows exist only as
+    tape nodes, built when the engine reaches them (the concrete circuit
+    is never assembled).
     """
-    tables = (input_param_node(tape, net, nets.net_pnodes(net, pnodes), rule.points) for net in nets.decoder)
-
-    def sum_rows(i):
-        net = nets.energy[i]
-        return sum_param_node(tape, net, nets.net_pnodes(net, pnodes), rule.points, rule.weights)
-
-    return tree_loglik_node(tape, nets, tables, sum_rows, x)
+    table, sum_rows = param_nodes(tape, nets, pnodes, rule.points, rule.weights)
+    return tree_loglik_node(tape, nets, map(table, range(len(nets.decoder))), sum_rows, x)
 
 
 @dataclass
@@ -208,24 +218,22 @@ def train_pic_step(nets: ParamNets, batch: np.ndarray, rule: QuadratureRule, opt
     return float(loss.data)
 
 
-def dataset_nll(nets: ParamNets, rule: QuadratureRule, x: np.ndarray, chunk: int = 4096) -> float:
-    """Mean negative log-likelihood of a dataset under the current nets.
-
-    Materializes the parameter tensors once and streams the data in chunks
-    through ``runtime.latent_tree_loglik``, the forward of
-    ``tree_loglik_node`` on ndarrays.  No rows raises ValueError.
-    """
-    if not len(x):
-        raise ValueError("dataset has no rows")
+def dataset_loglik(nets: ParamNets, rule: QuadratureRule, x: np.ndarray, chunk: int = 4096) -> np.ndarray:
+    """Per-row log-likelihood (B,) under the nets: their tensors materialized once, the rows streamed through ``tree_loglik``."""
     sp = materialize_sum_params(nets, rule.points, rule.weights)
     ip = materialize_input_params(nets, rule.points)
     sum_rows = [sp.s[i][:1] if p is None else sp.s[i] for i, p in enumerate(nets.latent_parent)]
-    total = 0.0
+    out = np.empty(len(x))
     for lo in range(0, len(x), chunk):
-        xc = x[lo : lo + chunk]
-        obs_rows = [evidence_rows(table, nets.family, nets.num_states, xc[:, j], j) for j, table in enumerate(ip.table)]
-        total += latent_tree_loglik(nets.latent_parent, nets.obs_parent, sum_rows, obs_rows).sum()
-    return float(-total / len(x))
+        out[lo : lo + chunk] = tree_loglik(nets, ip.table, sum_rows, x[lo : lo + chunk])
+    return out
+
+
+def dataset_nll(nets: ParamNets, rule: QuadratureRule, x: np.ndarray, chunk: int = 4096) -> float:
+    """Mean negative log-likelihood of a dataset: the mean of ``dataset_loglik``.  No rows raises ValueError."""
+    if not len(x):
+        raise ValueError("dataset has no rows")
+    return float(-dataset_loglik(nets, rule, x, chunk).mean())
 
 
 def _fit(params: dict[str, np.ndarray], take_step, nll, train_x: np.ndarray, valid_x: np.ndarray, config: TrainConfig) -> TrainResult:
@@ -382,9 +390,8 @@ class HcltTensors:
         return [_log_normalize_data(logits) for logits in self.sum_logits]
 
     def loglik(self, x: np.ndarray) -> np.ndarray:
-        """Per-row log-likelihood (B,): ``runtime.latent_tree_loglik`` of the tensors."""
-        obs_rows = [evidence_rows(table, self.family, self.num_states, x[:, j], j) for j, table in enumerate(self.input_tables())]
-        return latent_tree_loglik(self.latent_parent, self.obs_parent, self.sum_rows(), obs_rows)
+        """Per-row log-likelihood (B,): ``tree_loglik`` of the tensors."""
+        return tree_loglik(self, self.input_tables(), self.sum_rows(), x)
 
     def to_circuit(self) -> Circuit:
         """The concrete circuit of these tensors, built by the static materializer's region builder."""

@@ -31,7 +31,7 @@ from picirc.circuit import Circuit
 from picirc.errors import CircuitError
 from picirc.gaussian import LinearGaussianLTM
 from picirc.materialize import input_param_node, sum_param_node
-from picirc.nets import DecoderNet, EnergyNet, ParamNets, _const_weights
+from picirc.nets import DecoderNet, EnergyNet, ParamNets
 from picirc.quadrature import QuadratureRule
 from picirc.runtime import gaussian_logpdf, observed_evidence
 from picirc.structures import top_down_order
@@ -346,6 +346,11 @@ def joint_gaussian(model: LinearGaussianLTM) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
+def const_weights(tape: Tape, net) -> dict[str, Node]:
+    """One net's weights as tape constants, under the names its forward reads."""
+    return {k: tape.const(v) for k, v in net.params.items()}
+
+
 def energy_forward(net: EnergyNet, z_child: float, z_parent: float | None = None) -> float:
     """Scalar energy at one (child, parent) point; inputs must be in [-1, 1]."""
     if (z_parent is None) != (net.input_dim == 1):
@@ -354,7 +359,7 @@ def energy_forward(net: EnergyNet, z_child: float, z_parent: float | None = None
         raise ValueError("latent inputs must lie in [-1, 1]")
     tape = Tape()
     parent = None if z_parent is None else [z_parent]
-    return float(net.forward(tape, _const_weights(tape, net), np.array([z_child]), parent).data[0, 0])
+    return float(net.forward(tape, const_weights(tape, net), np.array([z_child]), parent).data[0, 0])
 
 
 def energy_grid_direct(net: EnergyNet, child_z, parent_z=None) -> np.ndarray:
@@ -384,4 +389,4 @@ def energy_grid_direct(net: EnergyNet, child_z, parent_z=None) -> np.ndarray:
 def decoder_forward(net: DecoderNet, z: float) -> np.ndarray:
     """Squashed parameter vector of one decoder at one latent point."""
     tape = Tape()
-    return net.squash(net.forward(tape, _const_weights(tape, net), tape.const([[z]]))).data[0]
+    return net.squash(net.forward(tape, const_weights(tape, net), tape.const([[z]]))).data[0]

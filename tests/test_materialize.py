@@ -18,10 +18,11 @@ from picirc.materialize import (
     streamed_loglik,
     sum_param_node,
 )
-from picirc.nets import ParamNets
+from picirc.nets import ParamNets, _const_weights
 from picirc.quadrature import make_rule
 from picirc.runtime import log_forward, marginal
 from picirc.structures import LatentTree, bn_to_pic, top_down_order
+from picirc.training import batch_loglik_node, dataset_loglik, dataset_nll
 from reference import decoder_forward
 
 NEURAL = {"type": "neural"}
@@ -147,6 +148,13 @@ class TestSumParams:
         rule = make_rule("trapezoidal", 4, -2.0, 2.0)
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             materialize_sum_params(nets, rule.points, rule.weights)
+        # abs(nan) > 1 is False: a NaN point once reached the energy and was reported as a non-finite energy
+        with pytest.raises(ValueError, match=r"energy-model latents live on \[-1, 1\]"):
+            materialize_sum_params(nets, np.array([0.0, np.nan]), np.ones(2))
+        tape = Tape()
+        net = nets.energy[1]
+        with pytest.raises(ValueError, match=r"energy-model latents live on \[-1, 1\]"):
+            sum_param_node(tape, net, nets.net_pnodes(net, nets.register(tape)), np.zeros(2), np.ones(2), np.array([np.nan]))
 
 
 class TestInputParams:
@@ -192,6 +200,9 @@ class TestInputParams:
             input_param_node(tape, net, nets.net_pnodes(net, nets.register(tape)), outside.points)
         with pytest.raises(ValueError, match=r"decoder latents live on \[-1, 1\]"):
             materialize_input_params(nets, np.array([0.0, 1.5]))
+        # abs(nan) > 1 is False: a NaN point once gave a NaN row
+        with pytest.raises(ValueError, match=r"decoder latents live on \[-1, 1\]"):
+            materialize_input_params(nets, np.array([0.0, np.nan]))
         with pytest.raises(ValueError, match=r"decoder latents live on \[-1, 1\]"):
             materialize_nested(gaussian_latent_over_neural_input(), constant_selector(outside), nets=nets)
 
@@ -547,6 +558,37 @@ class TestMaterializeNested:
         for var, j, params in inputs:
             np.testing.assert_array_equal(params, static[var][j])
 
+    def test_sum_rows_are_sum_param_node_at_each_parent_point(self):
+        tree = neural_tree((None, 0), (0, 1), k=3)
+        nets = small_nets(tree, k=3, seed=26)
+
+        def selector(latent, parent_value):
+            if parent_value is None:
+                return make_rule("gauss_legendre", 4, -1.0, 1.0)
+            return make_rule("trapezoidal", 5, max(-1.0, parent_value - 0.5), min(1.0, parent_value + 0.5))
+
+        qpc = materialize_nested(bn_to_pic(tree), selector, nets=nets)
+        tape = Tape()
+        pnodes = nets.register(tape)
+
+        def row(latent, rule, parent_z=None):
+            net = nets.energy[latent]
+            return sum_param_node(tape, net, nets.net_pnodes(net, pnodes), rule.points, rule.weights, parent_z).data[0]
+
+        root, root_rule = qpc.units[qpc.root], selector(0, None)
+        assert np.array_equal(root.weights, row(0, root_rule))
+        for product, zj in zip(root.children, root_rule.points, strict=True):
+            child = next(qpc.units[c] for c in qpc.units[product].children if qpc.units[c].kind == "sum")
+            assert np.array_equal(child.weights, row(1, selector(1, zj), np.array([zj])))
+
+    @pytest.mark.parametrize("nets_tree", [(1, None, 1), (None, 0, 1)])
+    def test_nets_of_another_tree_rejected(self, nets_tree):
+        # (1, None, 1) once raised IndexError; (None, 0, 1) silently built the circuit from another tree's nets
+        pic = bn_to_pic(neural_tree((None, 0, 0), (0, 1, 2)))
+        nets = small_nets(neural_tree(nets_tree, (0, 1, 2)))
+        with pytest.raises(ValueError, match=r"circuit's latent tree \(\(None, 0, 0\), \(0, 1, 2\)\) differs from the nets' tree"):
+            materialize_nested(pic, constant_selector(make_rule("trapezoidal", 3, -1.0, 1.0)), nets=nets)
+
     def test_neural_pic_without_nets_names_them(self):
         rule = make_rule("trapezoidal", 3, -1.0, 1.0)
         with pytest.raises(ValueError, match="need the parameter nets"):
@@ -620,6 +662,20 @@ class TestStreamedLoglik:
         np.testing.assert_allclose(
             streamed_loglik(pic, rule, nets, x), log_forward(qpc, x), rtol=1e-10, atol=1e-10
         )
+
+    @pytest.mark.parametrize("family, k", FAMILY_STATES)
+    def test_is_the_rows_dataset_nll_averages_bitwise(self, family, k):
+        # more rows than one 4096-row chunk; a row's bits depend neither on its chunk nor on tape against ndarray
+        tree = neural_tree((None, 0, 0), (0, 1, 1, 2), family=family, k=k)
+        nets = small_nets(tree, family=family, k=k, seed=32)
+        rule = make_rule("trapezoidal", 8, -1.0, 1.0)
+        x = family_data(family, k, 4200, 4, 6)
+        x[np.random.default_rng(7).random(x.shape) < 0.25] = np.nan
+        streamed = streamed_loglik(bn_to_pic(tree), rule, nets, x)
+        assert np.array_equal(streamed, dataset_loglik(nets, rule, x, chunk=64))
+        assert dataset_nll(nets, rule, x) == -streamed.mean()
+        tape = Tape()
+        assert np.array_equal(streamed, batch_loglik_node(tape, nets, _const_weights(tape, nets), rule, x).data)
 
     @pytest.mark.parametrize("family, k, value", [("categorical", 4, 4.0), ("binomial", 5, 2.5), ("gaussian", None, np.inf)])
     def test_out_of_support_evidence_raises(self, family, k, value):

@@ -12,7 +12,6 @@ from picirc.nets import (
     EnergyNet,
     FourierFeatureLayer,
     ParamNets,
-    _const_weights,
     fourier_dense,
     load_checkpoint,
     save_checkpoint,
@@ -20,7 +19,7 @@ from picirc.nets import (
 from picirc.quadrature import make_rule
 from picirc.structures import LatentTree
 from picirc.training import HcltTensors, batch_loglik_node
-from reference import decoder_forward, energy_forward, energy_grid_direct
+from reference import const_weights, decoder_forward, energy_forward, energy_grid_direct
 
 
 def small_tree():
@@ -289,7 +288,7 @@ class TestDecoderNet:
         net = DecoderNet(0, "binomial", num_states=5, num_frequencies=4, hidden=(8,), rng=9)
         tape = Tape()
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-            input_param_node(tape, net, _const_weights(tape, net), np.array([-1.2]))
+            input_param_node(tape, net, const_weights(tape, net), np.array([-1.2]))
         with pytest.raises(ValueError, match="family"):
             DecoderNet(0, "poisson")
 
@@ -334,7 +333,7 @@ class TestTapeOps:
         assert recorded == ops
         recorded.clear()
         tape = Tape()
-        forward(tape, _const_weights(tape, net))
+        forward(tape, const_weights(tape, net))
         assert recorded == []
 
     def test_categorical_squash_is_one_log_normalize_op(self):
@@ -363,6 +362,15 @@ class TestParamNets:
         assert set(pnodes) == set(nets.param_arrays())
         fs = nets.net_pnodes(nets.energy[2], pnodes)
         assert set(fs) == set(nets.energy[2].params)
+
+    def test_two_nets_under_one_name_refused(self):
+        # param_arrays once kept the last one's weights for both
+        tree = small_tree()
+        nets = ParamNets.for_tree(tree, "categorical", num_states=3, num_frequencies=4, hidden=(8, 8), seed=3)
+        nets.energy[2] = EnergyNet(1, 2, num_frequencies=4, hidden=(8, 8), rng=4)
+        for call in (nets.param_arrays, lambda: nets.register(Tape())):
+            with pytest.raises(ValueError, match="two different nets share a name"):
+                call()
 
     def test_seed_controls_initialization(self):
         a = ParamNets.for_tree(small_tree(), "binomial", num_states=5, num_frequencies=4, hidden=(8, 8), seed=5)

@@ -467,6 +467,49 @@ class TestEngineCallers:
             thunk()
 
 
+def width_callers(x):
+    """Every neural and free-tensor likelihood on a 3-observable model, as a thunk over x, and their parameters."""
+    tree = neural_tree((None, 0), (0, 1, 1))
+    rule = make_rule("trapezoidal", 4, -1.0, 1.0)
+    nets = small_nets(tree, seed=3)
+    tensors = HcltTensors.random(tree, 4, "categorical", 3, seed=3)
+    calls = {
+        "dataset_nll": lambda: dataset_nll(nets, rule, x),
+        "streamed_loglik": lambda: streamed_loglik(bn_to_pic(tree), rule, nets, x),
+        "HcltTensors.loglik": lambda: tensors.loglik(x),
+        "train_pic_step": lambda: train_pic_step(nets, x, rule, Adam(nets.param_arrays(), TrainConfig())),
+        "hclt_adam_step": lambda: hclt_adam_step(tensors, x, Adam(tensors.param_arrays(), TrainConfig())),
+        "hclt_em_step": lambda: hclt_em_step(tensors, x, 0.5),
+    }
+    return calls, {**nets.param_arrays(), **tensors.param_arrays()}
+
+
+@pytest.mark.parametrize("caller", ["dataset_nll", "streamed_loglik", "HcltTensors.loglik", "train_pic_step", "hclt_adam_step", "hclt_em_step"])
+@pytest.mark.parametrize("shape", [(2, 4), (2, 2), (3,)], ids=["extra-column", "missing-column", "one-row-1d"])
+def test_evidence_needs_one_column_per_observable(caller, shape):
+    # an extra column was once silently ignored; a missing one or a 1-D row raised a bare IndexError
+    calls, params = width_callers(np.zeros(shape))
+    before = {k: v.copy() for k, v in params.items()}
+    with pytest.raises(ValueError, match=r"evidence of shape \(.*\) is not \(rows, 3\)"):
+        calls[caller]()
+    assert all(np.array_equal(params[k], v) for k, v in before.items())
+
+
+def test_batch_loglik_node_op_sequence():
+    # observables in order (decoder, squash, evidence, accumulate), then each latent children first:
+    # energy grid, weights and normalizer, contraction, and the add into its parent
+    tree = neural_tree((None, 0, 1), (0, 1, 1, 2))
+    nets = small_nets(tree, seed=5)
+    tape = Tape()
+    x = np.array([[0.0, 1.0, 2.0, np.nan], [2.0, 0.0, 1.0, 1.0]])
+    batch_loglik_node(tape, nets, nets.register(tape), make_rule("trapezoidal", 4, -1.0, 1.0), x)
+    decoder = ["dense", "dense", "log_normalize", "evidence"]
+    child_rows = ["fourier_dense", "dense", "dense", "softplus", "reshape", "neg", "add", "log_normalize", "lse_matmul"]
+    root_rows = ["dense", "dense", "dense", "softplus", "reshape", "neg", "add", "log_normalize", "lse_matmul"]
+    expected = decoder * 3 + ["add"] + decoder + child_rows + ["add"] + child_rows + ["add"] + root_rows + ["reshape"]
+    assert [rec[0] for rec in tape._records] == expected
+
+
 class TestTrainPic:
     def test_patience_zero_stops_at_first_flat_evaluation(self):
         tree = neural_tree((None,), (0,), k=2)
