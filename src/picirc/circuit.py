@@ -92,7 +92,7 @@ class InputDist:
             raise CircuitError(f"{self.family} needs {width} parameters, got shape {p.shape}")
         if self.family == "categorical":
             mass = np.exp(p).sum()
-            if abs(mass - 1.0) > 1e-9:
+            if not abs(mass - 1.0) <= 1e-9:  # a NaN mass fails too
                 raise CircuitError(f"categorical log-probs sum to {mass}, not 1")
         elif self.family == "binomial" and not 0.0 < p[0] < 1.0:
             raise CircuitError("binomial needs one success probability in (0, 1)")
@@ -141,14 +141,15 @@ class Circuit:
 
     def validate(self) -> None:
         n = len(self.units)
+        scopes = [u.scope for u in self.units]
         for i, u in enumerate(self.units):
             if u.uid != i:
                 raise CircuitError(f"unit ids not dense: position {i} holds id {u.uid}")
             if u.kind not in KINDS:
                 raise CircuitError(f"unit {i}: unknown kind {u.kind!r}")
-            for c in u.children:
-                if not 0 <= c < n:
-                    raise CircuitError(f"unit {i}: child id {c} out of range")
+            if u.children and not (0 <= min(u.children) and max(u.children) < n):
+                c = next(c for c in u.children if not 0 <= c < n)
+                raise CircuitError(f"unit {i}: child id {c} out of range")
             if u.kind == "input":
                 if u.children:
                     raise CircuitError(f"input unit {i} has children")
@@ -169,7 +170,7 @@ class Circuit:
                 if u.latent is None or "var" not in u.latent or "cond" not in u.latent:
                     raise CircuitError(f"integral unit {i} missing latent descriptor")
             if u.kind != "input":
-                union = frozenset().union(*(self.units[c].scope for c in u.children))
+                union = frozenset().union(*map(scopes.__getitem__, u.children))
                 if u.scope != union:
                     raise CircuitError(f"unit {i}: scope differs from union of children scopes")
         if not 0 <= self.root < n:
@@ -181,7 +182,8 @@ class Circuit:
         latents = [u.latent["var"] for u in self.integral_units()]
         if len(latents) != len(set(latents)):
             raise CircuitError("integral units must integrate distinct latent variables")
-        if self.units[self.root].scope != frozenset(range(self.num_vars)):
+        root_scope = self.units[self.root].scope
+        if len(root_scope) != self.num_vars or root_scope != frozenset(range(self.num_vars)):
             raise CircuitError("root scope must cover all observables")
 
 
@@ -309,52 +311,88 @@ def _decode_cond(cond, what: str = "conditional") -> dict:
         raise SchemaError(f"{what} must be an object, got {type(cond).__name__}")
     try:
         return {key: float(val) if key in _COND_FLOAT_KEYS else val for key, val in cond.items()}
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise SchemaError(f"{what}: {e}") from e
 
 
-def _decode_floats(values, what: str) -> np.ndarray:
+def _decode_floats(values, uid: int, field: str) -> np.ndarray:
     """A read-only float array from a JSON list of numbers or decimal strings."""
     try:
         if not isinstance(values, list):
             raise TypeError(f"expected a list, got {type(values).__name__}")
-        out = np.array([float(v) for v in values])
-    except (TypeError, ValueError) as e:
-        raise SchemaError(f"{what}: {e}") from e
+        out = np.fromiter(map(float, values), np.float64, len(values))
+    except (TypeError, ValueError, OverflowError) as e:
+        raise SchemaError(f"unit {uid}: {field}: {e}") from e
     out.setflags(write=False)
     return out
 
 
+def _value(value, level: int) -> str:
+    """``json.dumps(value, indent=1)`` as it reads nested ``level`` deep in a document."""
+    if isinstance(value, (dict, list, tuple)):
+        return json.dumps(value, indent=1).replace("\n", "\n" + " " * level)
+    return json.dumps(value)
+
+
+# json's C encoder writes a list of ints as one line; item separators that
+# carry the newline and indent give the indent=1 layout at the two nesting
+# levels where serialize writes lists, and json still refuses what it
+# refuses (an np.int64 child, say).
+_ITEMS = {level: json.JSONEncoder(separators=(",\n" + " " * (level + 1), ": ")).encode for level in (3, 4)}
+
+
+def _ints(values, level: int) -> str:
+    if not values:
+        return "[]"
+    body = _ITEMS[level](values)
+    return "[\n" + " " * (level + 1) + body[1:-1] + "\n" + " " * level + "]"
+
+
+def _floats(values, level: int) -> str:
+    """A float array as a list of ``repr`` strings, ``level`` deep."""
+    values = np.asarray(values, dtype=np.float64).tolist()
+    if not values:
+        return "[]"
+    pad = " " * (level + 1)
+    return "[\n" + pad + '"' + ('",\n' + pad + '"').join(map(repr, values)) + '"\n' + " " * level + "]"
+
+
 def serialize(circuit: Circuit) -> bytes:
-    """JSON encoding with floats as full-precision decimal strings."""
-    units = []
+    """JSON encoding with floats as full-precision decimal strings.
+
+    The layout is stable byte for byte: it is ``json.dumps(doc, indent=1)``
+    of the document that ``deserialize`` reads, with every float written as
+    the string ``repr(float(x))``.  It is written directly, not through
+    ``json.dumps``, whose indenting encoder is pure Python.
+    """
+    out = ['{\n "num_vars": ', _value(circuit.num_vars, 1), ',\n "root": ', _value(circuit.root, 1), ',\n "units": [']
+    sep = "\n"
     for u in circuit.units:
-        rec: dict = {
-            "id": u.uid,
-            "kind": u.kind,
-            "children": list(u.children),
-            "scope": sorted(u.scope),
-        }
+        out += (
+            sep, '  {\n   "id": ', _value(u.uid, 3),
+            ',\n   "kind": ', _value(u.kind, 3),
+            ',\n   "children": ', _ints(u.children, 3),
+            ',\n   "scope": ', _ints(sorted(u.scope), 3),
+        )
+        sep = ",\n"
         if u.weights is not None:
-            rec["weights"] = [_fmt(w) for w in u.weights]
+            out += ',\n   "weights": ', _floats(u.weights, 3)
         if u.dist is not None:
-            d: dict = {"family": u.dist.family}
-            if u.dist.num_states is not None:
-                d["k"] = u.dist.num_states
-            if u.dist.params is not None:
-                d["params"] = [_fmt(p) for p in u.dist.params]
-            if u.dist.conditional is not None:
-                d["conditional"] = _encode_cond(u.dist.conditional)
-            rec["dist"] = d
+            dist = u.dist
+            out += ',\n   "dist": {\n    "family": ', _value(dist.family, 4)
+            if dist.num_states is not None:
+                out += ',\n    "k": ', _value(dist.num_states, 4)
+            if dist.params is not None:
+                out += ',\n    "params": ', _floats(dist.params, 4)
+            if dist.conditional is not None:
+                out += ',\n    "conditional": ', _value(_encode_cond(dist.conditional), 4)
+            out.append("\n   }")
         if u.latent is not None:
-            rec["latent"] = {
-                "var": u.latent["var"],
-                "parent": u.latent["parent"],
-                "cond": _encode_cond(u.latent["cond"]),
-            }
-        units.append(rec)
-    doc = {"num_vars": circuit.num_vars, "root": circuit.root, "units": units}
-    return json.dumps(doc, indent=1).encode()
+            latent = {"var": u.latent["var"], "parent": u.latent["parent"], "cond": _encode_cond(u.latent["cond"])}
+            out += ',\n   "latent": ', _value(latent, 3)
+        out.append("\n  }")
+    out.append("\n ]\n}" if circuit.units else "]\n}")
+    return "".join(out).encode()
 
 
 def deserialize(data: bytes | str) -> Circuit:
@@ -368,31 +406,35 @@ def deserialize(data: bytes | str) -> Circuit:
         num_vars = int(doc["num_vars"])
         root = int(doc["root"])
         raw_units = doc["units"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise SchemaError(f"circuit JSON missing required field: {e}") from e
     if not isinstance(raw_units, list):
         raise SchemaError(f"circuit JSON field 'units' must be a list, got {type(raw_units).__name__}")
 
     slots: list[Unit | None] = [None] * len(raw_units)
+    scopes: dict[tuple, frozenset] = {}  # equal scopes share one frozenset
     for rec in raw_units:
         try:
             uid = int(rec["id"])
             kind = rec["kind"]
-            children = tuple(int(c) for c in rec["children"])
-            scope = frozenset(int(v) for v in rec["scope"])
-        except (KeyError, TypeError, ValueError) as e:
+            children = tuple(map(int, rec["children"]))
+            key = tuple(map(int, rec["scope"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise SchemaError(f"bad unit record: {e}") from e
+        scope = scopes.get(key)
+        if scope is None:
+            scope = scopes[key] = frozenset(key)
         if kind not in KINDS:
             raise SchemaError(f"unit {uid}: unknown kind {kind!r}")
         if not 0 <= uid < len(raw_units) or slots[uid] is not None:
             raise SchemaError(f"unit ids must be dense and unique; offending id {uid}")
-        weights = _decode_floats(rec["weights"], f"unit {uid}: weights") if "weights" in rec else None
+        weights = _decode_floats(rec["weights"], uid, "weights") if "weights" in rec else None
         dist = None
         if "dist" in rec:
             d = rec["dist"]
             if not isinstance(d, dict):
                 raise SchemaError(f"unit {uid}: dist must be an object, got {type(d).__name__}")
-            params = _decode_floats(d["params"], f"unit {uid}: params") if "params" in d else None
+            params = _decode_floats(d["params"], uid, "params") if "params" in d else None
             dist = InputDist(
                 family=d.get("family"),
                 num_states=d.get("k"),
@@ -408,7 +450,7 @@ def deserialize(data: bytes | str) -> Circuit:
                     "parent": None if lt["parent"] is None else int(lt["parent"]),
                     "cond": _decode_cond(lt["cond"], f"unit {uid}: latent cond"),
                 }
-            except (KeyError, TypeError, ValueError) as e:
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise SchemaError(f"unit {uid}: bad latent descriptor: {e}") from e
         slots[uid] = Unit(uid, kind, children, scope, weights=weights, dist=dist, latent=latent)
 

@@ -150,6 +150,8 @@ def _cmd_sanity_check(args) -> int:
 
 
 def _cmd_clt(args) -> int:
+    if not (np.isfinite(args.smoothing) and args.smoothing >= 0):
+        raise ValueError(f"--smoothing must be a finite number ≥ 0, got {args.smoothing}")
     dataset = load_csv(args.data, args.schema)
     family, num_states = _single_family(dataset)
     if family == "gaussian":

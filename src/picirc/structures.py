@@ -120,13 +120,20 @@ def tree_from_json(data: bytes | str) -> LatentTree:
     return tree
 
 
+def _check_smoothing(smoothing) -> None:
+    if not (np.isfinite(smoothing) and smoothing >= 0):
+        raise ValueError(f"smoothing must be a finite number ≥ 0, got {smoothing}")
+
+
 def mutual_information(data: np.ndarray, i: int, j: int, smoothing: float = 0.01) -> float:
     """Plug-in mutual information of columns i and j, in nats.
 
     Estimated from the empirical joint with additive (Laplace) smoothing on
     the joint counts; marginals are the smoothed joint's marginals, so the
-    result is a true MI and never negative.
+    result is a true MI and never negative.  A negative or non-finite
+    smoothing raises ValueError: it would drop or poison joint cells.
     """
+    _check_smoothing(smoothing)
     data = np.asarray(data)
     if data.size == 0:
         raise ValueError("mutual information needs at least one row of data")
@@ -204,7 +211,8 @@ def chow_liu_tree(data: np.ndarray, smoothing: float = 0.01) -> np.ndarray:
 
     Returns a parent array (-1 at the root) of the maximum-spanning tree
     of the pairwise mutual-information graph.  A missing (NaN) cell raises
-    ValueError: the counts would take NaN for one more state.
+    ValueError: the counts would take NaN for one more state; so does a
+    smoothing that ``mutual_information`` refuses.
     """
     data = np.asarray(data)
     d = data.shape[1]

@@ -150,10 +150,15 @@ def _evidence_bwd(ctx, g):
     return (out,)
 
 
-def _obs_rows(model, tables, x: np.ndarray, evidence):
-    """``evidence(table, family, num_states, x[:, j], j)`` per observable j; ValueError unless x has one column each."""
+def _check_width(model, x) -> None:
+    """ValueError unless x is 2-D with one column per observable of the model, rows or none."""
     if np.ndim(x) != 2 or np.shape(x)[1] != len(model.obs_parent):
         raise ValueError(f"evidence of shape {np.shape(x)} is not (rows, {len(model.obs_parent)}): one column per observable")
+
+
+def _obs_rows(model, tables, x: np.ndarray, evidence):
+    """``evidence(table, family, num_states, x[:, j], j)`` per observable j; ``_check_width`` first."""
+    _check_width(model, x)
     return (evidence(table, model.family, model.num_states, x[:, j], j) for j, table in enumerate(tables))
 
 
@@ -220,6 +225,7 @@ def train_pic_step(nets: ParamNets, batch: np.ndarray, rule: QuadratureRule, opt
 
 def dataset_loglik(nets: ParamNets, rule: QuadratureRule, x: np.ndarray, chunk: int = 4096) -> np.ndarray:
     """Per-row log-likelihood (B,) under the nets: their tensors materialized once, the rows streamed through ``tree_loglik``."""
+    _check_width(nets, x)  # the chunk loop checks nothing when x has no rows
     sp = materialize_sum_params(nets, rule.points, rule.weights)
     ip = materialize_input_params(nets, rule.points)
     sum_rows = [sp.s[i][:1] if p is None else sp.s[i] for i, p in enumerate(nets.latent_parent)]

@@ -9,6 +9,8 @@ dense Gaussian joint that checks ``gaussian.exact_loglik``,
 ``energy_forward`` and ``decoder_forward`` evaluate an energy net and a
 decoder at one point, and ``energy_grid_direct`` is an energy grid from
 every point's own Fourier features, which pins ``nets.fourier_dense``.
+``serialize_reference`` writes a circuit through ``json.dumps``, which pins
+the bytes of ``circuit.serialize``.
 
 The tape ops that only these oracles and the tests record live here, not
 in ``picirc.autodiff``: ``gather``, ``exp``, ``log``, ``matmul`` and the
@@ -20,6 +22,7 @@ registers ``evidence``.
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +30,7 @@ from scipy.special import gammaln
 
 from picirc import autodiff as ad
 from picirc.autodiff import Node, Tape
-from picirc.circuit import Circuit
+from picirc.circuit import Circuit, _encode_cond, _fmt
 from picirc.errors import CircuitError
 from picirc.gaussian import LinearGaussianLTM
 from picirc.materialize import input_param_node, sum_param_node
@@ -128,6 +131,38 @@ def copy_circuit(pc: Circuit) -> Circuit:
     """Fresh unit list with independently owned weight arrays, for ``em_step`` to update."""
     units = [replace(u, weights=None if u.weights is None else u.weights.copy()) for u in pc.units]
     return Circuit(units=units, root=pc.root, num_vars=pc.num_vars)
+
+
+def serialize_reference(circuit: Circuit) -> bytes:
+    """The circuit's JSON document through ``json.dumps(doc, indent=1)``: the bytes ``circuit.serialize`` must write."""
+    units = []
+    for u in circuit.units:
+        rec: dict = {
+            "id": u.uid,
+            "kind": u.kind,
+            "children": list(u.children),
+            "scope": sorted(u.scope),
+        }
+        if u.weights is not None:
+            rec["weights"] = [_fmt(w) for w in u.weights]
+        if u.dist is not None:
+            d: dict = {"family": u.dist.family}
+            if u.dist.num_states is not None:
+                d["k"] = u.dist.num_states
+            if u.dist.params is not None:
+                d["params"] = [_fmt(p) for p in u.dist.params]
+            if u.dist.conditional is not None:
+                d["conditional"] = _encode_cond(u.dist.conditional)
+            rec["dist"] = d
+        if u.latent is not None:
+            rec["latent"] = {
+                "var": u.latent["var"],
+                "parent": u.latent["parent"],
+                "cond": _encode_cond(u.latent["cond"]),
+            }
+        units.append(rec)
+    doc = {"num_vars": circuit.num_vars, "root": circuit.root, "units": units}
+    return json.dumps(doc, indent=1).encode()
 
 
 def post_order(circuit: Circuit) -> list[int]:

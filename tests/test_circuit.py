@@ -172,6 +172,8 @@ class TestValidate:
     def test_input_dist_validation(self):
         with pytest.raises(CircuitError, match="sum to"):
             InputDist("categorical", 2, params=np.log([0.5, 0.6])).validate()
+        with pytest.raises(CircuitError, match="sum to nan"):
+            InputDist("categorical", 2, params=np.array([np.nan, 0.0])).validate()
         with pytest.raises(CircuitError, match="success probability"):
             InputDist("binomial", 5, params=np.array([1.5])).validate()
         with pytest.raises(CircuitError, match="finite"):

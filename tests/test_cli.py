@@ -87,6 +87,18 @@ class TestExitCodes:
         assert code == 1
         assert "error: row 1, column 'a': value inf outside categorical(4) support" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("smoothing", ["-1", "-0.5", "nan", "inf"])
+    def test_bad_smoothing_is_user_error(self, tmp_path, capsys, smoothing):
+        data = write_categorical(tmp_path / "d.csv", rows=30, seed=1)
+        out = tmp_path / "t.json"
+        assert run(["clt", "--data", str(data), "--schema", "categorical:3", "--smoothing", smoothing, "--out", str(out)]) == 1
+        assert f"error: --smoothing must be a finite number ≥ 0, got {float(smoothing)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_smoothing_is_allowed(self, tmp_path):
+        data = write_categorical(tmp_path / "d.csv", rows=30, seed=1)
+        assert run(["clt", "--data", str(data), "--schema", "categorical:3", "--smoothing", "0", "--out", str(tmp_path / "t.json")]) == 0
+
     def test_malformed_checkpoint_is_user_error(self, tmp_path, capsys):
         data = write_categorical(tmp_path / "d.csv", rows=30, seed=1)
         tree_path, pic_path, nets_path = tmp_path / "t.json", tmp_path / "p.json", tmp_path / "n.json"

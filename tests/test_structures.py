@@ -80,6 +80,20 @@ class TestMutualInformation:
         with pytest.raises(ValueError, match="at least one row"):
             mutual_information(np.empty((0, 2)), 0, 1)
 
+    @pytest.mark.parametrize("smoothing", [-0.5, -1.0, -1e-300, np.nan, np.inf, -np.inf])
+    def test_negative_or_non_finite_smoothing_rejected(self, smoothing):
+        # -0.5 once read NaN with a RuntimeWarning and -1 read 0.822 nats, from cells dropped by p > 0
+        data = np.array([[0, 0], [1, 1], [2, 2], [0, 0]])
+        with pytest.raises(ValueError, match="smoothing must be a finite number ≥ 0"):
+            mutual_information(data, 0, 1, smoothing=smoothing)
+        with pytest.raises(ValueError, match="smoothing must be a finite number ≥ 0"):
+            chow_liu_tree(data, smoothing=smoothing)
+
+    def test_zero_smoothing_allowed(self):
+        data = np.array([[0, 0], [1, 1], [2, 2], [0, 0]])
+        assert mutual_information(data, 0, 1, smoothing=0.0) == pytest.approx(mi_oracle(data, 0, 1), abs=1e-12)
+        assert list(chow_liu_tree(data, smoothing=0.0)) == [-1, 0]
+
 
 class TestChowLiu:
     def test_pairing_beats_independent_variable(self):

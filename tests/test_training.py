@@ -27,6 +27,7 @@ from picirc.training import (
     HcltTensors,
     TrainConfig,
     batch_loglik_node,
+    dataset_loglik,
     dataset_nll,
     em_step,
     evidence_node,
@@ -493,6 +494,29 @@ def test_evidence_needs_one_column_per_observable(caller, shape):
     with pytest.raises(ValueError, match=r"evidence of shape \(.*\) is not \(rows, 3\)"):
         calls[caller]()
     assert all(np.array_equal(params[k], v) for k, v in before.items())
+
+
+@pytest.mark.parametrize("caller", ["dataset_loglik", "streamed_loglik", "HcltTensors.loglik"])
+def test_empty_evidence_needs_one_column_per_observable(caller):
+    # with no rows there is no chunk, and the per-chunk check once let (0, 5) and (0,) through as []
+    for shape in ((0, 5), (0,)):
+        calls = empty_callers(np.zeros(shape))
+        with pytest.raises(ValueError, match=r"evidence of shape \(.*\) is not \(rows, 3\)"):
+            calls[caller]()
+    out = empty_callers(np.zeros((0, 3)))[caller]()
+    assert out.shape == (0,)
+
+
+def empty_callers(x):
+    """The per-row likelihoods on a 3-observable model, which take an x without rows."""
+    tree = neural_tree((None, 0), (0, 1, 1))
+    rule = make_rule("trapezoidal", 4, -1.0, 1.0)
+    nets = small_nets(tree, seed=3)
+    return {
+        "dataset_loglik": lambda: dataset_loglik(nets, rule, x),
+        "streamed_loglik": lambda: streamed_loglik(bn_to_pic(tree), rule, nets, x),
+        "HcltTensors.loglik": lambda: HcltTensors.random(tree, 4, "categorical", 3, seed=3).loglik(x),
+    }
 
 
 def test_batch_loglik_node_op_sequence():
