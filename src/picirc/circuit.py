@@ -32,14 +32,14 @@ def param_width(family: str, num_states=None) -> int:
 
     k log-probabilities for categorical(k), one success probability for
     binomial(k), (mean, log stddev) for gaussian.  An unknown family, or
-    a discrete family without a positive integer state count, raises
-    ValueError.
+    a discrete family without a positive integer state count (a boolean is
+    none), raises ValueError.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown input family {family!r}")
     if family == "gaussian":
         return 2
-    if not isinstance(num_states, (int, np.integer)) or num_states < 1:
+    if not isinstance(num_states, (int, np.integer)) or isinstance(num_states, bool) or num_states < 1:
         raise ValueError(f"{family} needs a positive state count")
     return num_states if family == "categorical" else 1
 
@@ -161,6 +161,8 @@ class Circuit:
             elif u.kind == "sum":
                 if u.weights is None or len(u.weights) != len(u.children) or not u.children:
                     raise CircuitError(f"sum unit {i}: weights must align with children")
+                if not u.weights.max() < np.inf:  # -inf is an edge of weight 0
+                    raise CircuitError(f"sum unit {i}: log-weights must not be NaN or +inf")
             elif u.kind == "product":
                 if not u.children:
                     raise CircuitError(f"product unit {i} has no children")
@@ -395,7 +397,22 @@ def serialize(circuit: Circuit) -> bytes:
     return "".join(out).encode()
 
 
+def _int(value, what: str) -> int:
+    """value if it is a JSON integer; anything else (a boolean, a number with a fraction or exponent, a string) raises SchemaError."""
+    if type(value) is not int:
+        raise SchemaError(f"{what} must be an integer, got {value!r:.40}")
+    return value
+
+
+def _int_tuple(values, uid: int, field: str) -> tuple:
+    """A JSON list of integers as a tuple; anything else raises SchemaError, like ``_int``."""
+    if type(values) is not list or not set(map(type, values)) <= {int}:
+        raise SchemaError(f"unit {uid}: {field} must be a list of integers, got {values!r:.40}")
+    return tuple(values)
+
+
 def deserialize(data: bytes | str) -> Circuit:
+    """The circuit of a ``serialize`` document; a malformed one raises SchemaError or CircuitError."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
@@ -403,10 +420,10 @@ def deserialize(data: bytes | str) -> Circuit:
     except json.JSONDecodeError as e:
         raise SchemaError(f"malformed circuit JSON at byte {e.pos}: {e.msg}") from e
     try:
-        num_vars = int(doc["num_vars"])
-        root = int(doc["root"])
+        num_vars = _int(doc["num_vars"], "num_vars")
+        root = _int(doc["root"], "root")
         raw_units = doc["units"]
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError) as e:
         raise SchemaError(f"circuit JSON missing required field: {e}") from e
     if not isinstance(raw_units, list):
         raise SchemaError(f"circuit JSON field 'units' must be a list, got {type(raw_units).__name__}")
@@ -415,11 +432,11 @@ def deserialize(data: bytes | str) -> Circuit:
     scopes: dict[tuple, frozenset] = {}  # equal scopes share one frozenset
     for rec in raw_units:
         try:
-            uid = int(rec["id"])
+            uid = _int(rec["id"], "unit id")
             kind = rec["kind"]
-            children = tuple(map(int, rec["children"]))
-            key = tuple(map(int, rec["scope"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            children = _int_tuple(rec["children"], uid, "children")
+            key = _int_tuple(rec["scope"], uid, "scope")
+        except (KeyError, TypeError) as e:
             raise SchemaError(f"bad unit record: {e}") from e
         scope = scopes.get(key)
         if scope is None:
@@ -435,9 +452,12 @@ def deserialize(data: bytes | str) -> Circuit:
             if not isinstance(d, dict):
                 raise SchemaError(f"unit {uid}: dist must be an object, got {type(d).__name__}")
             params = _decode_floats(d["params"], uid, "params") if "params" in d else None
+            k = d.get("k")
+            if type(k) in (bool, float):  # a k of another type fails InputDist.validate's state-count check
+                raise SchemaError(f"unit {uid}: k must be an integer, got {k!r}")
             dist = InputDist(
                 family=d.get("family"),
-                num_states=d.get("k"),
+                num_states=k,
                 params=params,
                 conditional=_decode_cond(d["conditional"], f"unit {uid}: conditional") if "conditional" in d else None,
             )
@@ -446,11 +466,11 @@ def deserialize(data: bytes | str) -> Circuit:
             lt = rec["latent"]
             try:
                 latent = {
-                    "var": int(lt["var"]),
-                    "parent": None if lt["parent"] is None else int(lt["parent"]),
+                    "var": _int(lt["var"], f"unit {uid}: latent var"),
+                    "parent": None if lt["parent"] is None else _int(lt["parent"], f"unit {uid}: latent parent"),
                     "cond": _decode_cond(lt["cond"], f"unit {uid}: latent cond"),
                 }
-            except (KeyError, TypeError, ValueError, OverflowError) as e:
+            except (KeyError, TypeError) as e:
                 raise SchemaError(f"unit {uid}: bad latent descriptor: {e}") from e
         slots[uid] = Unit(uid, kind, children, scope, weights=weights, dist=dist, latent=latent)
 

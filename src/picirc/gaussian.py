@@ -7,7 +7,8 @@ compiled into a symbolic integral circuit and approximated by quadrature.
 
 Generative process: the root latent is N(mu1, sigma1^2); every other
 latent is Z_i ~ N(a_i Z_pa(i) + b_i, sigma_i^2); every observable is
-X_j ~ N(c_j Z_pa(j) + d_j, tau_j^2).
+X_j ~ N(c_j Z_pa(j) + d_j, tau_j^2).  The quadrature approximation,
+``qpc_loglik``, is ``runtime.tree_loglik`` over the model's tensors.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from scipy.special import ndtri
 
 from .circuit import Circuit
 from .errors import NumericError
-from .materialize import _linear_gaussian_rows, pic_tree_maps
+from .materialize import _linear_gaussian_rows, _linear_gaussian_table, pic_tree_maps
 from .quadrature import QuadratureRule, make_rule
-from .runtime import LOG_2PI, gaussian_logpdf, latent_tree_loglik
+from .runtime import LOG_2PI, tree_loglik
 from .structures import LatentTree, bn_to_pic, top_down_order
 
 
@@ -33,6 +34,7 @@ class LinearGaussianLTM:
     which makes every latent follow the same affine-conditional form.
     """
 
+    family, num_states = "gaussian", None  # of every observable, as runtime.tree_loglik reads them; not fields
     latent_parent: tuple
     obs_parent: tuple
     a: np.ndarray
@@ -198,32 +200,26 @@ def domain_rules(model: LinearGaussianLTM, n: int, kind: str = "trapezoidal") ->
     return rules
 
 
-def gaussian_region_tensors(model: LinearGaussianLTM, rules: dict[int, QuadratureRule], x: np.ndarray):
-    """Tensor form of the quadrature approximation of a model.
+def gaussian_region_tensors(model: LinearGaussianLTM, rules: dict[int, QuadratureRule]):
+    """Tensor form of the quadrature approximation of a model: (sum_rows, tables).
 
     sum_rows[i][j, k] = log(w_k p(z_k | parent point j)) with a single
-    prior row at the root; obs_loglik[j][n, b] = log p(x_b | parent
-    point n).  Feed to latent_tree_loglik or compare against the
-    materialized circuit.
+    prior row at the root; tables[j] is observable j's (N, 2) gaussian
+    block (c z_n + d, log tau) over its parent's points.
     """
     tree = model.tree()
     sum_rows = [
         _linear_gaussian_rows(tree.latent_cond[i], rules[i], None if p is None else rules[p].points)
         for i, p in enumerate(model.latent_parent)
     ]
-    obs_loglik = []
-    for j, p in enumerate(model.obs_parent):
-        z = rules[p].points
-        mean = model.c[j] * z[:, None] + model.d[j]
-        obs_loglik.append(gaussian_logpdf(x[None, :, j], mean, np.log(model.tau[j])))
-    return sum_rows, obs_loglik
+    tables = [_linear_gaussian_table(tree.obs_cond[j], rules[p].points) for j, p in enumerate(model.obs_parent)]
+    return sum_rows, tables
 
 
 def qpc_loglik(model: LinearGaussianLTM, rules: dict[int, QuadratureRule], x: np.ndarray) -> np.ndarray:
-    """Quadrature-approximated log-likelihood, fused tensor path."""
-    x = np.asarray(x, dtype=np.float64)
-    sum_rows, obs_loglik = gaussian_region_tensors(model, rules, x)
-    return latent_tree_loglik(model.latent_parent, model.obs_parent, sum_rows, obs_loglik)
+    """Quadrature-approximated log-likelihood (B,): ``runtime.tree_loglik`` over the region tensors; NaN cells are marginalized."""
+    sum_rows, tables = gaussian_region_tensors(model, rules)
+    return tree_loglik(model, tables, sum_rows, np.asarray(x, dtype=np.float64))
 
 
 def sanity_mse(model: LinearGaussianLTM, samples: np.ndarray, n: int, kind: str = "trapezoidal") -> float:

@@ -21,13 +21,13 @@ tape nodes ``sum_param_node`` and ``input_param_node``.  Training takes
 them over the registered parameters.  The static tensors, the nested
 mode's row under each parent point and its decoder blocks take their
 data over the weights as tape constants, so nothing is recorded.  Both
-modes build every input region with ``_input_region``, a neural one from
-one ``input_param_node`` block.
+modes build every input region with ``_input_region`` from an (N, I)
+block: one ``input_param_node`` block, or ``_linear_gaussian_table``.
 
-``streamed_loglik`` evaluates a batch without building the concrete
-circuit: it is ``training.dataset_loglik``, the static tensors streamed
-in chunks through ``runtime.latent_tree_loglik``.  ``check_nets`` is the
-one check that nets fit a circuit, for it, the nested mode and the CLI.
+``dataset_loglik`` evaluates rows without building the concrete circuit:
+``runtime.tree_loglik``, the one ndarray likelihood, over the static
+tensors.  ``streamed_loglik`` is it once ``check_nets``, the one check
+that nets fit a circuit (for it, the nested mode and the CLI), passes.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ from .circuit import Circuit, CircuitBuilder, InputDist, post_order
 from .errors import NumericError, SizeError, UnsupportedStructureError
 from .nets import ParamNets, _const_weights
 from .quadrature import QuadratureRule
-from .runtime import gaussian_logpdf
-from .runtime import evidence_rows  # noqa: F401  (looked up here by perfbench)
+from .runtime import evidence_rows, gaussian_logpdf, tree_loglik  # noqa: F401  (evidence_rows: looked up here by perfbench)
 from .structures import top_down_order
 
 
@@ -228,16 +227,12 @@ def _rule_map(num_latents: int, rules) -> dict[int, QuadratureRule]:
 
 
 def _input_region(dist: InputDist, points: np.ndarray, table) -> list[InputDist]:
-    """An observable's input units, one per point of its latent: a concrete dist
-    repeated, a linear-Gaussian one in closed form over all the points, or a
-    neural one from the rows of ``table()``, its squashed decoder block."""
+    """An observable's input units, one per point of its latent: a concrete dist repeated,
+    or the rows of an (N, I) block: ``_linear_gaussian_table`` or ``table()``, the squashed decoder's."""
     if not dist.symbolic:
         return [dist] * len(points)
-    cond = dist.conditional
-    if cond["type"] == "linear-gaussian":
-        log_tau = np.log(cond["tau"])
-        return [InputDist("gaussian", params=np.array([mean, log_tau])) for mean in cond["c"] * points + cond["d"]]
-    return [InputDist(dist.family, num_states=dist.num_states, params=row.copy()) for row in table()]
+    rows = _linear_gaussian_table(dist.conditional, points) if dist.conditional["type"] == "linear-gaussian" else table()
+    return [InputDist(dist.family, num_states=dist.num_states, params=row.copy()) for row in rows]
 
 
 def check_nets(pic: Circuit, nets: ParamNets) -> None:
@@ -254,6 +249,11 @@ def _check_decoders(pic: Circuit, family: str, num_states) -> None:
         d = u.dist
         if u.kind == "input" and d.symbolic and d.conditional.get("type") != "linear-gaussian" and (d.family, d.num_states) != (family, num_states):
             raise ValueError(f"observable {u.var} reads {d.family}:{d.num_states} in the circuit, but the decoders give {family}:{num_states}")
+
+
+def _linear_gaussian_table(cond: dict, points) -> np.ndarray:
+    """(N, 2) gaussian block of a linear-Gaussian observable over its latent's points: rows (c z + d, log tau)."""
+    return np.stack(np.broadcast_arrays(cond["c"] * np.asarray(points) + cond["d"], np.log(cond["tau"])), axis=1)
 
 
 def _linear_gaussian_rows(cond: dict, rule: QuadratureRule, parent_points) -> np.ndarray:
@@ -384,9 +384,15 @@ def pic_tree_maps(pic: Circuit) -> tuple[tuple, tuple]:
     return latent_parent, obs_parent
 
 
-def streamed_loglik(pic: Circuit, rule: QuadratureRule, nets: ParamNets, x: np.ndarray) -> np.ndarray:
-    """Batch log-likelihood (B,) without building the circuit: ``training.dataset_loglik`` once ``check_nets`` passes."""
-    from .training import dataset_loglik  # training imports this module
+def dataset_loglik(nets: ParamNets, rule: QuadratureRule, x: np.ndarray, chunk: int = 4096) -> np.ndarray:
+    """Per-row log-likelihood (B,) under the nets: ``runtime.tree_loglik`` over their tensors, materialized once."""
+    sp = materialize_sum_params(nets, rule.points, rule.weights)
+    ip = materialize_input_params(nets, rule.points)
+    sum_rows = [sp.s[i][:1] if p is None else sp.s[i] for i, p in enumerate(nets.latent_parent)]
+    return tree_loglik(nets, ip.table, sum_rows, x, chunk)
 
+
+def streamed_loglik(pic: Circuit, rule: QuadratureRule, nets: ParamNets, x: np.ndarray) -> np.ndarray:
+    """Batch log-likelihood (B,) without building the circuit: ``dataset_loglik`` once ``check_nets`` passes."""
     check_nets(pic, nets)
     return dataset_loglik(nets, rule, np.asarray(x, dtype=np.float64))

@@ -7,20 +7,17 @@ arity, each at its depth), and ``forward_values`` (so ``log_forward`` and
 ``marginal``), ``training.em_step`` and ``sample_pc`` run each layer as one
 array operation.  Each sum layer is one contraction by
 ``autodiff._lse_matmul_parts``, with a product that keeps every row's bits
-independent of the chunk it is evaluated in.  Circuits in latent-tree
-tensor form (the shape produced by materialization) are evaluated by the
-one latent-tree engine, ``upward_pass``, fed by the one vectorized
-evidence kernel, ``evidence_rows``.  The engine only adds blocks and
-hands them to a per-latent ``contract`` callback, so it serves ndarrays
-and tape nodes alike.  On ndarrays it is ``latent_tree_loglik``, which
-``gaussian.qpc_loglik`` and ``training.tree_loglik`` (so ``dataset_nll``,
-``materialize.streamed_loglik`` and ``HcltTensors.loglik``) run; on a tape
-it is ``training.tree_loglik_node``, which the training steps run.  On
-ndarrays each latent is contracted by ``autodiff._lse_matmul_data``, the
-kernel of the tape primitive ``lse_matmul``, which stays exact when the
-row and column maxima misalign.  NaN marks a marginalized evidence cell,
-in training too: ``evidence_rows`` is the forward of the tape's
-``evidence`` op.
+independent of the chunk it is evaluated in.  A model in latent-tree
+tensor form, (sum rows, parameter tables), runs through the one engine,
+``upward_pass``, which only adds evidence blocks and hands them to a
+per-latent ``contract``, so it serves ndarrays and tape nodes alike.
+``tree_loglik`` is the one ndarray likelihood (``gaussian.qpc_loglik``,
+``HcltTensors.loglik``, ``materialize.dataset_loglik``): chunks of rows
+through ``latent_tree_loglik``, which contracts with
+``autodiff._lse_matmul_data``, the kernel of the tape's ``lse_matmul``,
+exact when row and column maxima misalign.  On a tape it is
+``training.tree_loglik_node``.  Both take their evidence blocks from the
+one kernel, ``evidence_rows``, where NaN marks a marginalized cell.
 """
 
 from __future__ import annotations
@@ -373,6 +370,22 @@ def latent_tree_loglik(latent_parent, obs_parent, sum_rows, obs_loglik) -> np.nd
     Equivalent to log_forward over the fully materialized circuit.
     """
     return upward_pass(latent_parent, obs_parent, obs_loglik, lambda i, acc: _lse_matmul_data(sum_rows[i], acc))[0]
+
+
+def _obs_rows(model, tables, x: np.ndarray, evidence):
+    """``evidence(table, family, num_states, x[:, j], j)`` per observable j; ValueError first unless x is 2-D with one column per observable."""
+    if np.ndim(x) != 2 or np.shape(x)[1] != len(model.obs_parent):
+        raise ValueError(f"evidence of shape {np.shape(x)} is not (rows, {len(model.obs_parent)}): one column per observable")
+    return (evidence(table, model.family, model.num_states, x[:, j], j) for j, table in enumerate(tables))
+
+
+def tree_loglik(model, tables, sum_rows, x: np.ndarray, chunk: int = 4096) -> np.ndarray:
+    """The one ndarray log-likelihood (B,) of a model in tensor form: ``latent_tree_loglik`` over ``evidence_rows`` blocks, ``chunk`` rows at a time."""
+    columns = list(_obs_rows(model, tables, x, lambda *args: args))  # (table, family, num_states, x[:, j], j); checks x once
+    out = np.empty(len(x))
+    for lo in range(0, len(x), chunk):
+        out[lo : lo + chunk] = latent_tree_loglik(model.latent_parent, model.obs_parent, sum_rows, [evidence_rows(t, f, k, col[lo : lo + chunk], j) for t, f, k, col, j in columns])
+    return out
 
 
 def benchmark_eval(qpc: Circuit, batch: np.ndarray, iters: int) -> dict:

@@ -13,20 +13,15 @@ Every log-likelihood on a tape is ``tree_loglik_node``: one ``evidence``
 tape op per observable (forward ``runtime.evidence_rows``, so a NaN cell
 is marginalized in training as in inference), then the latent-tree
 engine, ``runtime.upward_pass``, with one ``autodiff.lse_matmul`` op per
-latent (``lse_matmul_node``).  The training steps run it.  Its forward on
-ndarrays is ``tree_loglik``, ``runtime.latent_tree_loglik`` over
-``evidence_rows`` blocks, which takes no gradient: ``HcltTensors.loglik``
-and ``dataset_loglik`` run it, and ``dataset_nll`` and
-``materialize.streamed_loglik`` are the mean and the rows of the latter.
-Both check that the evidence has one column per observable.  EM
-takes its expected counts from the same tape: the gradient of the summed
-log-likelihood with respect to the normalized log sum rows is the
-expected count of every sum edge.  ``em_step`` is EM on any concrete
-circuit, one layer of units at a time (``runtime.circuit_layers``), with
-the same identity: each sum layer's counts are the ``lse_matmul``
-backward of its flows.  ``train_pic``, ``train_hclt_adam`` and
-``train_hclt_em`` share one mini-batch loop with the cosine-annealed step
-size and best-validation early stopping.
+latent (``lse_matmul_node``).  Its forward on ndarrays is
+``runtime.tree_loglik``.  EM takes its expected counts from the same
+tape: the gradient of the summed log-likelihood with respect to the
+normalized log sum rows is the expected count of every sum edge.
+``em_step`` runs the same identity on any concrete circuit, one layer at
+a time: each sum layer's counts are the ``lse_matmul`` backward of its
+flows.  Both move their rows by ``_em_rows``.  ``train_pic``,
+``train_hclt_adam`` and ``train_hclt_em`` share one mini-batch loop with
+the cosine-annealed step size and best-validation early stopping.
 """
 
 from __future__ import annotations
@@ -40,10 +35,10 @@ from . import autodiff as ad
 from .autodiff import Node, Tape, _log_normalize_data
 from .circuit import Circuit, Unit, param_width
 from .errors import NumericError
-from .materialize import _build_regions, _input_region, _read_pic, materialize_input_params, materialize_sum_params, param_nodes
+from .materialize import _build_regions, _input_region, _read_pic, dataset_loglik, param_nodes
 from .nets import ParamNets, squash
 from .quadrature import QuadratureRule, make_rule
-from .runtime import _times_inv_sigma, bpd, circuit_layers, evidence_rows, forward_values, latent_tree_loglik, layer_table, observed_evidence, upward_pass
+from .runtime import _obs_rows, _times_inv_sigma, bpd, circuit_layers, evidence_rows, forward_values, latent_tree_loglik, layer_table, observed_evidence, tree_loglik, upward_pass  # noqa: F401  (latent_tree_loglik: looked up here by perfbench)
 from .structures import LatentTree, bn_to_pic
 
 
@@ -150,18 +145,6 @@ def _evidence_bwd(ctx, g):
     return (out,)
 
 
-def _check_width(model, x) -> None:
-    """ValueError unless x is 2-D with one column per observable of the model, rows or none."""
-    if np.ndim(x) != 2 or np.shape(x)[1] != len(model.obs_parent):
-        raise ValueError(f"evidence of shape {np.shape(x)} is not (rows, {len(model.obs_parent)}): one column per observable")
-
-
-def _obs_rows(model, tables, x: np.ndarray, evidence):
-    """``evidence(table, family, num_states, x[:, j], j)`` per observable j; ``_check_width`` first."""
-    _check_width(model, x)
-    return (evidence(table, model.family, model.num_states, x[:, j], j) for j, table in enumerate(tables))
-
-
 def tree_loglik_node(tape: Tape, model, tables, sum_rows, x: np.ndarray) -> Node:
     """The one latent-tree log-likelihood (B,) on the tape.
 
@@ -172,11 +155,6 @@ def tree_loglik_node(tape: Tape, model, tables, sum_rows, x: np.ndarray) -> Node
     obs_rows = _obs_rows(model, tables, x, lambda *args: evidence_node(tape, *args))
     loglik = upward_pass(model.latent_parent, model.obs_parent, obs_rows, lambda i, acc: lse_matmul_node(tape, sum_rows(i), acc))
     return ad.reshape(loglik, (x.shape[0],))
-
-
-def tree_loglik(model, tables, sum_rows, x: np.ndarray) -> np.ndarray:
-    """``tree_loglik_node``'s forward on ndarray tables and sum rows: ``runtime.latent_tree_loglik`` over ``evidence_rows`` blocks."""
-    return latent_tree_loglik(model.latent_parent, model.obs_parent, sum_rows, list(_obs_rows(model, tables, x, evidence_rows)))
 
 
 def batch_loglik_node(tape: Tape, nets: ParamNets, pnodes, rule: QuadratureRule, x: np.ndarray) -> Node:
@@ -221,18 +199,6 @@ def train_pic_step(nets: ParamNets, batch: np.ndarray, rule: QuadratureRule, opt
     grads = tape.backward(loss)
     opt.step(grads)
     return float(loss.data)
-
-
-def dataset_loglik(nets: ParamNets, rule: QuadratureRule, x: np.ndarray, chunk: int = 4096) -> np.ndarray:
-    """Per-row log-likelihood (B,) under the nets: their tensors materialized once, the rows streamed through ``tree_loglik``."""
-    _check_width(nets, x)  # the chunk loop checks nothing when x has no rows
-    sp = materialize_sum_params(nets, rule.points, rule.weights)
-    ip = materialize_input_params(nets, rule.points)
-    sum_rows = [sp.s[i][:1] if p is None else sp.s[i] for i, p in enumerate(nets.latent_parent)]
-    out = np.empty(len(x))
-    for lo in range(0, len(x), chunk):
-        out[lo : lo + chunk] = tree_loglik(nets, ip.table, sum_rows, x[lo : lo + chunk])
-    return out
 
 
 def dataset_nll(nets: ParamNets, rule: QuadratureRule, x: np.ndarray, chunk: int = 4096) -> float:
@@ -317,11 +283,9 @@ def em_step(pc: Circuit, batch: np.ndarray, eta: float) -> float:
     the ``lse_matmul`` backward of its own flows (its contraction is run
     again there rather than kept from the forward pass, which would hold
     every sum layer's operands at once); a product layer passes its flows
-    to its children.  Each row of a sum layer moves to
-    (1 - eta) softmax(w) + eta counts / rowsum; a unit whose counts sum to
-    zero keeps its weights.  Updated units replace the old ones in the
-    unit list (weight arrays stay immutable).  Returns the batch mean
-    log-likelihood under the pre-update parameters.
+    to its children.  Sum layers' rows move by ``_em_rows``; updated units
+    replace the old ones (weight arrays stay immutable).  Returns the batch
+    mean log-likelihood under the pre-update parameters.
     """
     layers = circuit_layers(pc)
     values = forward_values(pc, batch, layers, np.matmul)
@@ -335,16 +299,22 @@ def em_step(pc: Circuit, batch: np.ndarray, eta: float) -> float:
             ctx = (weights, kids, *ad._lse_matmul_parts(weights, kids))
             counts, child_flow = ad._lse_matmul_bwd(ctx, flows[layer.uids])
             _scatter_add(flows, layer.index, child_flow)
-            total = counts.sum(axis=1, keepdims=True)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                theta = (1.0 - eta) * np.exp(_log_normalize_data(weights)) + eta * (counts / total)
-                log_theta = np.log(theta)
-            for uid, w, t in zip(layer.uids, log_theta, total[:, 0]):
-                if t > 0.0:
-                    u = pc.units[uid]
-                    w.setflags(write=False)
-                    pc.units[uid] = Unit(u.uid, "sum", u.children, u.scope, weights=w)
+            moved, log_rows = _em_rows(weights, counts, eta)
+            for uid, w in zip(layer.uids[moved], log_rows):
+                u = pc.units[uid]
+                w.setflags(write=False)
+                pc.units[uid] = Unit(u.uid, "sum", u.children, u.scope, weights=w)
     return float(values[pc.root].mean())
+
+
+def _em_rows(logits: np.ndarray, counts: np.ndarray, eta: float):
+    """(moved, new log rows) of (U, K) log rows under their expected counts: each row moves to
+    (1 - eta) softmax(logits) + eta counts / rowsum, but a row whose counts sum to zero keeps its weights."""
+    total = counts.sum(axis=1, keepdims=True)
+    moved = total[:, 0] > 0.0
+    theta = (1.0 - eta) * np.exp(_log_normalize_data(logits[moved])) + eta * (counts[moved] / total[moved])
+    with np.errstate(divide="ignore"):
+        return moved, np.log(theta)
 
 
 def _scatter_add(flows: np.ndarray, index: np.ndarray, contrib: np.ndarray) -> None:
@@ -426,10 +396,9 @@ def hclt_em_step(tensors: HcltTensors, batch: np.ndarray, eta: float) -> float:
 
     The expected counts are the gradient of the batch's summed
     log-likelihood with respect to the normalized log sum rows (the input
-    tables enter the tape as constants).  Each row moves to
-    (1 - eta) theta + eta counts / rowsum in place; a row whose counts sum
-    to zero keeps its weights, like ``em_step`` on the explicit circuit.
-    A non-finite loss aborts before any row moves.
+    tables enter the tape as constants).  Each row moves in place by
+    ``_em_rows``, as in ``em_step`` on the explicit circuit.  A non-finite
+    loss aborts before any row moves.
     """
     tape = Tape()
     sum_rows = [tape.param(f"s{i}", rows) for i, rows in enumerate(tensors.sum_rows())]
@@ -437,12 +406,8 @@ def hclt_em_step(tensors: HcltTensors, batch: np.ndarray, eta: float) -> float:
     loglik = _finite(tree_loglik_node(tape, tensors, tables, sum_rows.__getitem__, batch))
     counts = tape.backward(ad.reduce_sum(loglik))
     for i, logits in enumerate(tensors.sum_logits):
-        cnt = counts[f"s{i}"]
-        total = cnt.sum(axis=1, keepdims=True)
-        moved = total[:, 0] > 0.0
-        theta = (1.0 - eta) * np.exp(sum_rows[i].data[moved]) + eta * (cnt[moved] / total[moved])
-        with np.errstate(divide="ignore"):
-            logits[moved] = np.log(theta)
+        moved, log_rows = _em_rows(logits, counts[f"s{i}"], eta)
+        logits[moved] = log_rows
     return float(-loglik.data.mean())
 
 

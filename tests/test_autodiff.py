@@ -11,7 +11,7 @@ from picirc import autodiff as ad
 from picirc import gaussian
 from picirc.autodiff import Tape
 from picirc.nets import fourier_dense
-from picirc.runtime import upward_pass
+from picirc.runtime import evidence_rows, upward_pass
 from picirc.training import evidence_node
 import reference
 from reference import exp, gather, log, matmul
@@ -439,7 +439,8 @@ class TestLseMatmul:
         model = gaussian.random_model(8, seed)
         model = dataclasses.replace(model, sigma=np.r_[model.sigma[:1], 0.1 * model.sigma[1:]], tau=0.1 * model.tau)
         x = gaussian.sample(model, 6, seed)
-        sum_rows, obs_loglik = gaussian.gaussian_region_tensors(model, gaussian.domain_rules(model, 512), x)
+        sum_rows, tables = gaussian.gaussian_region_tensors(model, gaussian.domain_rules(model, 512))
+        obs_loglik = [evidence_rows(table, "gaussian", None, x[:, j]) for j, table in enumerate(tables)]
         rng = np.random.default_rng(seed)
 
         def contract(i, acc):

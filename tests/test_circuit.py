@@ -263,11 +263,47 @@ class TestSerialization:
             ({"weights": 5}, "unit 2: weights: expected a list"),
             ({"weights": ["abc"]}, "unit 2: weights"),
             ({"dist": "x"}, "unit 2: dist must be an object"),
+            # int() once truncated these to valid ids
+            ({"id": 2.5}, "unit id must be an integer, got 2.5"),
+            ({"id": True}, "unit id must be an integer, got True"),
+            ({"children": [0, 0.5]}, "unit 2: children must be a list of integers, got \\[0, 0.5\\]"),
+            ({"children": [0, True]}, "unit 2: children must be a list of integers, got \\[0, True\\]"),
+            ({"children": "01"}, "unit 2: children must be a list of integers, got '01'"),
+            ({"scope": [0.0]}, "unit 2: scope must be a list of integers, got \\[0.0\\]"),
         ],
     )
     def test_malformed_unit_field_is_schema_error(self, fields, match):
         with pytest.raises(SchemaError, match=match):
             deserialize(json.dumps(self._sum_doc(**fields)))
+
+    @pytest.mark.parametrize("weights", [["nan", "0.0"], ["0.0", "inf"], [float("inf"), "-inf"]])
+    def test_nan_or_posinf_weight_is_refused(self, weights):
+        # -inf stays allowed (test_zero_weight_round_trips); NaN and +inf once decoded as weights
+        with pytest.raises(CircuitError, match=r"sum unit 2: log-weights must not be NaN or \+inf"):
+            deserialize(json.dumps(self._sum_doc(weights=weights)))
+
+    @pytest.mark.parametrize(
+        "where,value,match",
+        [
+            ("k", True, "unit 0: k must be an integer, got True"),
+            ("k", 2.0, "unit 0: k must be an integer, got 2.0"),
+            ("var", 0.5, "unit 1: latent var must be an integer, got 0.5"),
+            ("var", False, "unit 1: latent var must be an integer, got False"),
+            ("parent", True, "unit 1: latent parent must be an integer, got True"),
+            ("root", 1.0, "root must be an integer, got 1.0"),
+        ],
+    )
+    def test_boolean_or_fraction_for_an_integer_is_schema_error(self, where, value, match):
+        # int() read "k": true as a 1-trial binomial and a latent var 0.5 as latent 0
+        doc = self._sum_doc() if where == "k" else json.loads(serialize(self._symbolic()))
+        if where == "k":
+            doc["units"][0]["dist"]["k"] = value
+        elif where == "root":
+            doc["root"] = value
+        else:
+            doc["units"][1]["latent"][where] = value
+        with pytest.raises(SchemaError, match=match):
+            deserialize(json.dumps(doc))
 
     def test_units_not_a_list(self):
         doc = self._sum_doc()

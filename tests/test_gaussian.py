@@ -18,7 +18,9 @@ from picirc.gaussian import (
     sanity_mse,
     to_pic,
 )
+from picirc.materialize import materialize_qpc
 from picirc.quadrature import make_rule
+from picirc.runtime import log_forward
 from reference import joint_gaussian
 
 
@@ -212,6 +214,17 @@ class TestQpcApproximation:
             )
             direct.append(np.log(terms.sum()))
         np.testing.assert_allclose(qpc_loglik(model, {0: rule}, x), direct, atol=1e-12)
+
+    def test_nan_cells_are_marginalized_as_in_log_forward(self):
+        # the fused path once built its own evidence blocks and read a NaN cell as NaN
+        model = random_model(4, 0)
+        rules = domain_rules(model, 16)
+        x = sample(model, 12, 1)
+        x[0, 0] = x[3, 1] = x[5] = np.nan
+        x[7:, 0] = np.nan
+        got = qpc_loglik(model, rules, x)
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, log_forward(materialize_qpc(to_pic(model), rules), x), rtol=0, atol=1e-12)
 
     def test_two_level_fused_path_vs_nested_loops(self):
         model = two_latent_model()

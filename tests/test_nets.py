@@ -414,7 +414,7 @@ class TestParamNets:
         assert len(nonzero) == len(grads)
 
 
-@pytest.mark.parametrize("family, k", [("binomial", None), ("categorical", None), ("binomial", 0), ("categorical", -1), ("categorical", "4")])
+@pytest.mark.parametrize("family, k", [("binomial", None), ("categorical", None), ("binomial", 0), ("categorical", -1), ("categorical", "4"), ("binomial", True)])
 def test_discrete_family_needs_a_positive_state_count(family, k):
     with pytest.raises(ValueError, match="positive state count"):
         DecoderNet(0, family, num_states=k)

@@ -182,11 +182,15 @@ def test_malformed_value_is_refused_or_decodes_validly(name, path):
     """Each bad value at this path raises SchemaError or CircuitError, or decodes to a valid circuit that round-trips.
 
     A value decodes where the schema leaves it open: a number in place of
-    a float string (sum weights are not checked for mass or finiteness),
-    a fraction or a boolean that ``int`` turns into a valid id, any value
-    under a conditional's non-float keys, a latent's var or parent (the
-    tree is checked when the circuit is materialized), and a binomial
-    trial count of any size.
+    a float string (a sum weight's mass is not checked), any value or a
+    missing key in a conditional, a latent's var of any integer value and
+    its parent of any integer value or null (the conditionals and the tree
+    are checked when the circuit is materialized), and a state count of
+    any size that no parameter vector pins (a binomial's, or a symbolic
+    input's).  These raise: a NaN or +inf sum weight (CircuitError naming
+    the unit), and a fraction or a boolean where an id, a child, a scope
+    entry, a state count or a latent's var or parent is read (SchemaError;
+    ``int`` once turned them into valid values).
     """
     failures = []
     for value in BAD_VALUES:

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy.special import gammaln
 
 import picirc.autodiff as ad
+from picirc import gaussian
 from picirc.autodiff import Tape
 from picirc.circuit import CircuitBuilder, InputDist, structurally_equal
 from picirc.errors import NumericError
@@ -429,6 +431,22 @@ class TestNdarrayLikelihoods:
         assert np.isnan(x).any() and np.isfinite(expected).all()
         assert np.array_equal(tensors.loglik(x), expected)
 
+    def test_hclt_loglik_runs_in_chunks(self):
+        # it once held every row's evidence blocks at once, so its memory grew with the rows
+        tree = neural_tree((None, 0, 0, 1), (0, 1, 2, 3, 3))
+        tensors = HcltTensors.random(tree, n=16, family="categorical", num_states=3, seed=17, scale=1.0)
+        x = with_missing(family_data("categorical", 3, 4 * 4096 + 5, 5, 18), share=0.1, seed=19)
+        peaks = []
+        for rows in (4096, len(x)):
+            tracemalloc.start()
+            try:
+                out = tensors.loglik(x[:rows])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(out, np.concatenate([tensors.loglik(x[lo : lo + 4096]) for lo in range(0, len(x), 4096)]))
+        assert peaks[1] < 1.5 * peaks[0]
+
 
 def engine_callers(tree, x):
     """Every caller of the latent-tree engine that takes tree maps, as a thunk over the same maps.
@@ -469,12 +487,14 @@ class TestEngineCallers:
 
 
 def width_callers(x):
-    """Every neural and free-tensor likelihood on a 3-observable model, as a thunk over x, and their parameters."""
+    """Every neural, free-tensor and linear-Gaussian likelihood on a 3-observable model, as a thunk over x, and their parameters."""
     tree = neural_tree((None, 0), (0, 1, 1))
     rule = make_rule("trapezoidal", 4, -1.0, 1.0)
     nets = small_nets(tree, seed=3)
     tensors = HcltTensors.random(tree, 4, "categorical", 3, seed=3)
+    model = gaussian.random_model(6, 3)
     calls = {
+        "qpc_loglik": lambda: gaussian.qpc_loglik(model, gaussian.domain_rules(model, 4), x),
         "dataset_nll": lambda: dataset_nll(nets, rule, x),
         "streamed_loglik": lambda: streamed_loglik(bn_to_pic(tree), rule, nets, x),
         "HcltTensors.loglik": lambda: tensors.loglik(x),
@@ -485,10 +505,10 @@ def width_callers(x):
     return calls, {**nets.param_arrays(), **tensors.param_arrays()}
 
 
-@pytest.mark.parametrize("caller", ["dataset_nll", "streamed_loglik", "HcltTensors.loglik", "train_pic_step", "hclt_adam_step", "hclt_em_step"])
+@pytest.mark.parametrize("caller", ["dataset_nll", "streamed_loglik", "HcltTensors.loglik", "qpc_loglik", "train_pic_step", "hclt_adam_step", "hclt_em_step"])
 @pytest.mark.parametrize("shape", [(2, 4), (2, 2), (3,)], ids=["extra-column", "missing-column", "one-row-1d"])
 def test_evidence_needs_one_column_per_observable(caller, shape):
-    # an extra column was once silently ignored; a missing one or a 1-D row raised a bare IndexError
+    # an extra column was once silently ignored (by qpc_loglik until it ran runtime.tree_loglik); a missing one or a 1-D row raised a bare IndexError
     calls, params = width_callers(np.zeros(shape))
     before = {k: v.copy() for k, v in params.items()}
     with pytest.raises(ValueError, match=r"evidence of shape \(.*\) is not \(rows, 3\)"):
@@ -496,7 +516,7 @@ def test_evidence_needs_one_column_per_observable(caller, shape):
     assert all(np.array_equal(params[k], v) for k, v in before.items())
 
 
-@pytest.mark.parametrize("caller", ["dataset_loglik", "streamed_loglik", "HcltTensors.loglik"])
+@pytest.mark.parametrize("caller", ["dataset_loglik", "streamed_loglik", "HcltTensors.loglik", "qpc_loglik"])
 def test_empty_evidence_needs_one_column_per_observable(caller):
     # with no rows there is no chunk, and the per-chunk check once let (0, 5) and (0,) through as []
     for shape in ((0, 5), (0,)):
@@ -512,7 +532,9 @@ def empty_callers(x):
     tree = neural_tree((None, 0), (0, 1, 1))
     rule = make_rule("trapezoidal", 4, -1.0, 1.0)
     nets = small_nets(tree, seed=3)
+    model = gaussian.random_model(6, 3)
     return {
+        "qpc_loglik": lambda: gaussian.qpc_loglik(model, gaussian.domain_rules(model, 4), x),
         "dataset_loglik": lambda: dataset_loglik(nets, rule, x),
         "streamed_loglik": lambda: streamed_loglik(bn_to_pic(tree), rule, nets, x),
         "HcltTensors.loglik": lambda: HcltTensors.random(tree, 4, "categorical", 3, seed=3).loglik(x),
