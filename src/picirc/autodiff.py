@@ -262,12 +262,23 @@ def _softplus_bwd(ctx, g):
     return (g * _sigmoid(ctx),)
 
 
+_TINY = np.finfo(np.float64).tiny
+_LOG_TINY = float(np.log(_TINY))
+
+
 def _log_normalize_data(x):
-    """x - logsumexp(x) over each row of a 2-D x (a log-softmax); an all -inf row, which has no mass, is NaN."""
+    """x - logsumexp(x) over each row of a 2-D x (a log-softmax); an all -inf row, which has no mass, is NaN.
+
+    As in ``_exp_above_tiny``, a term below ``finfo.tiny`` is never put
+    through numpy's slow exp path: it is 0, and a row's sum holds its
+    maximum's exp(0) = 1, which a subnormal cannot move.  A NaN term stays
+    NaN.
+    """
     m = np.max(x, axis=1, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
+    d = x - m
     with np.errstate(divide="ignore"):
-        lse = np.log(np.sum(np.exp(x - m), axis=1, keepdims=True)) + m
+        lse = np.log(np.sum(np.exp(d, out=np.zeros(d.shape), where=~(d < _LOG_TINY)), axis=1, keepdims=True)) + m
     return x - lse
 
 
@@ -283,10 +294,6 @@ def _log_normalize_bwd(ctx, g):
     x, out = ctx
     p = np.where(np.isneginf(x), 0.0, np.exp(out))
     return (g - g.sum(axis=1, keepdims=True) * p,)
-
-
-_TINY = np.finfo(np.float64).tiny
-_LOG_TINY = float(np.log(_TINY))
 
 
 def _lse_matmul_parts(a, b, product=np.matmul):

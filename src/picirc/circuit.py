@@ -17,7 +17,7 @@ materialization).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,11 +119,18 @@ class Unit:
 
 @dataclass(eq=False)
 class Circuit:
-    """Unit list indexed by id, a root id, and the observable count."""
+    """Unit list indexed by id, a root id, and the observable count.
+
+    ``_layers`` is where ``runtime.circuit_layers`` keeps the layers it
+    built, with the structure they were built from.  It is no init
+    argument and is never compared, so ``dataclasses.replace``,
+    ``structurally_equal`` and ``serialize`` ignore it.
+    """
 
     units: list[Unit]
     root: int
     num_vars: int
+    _layers: object = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.units)

@@ -123,8 +123,9 @@ def exact_loglik(model: LinearGaussianLTM, x: np.ndarray) -> np.ndarray:
 
     Each subtree message is a quadratic form exp(A z^2 + B z + C) in the
     parent latent; integrating against the affine Gaussian conditional
-    maps (A, B, C) to the parent in closed form.  A is data-independent,
-    so only B and C are batched.
+    maps (A, B, C) to the parent in closed form.  A NaN cell is
+    marginalized: its observable adds nothing to (A, B, C), so A, too, is
+    batched over rows.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -134,22 +135,23 @@ def exact_loglik(model: LinearGaussianLTM, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"x has {x.shape[1]} columns, model has {model.num_observables}")
     nb = x.shape[0]
 
-    acc_a = np.zeros(model.num_latents)
+    acc_a = np.zeros((model.num_latents, nb))
     acc_b = np.zeros((model.num_latents, nb))
     acc_c = np.zeros((model.num_latents, nb))
     for j, p in enumerate(model.obs_parent):
         c, d, tau = model.c[j], model.d[j], model.tau[j]
-        r = x[:, j] - d
-        acc_a[p] += -c * c / (2 * tau * tau)
+        observed = ~np.isnan(x[:, j])
+        r = np.where(observed, x[:, j] - d, 0.0)
+        acc_a[p] += np.where(observed, -c * c / (2 * tau * tau), 0.0)
         acc_b[p] += c * r / (tau * tau)
-        acc_c[p] += -r * r / (2 * tau * tau) - np.log(tau) - 0.5 * LOG_2PI
+        acc_c[p] += np.where(observed, -r * r / (2 * tau * tau) - np.log(tau) - 0.5 * LOG_2PI, 0.0)
 
     for i in top_down_order(model.latent_parent)[::-1]:
         a, b, s = model.a[i], model.b[i], model.sigma[i]
         s2 = s * s
         p_coef = 1.0 / (2 * s2) - acc_a[i]
-        if p_coef <= 0 or not np.isfinite(p_coef):
-            raise NumericError(f"message at latent {i} is not normalizable (P={p_coef})")
+        if not ((p_coef > 0) & (p_coef < np.inf)).all():
+            raise NumericError(f"message at latent {i} is not normalizable (P={p_coef.min()})")
         q_lin = a / s2
         q_const = b / s2 + acc_b[i]
         new_a = q_lin * q_lin / (4 * p_coef) - a * a / (2 * s2)

@@ -157,6 +157,8 @@ def _read_pic(pic: Circuit) -> tuple[tuple, tuple, list[list[int]]]:
     product and input units under a root integral, reading each observable
     once, with dense latents whose declared parents match the nesting,
     raises UnsupportedStructureError; such a tree is smooth and decomposable.
+    A linear-Gaussian sigma or tau that is not positive and finite raises
+    ValueError.
     """
     if not pic.is_symbolic:
         raise UnsupportedStructureError("circuit has no integral units; nothing to materialize")
@@ -183,8 +185,10 @@ def _read_pic(pic: Circuit) -> tuple[tuple, tuple, list[list[int]]]:
             if above is None:
                 raise UnsupportedStructureError(f"input unit {uid} is not below any integral unit")
             obs.append((u.var, above))
+            _check_stddev(u.dist.conditional, "tau", f"observable {u.var}")
             continue
         i = u.latent["var"]
+        _check_stddev(u.latent["cond"], "sigma", f"latent {i}")
         if u.latent["parent"] != above:
             raise UnsupportedStructureError(f"latent {i} declares parent {u.latent['parent']}, but its integral unit sits below latent {above}")
         latent_parent[i] = above
@@ -194,6 +198,12 @@ def _read_pic(pic: Circuit) -> tuple[tuple, tuple, list[list[int]]]:
     if sorted(v for v, _ in obs) != list(range(pic.num_vars)):
         raise UnsupportedStructureError("every observable needs exactly one input unit")
     return tuple(latent_parent), tuple(p for _, p in sorted(obs)), parts
+
+
+def _check_stddev(cond, key: str, what: str) -> None:
+    """ValueError unless a linear-Gaussian conditional's stddev ``cond[key]`` is positive and finite."""
+    if cond is not None and cond.get("type") == "linear-gaussian" and not 0.0 < cond[key] < np.inf:
+        raise ValueError(f"{what}: linear-gaussian {key} must be positive and finite, got {cond[key]}")
 
 
 def _build_regions(pic: Circuit, parts: list[list[int]], input_dists, sum_rows) -> Circuit:

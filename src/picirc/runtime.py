@@ -1,9 +1,10 @@
 """Numerically stable evaluation of materialized circuits.
 
 Everything here works in log space.  An explicit circuit runs one layer at
-a time: ``circuit_layers`` groups its units by shape on every call (inputs
-by variable and family, sums by their shared children tuple, products by
-arity, each at its depth), and ``forward_values`` (so ``log_forward`` and
+a time: ``circuit_layers`` groups its units by shape (inputs by variable
+and family, sums by their shared children tuple, products by arity, each
+at its depth) once, and keeps the layers on the circuit until its
+structure changes.  ``forward_values`` (so ``log_forward`` and
 ``marginal``), ``training.em_step`` and ``sample_pc`` run each layer as one
 array operation.  Each sum layer is one contraction by
 ``autodiff._lse_matmul_parts``, with a product that keeps every row's bits
@@ -123,23 +124,57 @@ class Layer(NamedTuple):
 
     ``index`` is the observable of an input layer, the (K,) child ids
     shared by every unit of a sum layer, and the (U, A) child-id matrix of
-    a product layer.  A layer holds structure only: weights and input
-    parameters are read from the units when it runs.
+    a product layer; ``repeats`` says whether a child id occurs in it
+    twice.  A layer holds structure only: weights and input parameters are
+    read from the units when it runs.
     """
 
     kind: str
     uids: np.ndarray
     index: object
+    repeats: bool
 
 
-def circuit_layers(qpc: Circuit) -> list[Layer]:
-    """The units of a concrete circuit in layers, children before parents.
+class _Compiled(NamedTuple):
+    """What ``circuit_layers`` keeps on a circuit: the structure it read, the
+    layers, and each unit's layer and slot in it (``sample_pc``'s maps)."""
 
-    One pass over ``post_order``: input units are grouped by (variable,
-    family, state count), sum units by their children tuple and product
-    units by arity, each at its depth (0 for inputs, else 1 + the deepest
-    child).  Layers come in order of depth, so every child runs in an
-    earlier layer than its parents.
+    signature: tuple
+    layers: tuple
+    layer_of: np.ndarray
+    slot_of: np.ndarray
+
+
+def _signature(qpc: Circuit) -> tuple:
+    """Everything the layers are built from: the root, and each unit's kind,
+    children, scope, and input family and state count.  ``em_step`` keeps
+    every unit's children and scope objects, so comparing a fresh signature
+    with the kept one mostly compares objects by identity."""
+    return qpc.root, [(u.kind, u.children, u.scope) if u.dist is None else (u.kind, u.children, u.scope, u.dist.family, u.dist.num_states) for u in qpc.units]
+
+
+def _compiled(qpc: Circuit) -> _Compiled:
+    """The circuit's kept layers, rebuilt by ``_compile`` when its structure changed."""
+    signature, kept = _signature(qpc), qpc._layers
+    if kept is None or kept.signature != signature:
+        kept = qpc._layers = _compile(qpc, signature)
+    return kept
+
+
+def _frozen(a) -> np.ndarray:
+    """A read-only intp array: every caller shares the kept layers."""
+    a = np.array(a, dtype=np.intp)
+    a.setflags(write=False)
+    return a
+
+
+def _compile(qpc: Circuit, signature: tuple) -> _Compiled:
+    """The layers of ``circuit_layers`` and ``sample_pc``'s maps, in one pass over ``post_order``.
+
+    Input units are grouped by (variable, family, state count), sum units
+    by their children tuple and product units by arity, each at its depth
+    (0 for inputs, else 1 + the deepest child).  Layers come in order of
+    depth, so every child runs in an earlier layer than its parents.
     """
     units = qpc.units
     depth = [0] * len(units)
@@ -157,16 +192,30 @@ def circuit_layers(qpc: Circuit) -> list[Layer]:
             key = (d, "sum", u.children) if u.kind == "sum" else (d, "product", len(u.children))
         groups.setdefault(key, []).append(uid)
     layers = []
+    layer_of = np.empty(len(units), dtype=np.intp)
+    slot_of = np.empty(len(units), dtype=np.intp)
     for key, uids in sorted(groups.items(), key=lambda kv: kv[0][0]):
         kind = key[1]
         if kind == "input":
-            index = key[2]
-        elif kind == "sum":
-            index = np.array(key[2], dtype=np.intp)
+            index, repeats = key[2], False
         else:
-            index = np.array([units[uid].children for uid in uids], dtype=np.intp)
-        layers.append(Layer(kind, np.array(uids, dtype=np.intp), index))
-    return layers
+            index = _frozen(key[2] if kind == "sum" else [units[uid].children for uid in uids])
+            repeats = np.unique(index).size != index.size
+        layer_of[uids] = len(layers)
+        slot_of[uids] = np.arange(len(uids))
+        layers.append(Layer(kind, _frozen(uids), index, repeats))
+    return _Compiled(signature, tuple(layers), _frozen(layer_of), _frozen(slot_of))
+
+
+def circuit_layers(qpc: Circuit) -> tuple[Layer, ...]:
+    """The units of a concrete circuit in layers, children before parents.
+
+    They are built once (see ``_compile``) and kept on the circuit, which
+    later calls share.  They are rebuilt when a unit's kind, children,
+    scope, input family or state count, or the root, differs from what they
+    were built from; new weights or input parameters need no rebuild.
+    """
+    return _compiled(qpc).layers
 
 
 def _column_product(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
@@ -184,8 +233,8 @@ def _column_product(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
 def layer_table(qpc: Circuit, layer: Layer) -> np.ndarray:
     """A layer's parameters read from its units: (U, K) log weights of a sum layer, the (U, I) table of an input layer."""
     if layer.kind == "sum":
-        return np.stack([qpc.units[uid].weights for uid in layer.uids])
-    return np.stack([qpc.units[uid].dist.params for uid in layer.uids])
+        return np.array([qpc.units[uid].weights for uid in layer.uids])
+    return np.array([qpc.units[uid].dist.params for uid in layer.uids])
 
 
 def forward_values(qpc: Circuit, ev: np.ndarray, layers=None, product=_column_product) -> np.ndarray:
@@ -197,7 +246,8 @@ def forward_values(qpc: Circuit, ev: np.ndarray, layers=None, product=_column_pr
     of its log weights against its children's values, multiplied by
     ``product``.  With the default product a row's values do not depend on
     the other rows of the block, bit for bit.  A NaN or +inf value raises
-    NumericError naming its unit.
+    NumericError naming its unit.  ``layers`` are ``circuit_layers(qpc)``,
+    passed by a caller that already holds them to skip a second check.
     """
     if layers is None:
         layers = circuit_layers(qpc)
@@ -278,13 +328,9 @@ def sample_pc(qpc: Circuit, n: int, seed: int) -> np.ndarray:
     """
     _check_concrete(qpc)
     units = qpc.units
-    layers = circuit_layers(qpc)
-    layer_of = np.empty(len(units), dtype=np.intp)
-    slot_of = np.empty(len(units), dtype=np.intp)
+    _, layers, layer_of, slot_of = _compiled(qpc)
     tables = []
-    for li, layer in enumerate(layers):
-        layer_of[layer.uids] = li
-        slot_of[layer.uids] = np.arange(len(layer.uids))
+    for layer in layers:
         if layer.kind == "product":
             tables.append(None)
         elif layer.kind == "sum" or units[layer.uids[0]].dist.family == "categorical":

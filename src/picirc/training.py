@@ -284,8 +284,10 @@ def em_step(pc: Circuit, batch: np.ndarray, eta: float) -> float:
     again there rather than kept from the forward pass, which would hold
     every sum layer's operands at once); a product layer passes its flows
     to its children.  Sum layers' rows move by ``_em_rows``; updated units
-    replace the old ones (weight arrays stay immutable).  Returns the batch
-    mean log-likelihood under the pre-update parameters.
+    replace the old ones (weight arrays stay immutable) with the same
+    children and scope, so the layers that ``runtime.circuit_layers`` keeps
+    on the circuit serve every later step: a run of steps builds them once.
+    Returns the batch mean log-likelihood under the pre-update parameters.
     """
     layers = circuit_layers(pc)
     values = forward_values(pc, batch, layers, np.matmul)
@@ -293,12 +295,12 @@ def em_step(pc: Circuit, batch: np.ndarray, eta: float) -> float:
     flows[pc.root] = 1.0
     for layer in reversed(layers):
         if layer.kind == "product":
-            _scatter_add(flows, layer.index, flows[layer.uids][:, None, :])
+            _scatter_add(flows, layer, flows[layer.uids][:, None, :])
         elif layer.kind == "sum":
             weights, kids = layer_table(pc, layer), values[layer.index]
             ctx = (weights, kids, *ad._lse_matmul_parts(weights, kids))
             counts, child_flow = ad._lse_matmul_bwd(ctx, flows[layer.uids])
-            _scatter_add(flows, layer.index, child_flow)
+            _scatter_add(flows, layer, child_flow)
             moved, log_rows = _em_rows(weights, counts, eta)
             for uid, w in zip(layer.uids[moved], log_rows):
                 u = pc.units[uid]
@@ -317,12 +319,12 @@ def _em_rows(logits: np.ndarray, counts: np.ndarray, eta: float):
         return moved, np.log(theta)
 
 
-def _scatter_add(flows: np.ndarray, index: np.ndarray, contrib: np.ndarray) -> None:
-    """flows[index] += contrib, summing over repeated indices."""
-    if np.unique(index).size == index.size:
-        flows[index] += contrib
+def _scatter_add(flows: np.ndarray, layer, contrib: np.ndarray) -> None:
+    """flows[layer.index] += contrib, summing over repeated child ids."""
+    if layer.repeats:
+        np.add.at(flows, layer.index, contrib)
     else:
-        np.add.at(flows, index, contrib)
+        flows[layer.index] += contrib
 
 
 @dataclass

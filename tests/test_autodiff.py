@@ -239,6 +239,23 @@ class TestKnownIdentities:
         assert np.array_equal(fused[0], composed[0])
         assert np.array_equal(fused[1], composed[1])
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_log_normalize_skips_underflowing_exps_bit_for_bit(self, seed):
+        """Terms whose exp is subnormal ([-745, -708] below the row maximum) are 0, without moving a bit of the result."""
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 200))
+        x = rng.uniform(-745.0, -708.0, (64, k)) * rng.uniform(0.0, 1.05, (64, 1))
+        x[rng.random(x.shape) < 0.1] = -np.inf
+        x[np.arange(64), rng.integers(0, k, 64)] = 0.0
+        x += rng.normal(0.0, 50.0, (64, 1))
+        x[rng.random(64) < 0.1] = -np.inf  # rows without mass
+        x[3, 1] = np.nan
+        with np.errstate(invalid="ignore"):
+            got = ad._log_normalize_data(x)
+            want = x - reference._logsumexp_data(x, 1, True)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[3]).all()
+
     def test_composed_net_gradcheck(self):
         rng = np.random.default_rng(18)
         params = {

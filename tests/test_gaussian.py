@@ -89,6 +89,24 @@ class TestExactLoglik:
         rows = np.array([exact_loglik(model, xi) for xi in x])
         np.testing.assert_allclose(batch, rows, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_nan_cells_are_marginalized_in_closed_form(self, seed):
+        model = random_model(12, seed)
+        x = sample(model, 40, seed + 7)
+        x[np.random.default_rng(seed).random(x.shape) < 0.4] = np.nan
+        x[0] = np.nan
+        x[1] = sample(model, 1, seed + 8)[0]
+        mean, cov = joint_gaussian(model)
+        want = []
+        for row in x:
+            seen = ~np.isnan(row)
+            want.append(multivariate_normal(mean[seen], cov[np.ix_(seen, seen)]).logpdf(row[seen]) if seen.any() else 0.0)
+        got = exact_loglik(model, x)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        # a row's arithmetic does not depend on the NaN cells of the others
+        full = ~np.isnan(x).any(axis=1)
+        np.testing.assert_array_equal(got[full], exact_loglik(model, x[full]))
+
     def test_covariance_entries_from_recursion(self):
         # obs 0 sits at the root latent: its variance is c^2 sigma1^2 + tau^2
         model = two_latent_model()
@@ -225,6 +243,16 @@ class TestQpcApproximation:
         got = qpc_loglik(model, rules, x)
         assert np.isfinite(got).all()
         np.testing.assert_allclose(got, log_forward(materialize_qpc(to_pic(model), rules), x), rtol=0, atol=1e-12)
+
+    def test_converges_to_the_closed_form_on_nan_rows(self):
+        model = random_model(12, 1)
+        x = sample(model, 40, 8)
+        x[np.random.default_rng(1).random(x.shape) < 0.4] = np.nan
+        x[0] = np.nan
+        exact = exact_loglik(model, x)
+        errors = [np.abs(qpc_loglik(model, domain_rules(model, n), x) - exact).max() for n in (16, 64, 256)]
+        assert errors[0] > errors[1] > errors[2]
+        assert errors[2] < 2e-3
 
     def test_two_level_fused_path_vs_nested_loops(self):
         model = two_latent_model()

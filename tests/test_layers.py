@@ -7,13 +7,14 @@ adversarial circuits, and ``post_order`` and ``evidence_rows`` against
 their previous implementations.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 import reference
-from picirc import gaussian
+from picirc import gaussian, runtime
 from picirc.circuit import Circuit, CircuitBuilder, InputDist, Unit, deserialize, post_order, serialize, structurally_equal
 from picirc.errors import CircuitError, NumericError
 from picirc.materialize import materialize_qpc
@@ -141,6 +142,106 @@ def test_em_step_matches_reference(case):
             assert a.weights is old or not a.weights.flags.writeable
     assert fast.units[pc.root].weights is not before[pc.root]
     assert structurally_equal(deserialize(serialize(fast)), fast)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Records the circuit of every layer build (each build runs ``post_order`` once)."""
+    seen = []
+
+    def counting(circuit):
+        seen.append(circuit)
+        return post_order(circuit)
+
+    monkeypatch.setattr(runtime, "post_order", counting)
+    return seen
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_em_steps_build_layers_once_and_match_fresh_builds(case, builds):
+    pc, x = CASES[case]()
+    fresh = reference.copy_circuit(pc)
+    for step in range(5):
+        ll = em_step(pc, x, 0.7)
+        fresh = reference.copy_circuit(fresh)  # a new Circuit: no kept layers
+        assert ll == em_step(fresh, x, 0.7)
+        for a, b in zip(pc.units, fresh.units):
+            if a.kind == "sum":
+                np.testing.assert_array_equal(a.weights, b.weights)
+    assert sum(c is pc for c in builds) == 1
+    np.testing.assert_array_equal(forward_values(pc, x), forward_values(fresh, x))
+
+
+def test_log_forward_then_sample_pc_build_layers_once(builds):
+    pc, x = CASES["hclt-categorical"]()
+    log_forward(pc, x)
+    sample_pc(pc, 64, seed=21)
+    log_forward(pc, x, chunk=7)
+    assert builds == [pc]
+
+
+def two_pair_circuit() -> Circuit:
+    """A mixture of two products, each of a categorical(3) input on variable 0 and one on variable 1."""
+    rng = np.random.default_rng(22)
+    b = CircuitBuilder()
+    pairs = [[b.add_input(v, InputDist("categorical", 3, np.log(rng.dirichlet(np.ones(3))))) for v in (0, 1)] for _ in range(2)]
+    return b.finish(root=b.add_sum([b.add_product(p) for p in pairs], np.log([0.4, 0.6])))
+
+
+def swap_product_children(pc: Circuit) -> None:
+    """Two top products of ``mixed_circuit`` trade their first children, sums over the same inputs with other weights."""
+    a, b = (pc.units[uid] for uid in pc.units[pc.root].children[1:3])
+    pc.units[a.uid] = Unit(a.uid, "product", b.children[:1] + a.children[1:], a.scope)
+    pc.units[b.uid] = Unit(b.uid, "product", a.children[:1] + b.children[1:], b.scope)
+
+
+def swap_input_variables(pc: Circuit) -> None:
+    """The first product's inputs trade variables: its scope stays {0, 1}."""
+    for uid in pc.units[pc.units[pc.root].children[0]].children:
+        u = pc.units[uid]
+        pc.units[uid] = Unit(uid, "input", (), frozenset({1 - u.var}), dist=u.dist)
+
+
+def input_to_binomial(pc: Circuit) -> None:
+    """The first product's input on variable 0 becomes binomial(2)."""
+    uid = pc.units[pc.units[pc.root].children[0]].children[0]
+    pc.units[uid] = Unit(uid, "input", (), pc.units[uid].scope, dist=InputDist("binomial", 2, np.array([0.3])))
+
+
+EDITS = {
+    "product-children": (lambda: (mixed_circuit(23), mixed_rows(24, missing=0.0)), swap_product_children),
+    "input-variable": (lambda: (two_pair_circuit(), np.random.default_rng(25).integers(0, 3, (40, 2)).astype(float)), swap_input_variables),
+    "input-family": (lambda: (two_pair_circuit(), np.random.default_rng(26).integers(0, 3, (40, 2)).astype(float)), input_to_binomial),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(EDITS))
+def test_in_place_structural_edit_never_reuses_stale_layers(edit):
+    make, apply = EDITS[edit]
+    pc, x = make()
+    before = log_forward(pc, x)
+    sample_pc(pc, 64, seed=27)
+    apply(pc)
+    pc.validate()
+    fresh = reference.copy_circuit(pc)
+    got = log_forward(pc, x)
+    assert not np.array_equal(got, before)
+    np.testing.assert_array_equal(got, log_forward(fresh, x))
+    np.testing.assert_array_equal(sample_pc(pc, 256, seed=28), sample_pc(reference.copy_circuit(pc), 256, seed=28))
+    assert em_step(pc, x, 0.7) == em_step(fresh, x, 0.7)
+    for a, b in zip(pc.units, fresh.units):
+        if a.kind == "sum":
+            np.testing.assert_array_equal(a.weights, b.weights)
+
+
+def test_kept_layers_stay_out_of_replace_equality_and_serialization():
+    pc, x = CASES["mixed"]()
+    data = serialize(pc)
+    log_forward(pc, x)
+    assert pc._layers is not None
+    assert dataclasses.replace(pc)._layers is None
+    assert serialize(pc) == data
+    assert structurally_equal(pc, deserialize(data))
 
 
 def test_layers_partition_units_children_first():

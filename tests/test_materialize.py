@@ -1,9 +1,13 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from picirc import gaussian
 from picirc.autodiff import Tape
+from picirc.cli import run
 from picirc.circuit import CircuitBuilder, InputDist, check_structure, deserialize, serialize, structurally_equal
 from picirc.errors import NumericError, SizeError, UnsupportedStructureError
 from picirc.materialize import (
@@ -439,6 +443,42 @@ class TestReadPic:
         nested = materialize_qpc(b.finish(root=b.add_integral(body, var=0, parent=None, cond=NEURAL)), rule, tensors_for(nets, rule))
         flat = materialize_qpc(bn_to_pic(tree), rule, tensors_for(nets, rule))
         assert structurally_equal(nested, flat)
+
+
+def gaussian_pic_json(key: str, value: float) -> str:
+    """``gaussian.to_pic(random_model(4, 0))``'s JSON with latent 1's sigma or observable 1's tau set to value."""
+    doc = json.loads(serialize(gaussian.to_pic(gaussian.random_model(4, 0))))
+    for rec in doc["units"]:
+        if key == "sigma" and rec["kind"] == "integral" and rec["latent"]["var"] == 1:
+            rec["latent"]["cond"]["sigma"] = repr(value)
+        if key == "tau" and rec["kind"] == "input" and rec["scope"] == [1]:
+            rec["dist"]["conditional"]["tau"] = repr(value)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("key, what", [("sigma", "latent 1"), ("tau", "observable 1")])
+@pytest.mark.parametrize("value", [-1.0, 0.0, np.nan, np.inf])
+class TestLinearGaussianStddev:
+    """A sigma or tau that is not positive and finite is refused when the circuit is read, before any log."""
+
+    def test_materializers_name_the_node(self, key, what, value):
+        pic = deserialize(gaussian_pic_json(key, value))
+        rule = make_rule("trapezoidal", 4, -3.0, 3.0)
+        message = f"^{what}: linear-gaussian {key} must be positive and finite, got {value}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: materialize_qpc(pic, rule), lambda: materialize_nested(pic, constant_selector(rule)), lambda: gaussian.model_from_pic(pic)):
+                with pytest.raises(ValueError, match=message):
+                    call()
+
+    def test_cli_materialize_exits_1(self, key, what, value, tmp_path, capsys):
+        path = tmp_path / "pic.json"
+        path.write_text(gaussian_pic_json(key, value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["materialize", "--pic", str(path), "--n", "4", "--out", str(tmp_path / "q.json")]) == 1
+        assert capsys.readouterr().err == f"error: {what}: linear-gaussian {key} must be positive and finite, got {value}\n"
+        assert not (tmp_path / "q.json").exists()
 
 
 class TestMaterializeNested:
