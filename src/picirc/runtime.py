@@ -8,7 +8,8 @@ structure changes.  ``forward_values`` (so ``log_forward`` and
 ``marginal``), ``training.em_step`` and ``sample_pc`` run each layer as one
 array operation.  Each sum layer is one contraction by
 ``autodiff._lse_matmul_parts``, with a product that keeps every row's bits
-independent of the chunk it is evaluated in.  A model in latent-tree
+independent of the chunk it is evaluated in; ``em_step``'s backward reads
+the contraction that ``forward_values`` keeps for it.  A model in latent-tree
 tensor form, (sum rows, parameter tables), runs through the one engine,
 ``upward_pass``, which only adds evidence blocks and hands them to a
 per-latent ``contract``, so it serves ndarrays and tape nodes alike.
@@ -117,6 +118,16 @@ def _check_concrete(qpc: Circuit) -> None:
             raise UnsupportedStructureError(
                 f"input unit {u.uid} has symbolic parameters; materialize the circuit first"
             )
+
+
+def _checked_evidence(qpc: Circuit, evidence, one_row: bool = False) -> np.ndarray:
+    """evidence as float64 for a concrete circuit: ValueError naming its shape unless it is
+    (rows, num_vars), or (num_vars,) where ``one_row``; UnsupportedStructureError if qpc is symbolic."""
+    evidence = np.asarray(evidence, dtype=np.float64)
+    if evidence.ndim not in ((1, 2) if one_row else (2,)) or evidence.shape[-1] != qpc.num_vars:
+        raise ValueError(f"evidence of shape {evidence.shape} is not (rows, {qpc.num_vars}): one column per variable")
+    _check_concrete(qpc)
+    return evidence
 
 
 class Layer(NamedTuple):
@@ -237,7 +248,7 @@ def layer_table(qpc: Circuit, layer: Layer) -> np.ndarray:
     return np.array([qpc.units[uid].dist.params for uid in layer.uids])
 
 
-def forward_values(qpc: Circuit, ev: np.ndarray, layers=None, product=_column_product) -> np.ndarray:
+def forward_values(qpc: Circuit, ev: np.ndarray, layers=None, product=_column_product, _kept=None) -> np.ndarray:
     """Per-unit log values of one evidence block, shape (units, B), one layer at a time.
 
     An input layer is one ``evidence_rows`` call on its parameter table, a
@@ -248,6 +259,10 @@ def forward_values(qpc: Circuit, ev: np.ndarray, layers=None, product=_column_pr
     the other rows of the block, bit for bit.  A NaN or +inf value raises
     NumericError naming its unit.  ``layers`` are ``circuit_layers(qpc)``,
     passed by a caller that already holds them to skip a second check.
+    ``_kept``, a list, receives each sum layer's ``autodiff._lse_matmul_bwd``
+    context in layer order (``training.em_step``'s backward).  It holds the
+    children's values and the log output only where the contraction
+    recomputed cells: elsewhere the backward never reads them.
     """
     if layers is None:
         layers = circuit_layers(qpc)
@@ -262,7 +277,11 @@ def forward_values(qpc: Circuit, ev: np.ndarray, layers=None, product=_column_pr
             for column in layer.index.T[1:]:
                 vals += values[column]
         else:
-            vals = _lse_matmul_parts(layer_table(qpc, layer), values[layer.index], product)[0]
+            weights, kids = layer_table(qpc, layer), values[layer.index]
+            vals, ea, eb, prod, rows, cols = _lse_matmul_parts(weights, kids, product)
+            if _kept is not None:
+                recomputed = rows.size > 0
+                _kept.append((weights, kids if recomputed else None, vals if recomputed else None, ea, eb, prod, rows, cols))
         ok = vals < np.inf
         if not ok.all():
             raise NumericError(f"non-finite value at unit {layer.uids[np.flatnonzero(~ok.all(axis=1))[0]]}")
@@ -278,13 +297,10 @@ def log_forward(qpc: Circuit, evidence: np.ndarray, chunk: int = 4096) -> np.nda
     run in chunks of ``chunk`` through ``forward_values``; the result does
     not depend on the chunk size, bit for bit.
     """
-    evidence = np.asarray(evidence, dtype=np.float64)
+    evidence = _checked_evidence(qpc, evidence, one_row=True)
     single = evidence.ndim == 1
     if single:
         evidence = evidence[None, :]
-    if evidence.shape[1] != qpc.num_vars:
-        raise ValueError(f"evidence has {evidence.shape[1]} columns, circuit has {qpc.num_vars}")
-    _check_concrete(qpc)
     layers = circuit_layers(qpc)
     out = np.empty(evidence.shape[0])
     for lo in range(0, evidence.shape[0], chunk):

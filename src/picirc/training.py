@@ -19,7 +19,9 @@ tape: the gradient of the summed log-likelihood with respect to the
 normalized log sum rows is the expected count of every sum edge.
 ``em_step`` runs the same identity on any concrete circuit, one layer at
 a time: each sum layer's counts are the ``lse_matmul`` backward of its
-flows.  Both move their rows by ``_em_rows``.  ``train_pic``,
+flows, over the contraction that ``runtime.forward_values`` kept for it.
+Both move their rows by ``_em_rows``.  Every training step refuses a
+batch with no rows before any parameter moves.  ``train_pic``,
 ``train_hclt_adam`` and ``train_hclt_em`` share one mini-batch loop with
 the cosine-annealed step size and best-validation early stopping.
 """
@@ -38,7 +40,7 @@ from .errors import NumericError
 from .materialize import _build_regions, _input_region, _read_pic, dataset_loglik, param_nodes
 from .nets import ParamNets, squash
 from .quadrature import QuadratureRule, make_rule
-from .runtime import _obs_rows, _times_inv_sigma, bpd, circuit_layers, evidence_rows, forward_values, latent_tree_loglik, layer_table, observed_evidence, tree_loglik, upward_pass  # noqa: F401  (latent_tree_loglik: looked up here by perfbench)
+from .runtime import _checked_evidence, _obs_rows, _times_inv_sigma, bpd, circuit_layers, evidence_rows, forward_values, latent_tree_loglik, observed_evidence, tree_loglik, upward_pass  # noqa: F401  (latent_tree_loglik: looked up here by perfbench)
 from .structures import LatentTree, bn_to_pic
 
 
@@ -177,6 +179,13 @@ class TrainResult:
     steps: int
 
 
+def _has_rows(x: np.ndarray, what: str = "batch") -> np.ndarray:
+    """x, or ValueError if it has no rows: a mean over no rows is undefined."""
+    if not len(x):
+        raise ValueError(f"{what} has no rows")
+    return x
+
+
 def _finite(loglik: Node) -> Node:
     """The batch log-likelihood of a training step, or NumericError before any update."""
     bad = np.flatnonzero(~np.isfinite(loglik.data))
@@ -194,7 +203,7 @@ def train_pic_step(nets: ParamNets, batch: np.ndarray, rule: QuadratureRule, opt
     """
     tape = Tape()
     pnodes = nets.register(tape)
-    loglik = _finite(batch_loglik_node(tape, nets, pnodes, rule, batch))
+    loglik = _finite(batch_loglik_node(tape, nets, pnodes, rule, _has_rows(batch)))
     loss = ad.neg(ad.mean(loglik))
     grads = tape.backward(loss)
     opt.step(grads)
@@ -203,9 +212,7 @@ def train_pic_step(nets: ParamNets, batch: np.ndarray, rule: QuadratureRule, opt
 
 def dataset_nll(nets: ParamNets, rule: QuadratureRule, x: np.ndarray, chunk: int = 4096) -> float:
     """Mean negative log-likelihood of a dataset: the mean of ``dataset_loglik``.  No rows raises ValueError."""
-    if not len(x):
-        raise ValueError("dataset has no rows")
-    return float(-dataset_loglik(nets, rule, x, chunk).mean())
+    return float(-dataset_loglik(nets, rule, _has_rows(x, "dataset"), chunk).mean())
 
 
 def _fit(params: dict[str, np.ndarray], take_step, nll, train_x: np.ndarray, valid_x: np.ndarray, config: TrainConfig) -> TrainResult:
@@ -219,8 +226,8 @@ def _fit(params: dict[str, np.ndarray], take_step, nll, train_x: np.ndarray, val
     ``patience`` steps (checked at each evaluation) or at max_steps; the
     best-validation snapshot is then copied back into ``params``.
     """
-    if not len(train_x) or not len(valid_x):
-        raise ValueError(f"{'training' if not len(train_x) else 'validation'} set has no rows")
+    _has_rows(train_x, "training set")
+    _has_rows(valid_x, "validation set")
     rng = np.random.default_rng(config.seed)
     num_vars = train_x.shape[1]
     best_nll = nll(valid_x)
@@ -280,38 +287,48 @@ def em_step(pc: Circuit, batch: np.ndarray, eta: float) -> float:
     The expected edge counts are the gradient of the batch's summed
     log-likelihood with respect to the log weights.  So, walking the
     layers in reverse, a sum layer's counts and its children's flows are
-    the ``lse_matmul`` backward of its own flows (its contraction is run
-    again there rather than kept from the forward pass, which would hold
-    every sum layer's operands at once); a product layer passes its flows
-    to its children.  Sum layers' rows move by ``_em_rows``; updated units
-    replace the old ones (weight arrays stay immutable) with the same
-    children and scope, so the layers that ``runtime.circuit_layers`` keeps
-    on the circuit serve every later step: a run of steps builds them once.
-    Returns the batch mean log-likelihood under the pre-update parameters.
+    the ``lse_matmul`` backward of its own flows; a product layer passes
+    its flows to its children.  Each sum layer is contracted once: the
+    forward pass keeps what the backward reads (the layer's (U, K) weights
+    and exponentials, its children's (K, B) exponentials and the (U, B)
+    product; the children's values and the log output too where cells were
+    recomputed), so a sum layer's (U + K) x B + 2 U x K floats are held
+    from its forward until its backward has run.  Sum layers' rows move by
+    ``_em_rows``; updated units replace the old ones with the same children
+    and scope and read-only weights, so the layers that
+    ``runtime.circuit_layers`` keeps on the circuit serve every later step:
+    a run of steps builds them once.  A symbolic circuit, a batch without
+    one column per variable or without rows, and an eta outside [0, 1]
+    raise before any unit moves.  Returns the batch mean log-likelihood
+    under the pre-update parameters.
     """
+    batch = _has_rows(_checked_evidence(pc, batch))
     layers = circuit_layers(pc)
-    values = forward_values(pc, batch, layers, np.matmul)
+    kept: list = []
+    values = forward_values(pc, batch, layers, np.matmul, _kept=kept)
     flows = np.zeros_like(values)
     flows[pc.root] = 1.0
     for layer in reversed(layers):
         if layer.kind == "product":
             _scatter_add(flows, layer, flows[layer.uids][:, None, :])
         elif layer.kind == "sum":
-            weights, kids = layer_table(pc, layer), values[layer.index]
-            ctx = (weights, kids, *ad._lse_matmul_parts(weights, kids))
-            counts, child_flow = ad._lse_matmul_bwd(ctx, flows[layer.uids])
+            weights = kept[-1][0]
+            counts, child_flow = ad._lse_matmul_bwd(kept.pop(), flows[layer.uids])
             _scatter_add(flows, layer, child_flow)
             moved, log_rows = _em_rows(weights, counts, eta)
+            log_rows.setflags(write=False)  # the units' row views inherit it
             for uid, w in zip(layer.uids[moved], log_rows):
                 u = pc.units[uid]
-                w.setflags(write=False)
                 pc.units[uid] = Unit(u.uid, "sum", u.children, u.scope, weights=w)
     return float(values[pc.root].mean())
 
 
 def _em_rows(logits: np.ndarray, counts: np.ndarray, eta: float):
     """(moved, new log rows) of (U, K) log rows under their expected counts: each row moves to
-    (1 - eta) softmax(logits) + eta counts / rowsum, but a row whose counts sum to zero keeps its weights."""
+    (1 - eta) softmax(logits) + eta counts / rowsum, but a row whose counts sum to zero keeps its weights.
+    An eta outside [0, 1] (or NaN) raises ValueError."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"EM step size eta must be in [0, 1], got {eta}")
     total = counts.sum(axis=1, keepdims=True)
     moved = total[:, 0] > 0.0
     theta = (1.0 - eta) * np.exp(_log_normalize_data(logits[moved])) + eta * (counts[moved] / total[moved])
@@ -387,7 +404,7 @@ def hclt_adam_step(tensors: HcltTensors, batch: np.ndarray, opt: Adam) -> float:
     pnodes = {k: tape.param(k, v) for k, v in tensors.param_arrays().items()}
     tables = [squash(tensors.family, pnodes[f"i{j}"]) for j in range(len(tensors.input_raw))]
     sum_rows = [ad.log_normalize(pnodes[f"s{i}"]) for i in range(len(tensors.sum_logits))]
-    loss = ad.neg(ad.mean(_finite(tree_loglik_node(tape, tensors, tables, sum_rows.__getitem__, batch))))
+    loss = ad.neg(ad.mean(_finite(tree_loglik_node(tape, tensors, tables, sum_rows.__getitem__, _has_rows(batch)))))
     grads = tape.backward(loss)
     opt.step(grads)
     return float(loss.data)
@@ -405,7 +422,7 @@ def hclt_em_step(tensors: HcltTensors, batch: np.ndarray, eta: float) -> float:
     tape = Tape()
     sum_rows = [tape.param(f"s{i}", rows) for i, rows in enumerate(tensors.sum_rows())]
     tables = [tape.const(table) for table in tensors.input_tables()]
-    loglik = _finite(tree_loglik_node(tape, tensors, tables, sum_rows.__getitem__, batch))
+    loglik = _finite(tree_loglik_node(tape, tensors, tables, sum_rows.__getitem__, _has_rows(batch)))
     counts = tape.backward(ad.reduce_sum(loglik))
     for i, logits in enumerate(tensors.sum_logits):
         moved, log_rows = _em_rows(logits, counts[f"s{i}"], eta)

@@ -10,7 +10,9 @@ dense Gaussian joint that checks ``gaussian.exact_loglik``,
 decoder at one point, and ``energy_grid_direct`` is an energy grid from
 every point's own Fourier features, which pins ``nets.fourier_dense``.
 ``serialize_reference`` writes a circuit through ``json.dumps``, which pins
-the bytes of ``circuit.serialize``.
+the bytes of ``circuit.serialize``.  ``em_step_recompute`` is the layered
+EM step that contracts each sum layer again in its backward, which pins
+the contractions ``training.em_step`` keeps from its forward.
 
 The tape ops that only these oracles and the tests record live here, not
 in ``picirc.autodiff``: ``gather``, ``exp``, ``log``, ``matmul`` and the
@@ -29,16 +31,17 @@ import numpy as np
 from scipy.special import gammaln
 
 from picirc import autodiff as ad
+from picirc import runtime
 from picirc.autodiff import Node, Tape
-from picirc.circuit import Circuit, _encode_cond, _fmt
+from picirc.circuit import Circuit, Unit, _encode_cond, _fmt
 from picirc.errors import CircuitError
 from picirc.gaussian import LinearGaussianLTM
 from picirc.materialize import input_param_node, sum_param_node
 from picirc.nets import DecoderNet, EnergyNet, ParamNets
 from picirc.quadrature import QuadratureRule
-from picirc.runtime import gaussian_logpdf, observed_evidence
+from picirc.runtime import circuit_layers, gaussian_logpdf, layer_table, observed_evidence
 from picirc.structures import top_down_order
-from picirc.training import evidence_node
+from picirc.training import _em_rows, _scatter_add, evidence_node
 
 
 def gather(a: Node, index, axis=0) -> Node:
@@ -253,6 +256,34 @@ def em_step(pc: Circuit, batch: np.ndarray, eta: float) -> float:
             w = np.log(theta)
         w.setflags(write=False)
         pc.units[uid] = replace(u, weights=w)
+    return float(values[pc.root].mean())
+
+
+def em_step_recompute(pc: Circuit, batch: np.ndarray, eta: float) -> float:
+    """The layered EM step that contracts every sum layer again in its backward.
+
+    This was ``training.em_step`` before the forward kept its contractions:
+    the backward stacks each sum layer's weights, gathers its children's
+    values and runs ``_lse_matmul_parts`` on them a second time.  It pins
+    the kept path bit for bit.
+    """
+    layers = circuit_layers(pc)
+    values = runtime.forward_values(pc, batch, layers, np.matmul)
+    flows = np.zeros_like(values)
+    flows[pc.root] = 1.0
+    for layer in reversed(layers):
+        if layer.kind == "product":
+            _scatter_add(flows, layer, flows[layer.uids][:, None, :])
+        elif layer.kind == "sum":
+            weights, kids = layer_table(pc, layer), values[layer.index]
+            ctx = (weights, kids, *ad._lse_matmul_parts(weights, kids))
+            counts, child_flow = ad._lse_matmul_bwd(ctx, flows[layer.uids])
+            _scatter_add(flows, layer, child_flow)
+            moved, log_rows = _em_rows(weights, counts, eta)
+            for uid, w in zip(layer.uids[moved], log_rows):
+                u = pc.units[uid]
+                w.setflags(write=False)
+                pc.units[uid] = Unit(u.uid, "sum", u.children, u.scope, weights=w)
     return float(values[pc.root].mean())
 
 

@@ -3,8 +3,9 @@
 ``forward_values`` / ``log_forward``, ``em_step`` and ``sample_pc`` run a
 concrete circuit one layer of same-shaped units at a time.  Here they are
 pinned against the per-unit implementations in ``reference.py`` on
-adversarial circuits, and ``post_order`` and ``evidence_rows`` against
-their previous implementations.
+adversarial circuits, ``em_step`` bit for bit against the layered step
+that contracts each sum layer again in its backward, and ``post_order``
+and ``evidence_rows`` against their previous implementations.
 """
 
 import dataclasses
@@ -14,15 +15,15 @@ import numpy as np
 import pytest
 
 import reference
-from picirc import gaussian, runtime
+from picirc import autodiff, gaussian, runtime
 from picirc.circuit import Circuit, CircuitBuilder, InputDist, Unit, deserialize, post_order, serialize, structurally_equal
-from picirc.errors import CircuitError, NumericError
+from picirc.errors import CircuitError, NumericError, UnsupportedStructureError
 from picirc.materialize import materialize_qpc
 from picirc.nets import ParamNets
 from picirc.quadrature import make_rule
 from picirc.runtime import circuit_layers, evidence_rows, forward_values, log_forward, sample_pc
-from picirc.structures import LatentTree
-from picirc.training import HcltTensors, dataset_nll, em_step
+from picirc.structures import LatentTree, bn_to_pic
+from picirc.training import Adam, HcltTensors, TrainConfig, dataset_nll, em_step, hclt_adam_step, hclt_em_step, train_pic_step
 
 
 def mixed_circuit(seed: int, scale: float = 1.0) -> Circuit:
@@ -98,6 +99,30 @@ def gaussian_case(seed):
     return materialize_qpc(gaussian.to_pic(model), gaussian.domain_rules(model, 5)), x
 
 
+def misaligned_circuit(seed: int) -> Circuit:
+    """Sums over narrow, far-apart gaussians whose largest weight sits on the farthest one.
+
+    A cell's largest term then pairs neither its row's largest weight nor
+    its column's largest child value, so its shifted product underflows and
+    the contraction recomputes it.
+    """
+    rng = np.random.default_rng(seed)
+    b = CircuitBuilder()
+    sums = []
+    for v in (0, 1):
+        comps = [b.add_input(v, InputDist("gaussian", params=np.array([m, -2.0]))) for m in (-4.0, 0.0, 4.0)]
+        sums.append([b.add_sum(comps, np.array(w)) for w in ([-2000.0, -400.0, 0.0], [0.0, -400.0, -2000.0])])
+    tops = [b.add_product([a, c]) for a in sums[0] for c in sums[1]]
+    return b.finish(root=b.add_sum(tops, rng.normal(size=len(tops))))
+
+
+def misaligned_rows(seed: int, rows: int = 40) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-5.0, 5.0, (rows, 2))
+    x[rng.random(x.shape) < 0.2] = np.nan
+    return x
+
+
 CASES = {
     "mixed": lambda: (mixed_circuit(0), mixed_rows(1)),
     "scale-800": lambda: (mixed_circuit(2, scale=800.0), mixed_rows(3)),
@@ -107,6 +132,7 @@ CASES = {
     "hclt-gaussian": lambda: hclt_case("gaussian", None, 9),
     "hclt-neg-inf": lambda: (lambda pc, x: (with_neg_inf(pc, 10), x))(*hclt_case("categorical", 3, 11)),
     "gaussian-qpc": lambda: gaussian_case(12),
+    "misaligned": lambda: (misaligned_circuit(29), misaligned_rows(30)),
 }
 
 
@@ -142,6 +168,68 @@ def test_em_step_matches_reference(case):
             assert a.weights is old or not a.weights.flags.writeable
     assert fast.units[pc.root].weights is not before[pc.root]
     assert structurally_equal(deserialize(serialize(fast)), fast)
+
+
+def sum_layer_count(pc: Circuit) -> int:
+    return sum(layer.kind == "sum" for layer in circuit_layers(pc))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_em_step_contracts_each_sum_layer_once(case, monkeypatch):
+    pc, x = CASES[case]()
+    calls = []
+    contract = autodiff._lse_matmul_parts
+
+    def counting(*args):
+        calls.append(1)
+        return contract(*args)
+
+    # forward_values calls its own import; a backward that contracted again would go through autodiff
+    monkeypatch.setattr(runtime, "_lse_matmul_parts", counting)
+    monkeypatch.setattr(autodiff, "_lse_matmul_parts", counting)
+    per_step = sum_layer_count(pc)
+    for step in range(1, 4):
+        em_step(pc, x, 0.7)
+        assert len(calls) == step * per_step
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_em_step_bit_identical_to_recomputing_backward(case, monkeypatch):
+    pc, x = CASES[case]()
+    fast, slow = reference.copy_circuit(pc), reference.copy_circuit(pc)
+    seen = []
+    backward = autodiff._lse_matmul_bwd
+
+    def recording(ctx, g):
+        seen.append(ctx)
+        return backward(ctx, g)
+
+    monkeypatch.setattr(autodiff, "_lse_matmul_bwd", recording)
+    recomputed = 0
+    for _ in range(3):
+        del seen[:]
+        assert em_step(fast, x, 0.7) == reference.em_step_recompute(slow, x, 0.7)
+        for weights, kids, out, ea, eb, prod, rows, cols in seen[: sum_layer_count(pc)]:
+            # the children's values and the log output are kept exactly where cells were recomputed
+            assert (kids is None) == (out is None) == (rows.size == 0)
+            recomputed += rows.size
+        for a, b in zip(fast.units, slow.units):
+            if a.kind == "sum":
+                np.testing.assert_array_equal(a.weights, b.weights)
+    if case == "misaligned":
+        assert recomputed
+
+
+def test_em_step_never_writes_old_weights_and_new_ones_are_read_only():
+    pc, x = CASES["hclt-categorical"]()
+    sums = [u.uid for u in pc.units if u.kind == "sum"]
+    for _ in range(3):
+        before = {uid: (pc.units[uid].weights, pc.units[uid].weights.copy()) for uid in sums}
+        em_step(pc, x, 0.7)
+        for uid, (old, copy) in before.items():
+            np.testing.assert_array_equal(old, copy)
+            assert pc.units[uid].weights is old or not pc.units[uid].weights.flags.writeable
+        assert pc.units[pc.root].weights is not before[pc.root][0]
 
 
 @pytest.fixture
@@ -385,3 +473,67 @@ class TestEmptyInput:
             warnings.simplefilter("error")
             assert tensors.loglik(empty).shape == (0,)
             assert log_forward(tensors.to_circuit(), empty).shape == (0,)
+
+
+def em_models(seed: int = 31):
+    """Free tensors on a 3-observable tree, their circuit and a batch."""
+    tensors = HcltTensors.random(tree((None, 0), (0, 1, 1), "categorical", 3), n=4, family="categorical", num_states=3, seed=seed, scale=1.0)
+    x = np.random.default_rng(seed).integers(0, 3, (20, 3)).astype(float)
+    return tensors, tensors.to_circuit(), x
+
+
+def weights_of(pc: Circuit) -> list:
+    return [u.weights for u in pc.units if u.kind == "sum"]
+
+
+@pytest.mark.parametrize("eta", [float("nan"), float("inf"), -float("inf"), -0.1, 3.0])
+def test_em_steps_refuse_an_eta_outside_the_unit_interval(eta):
+    # eta = NaN or 3.0 once wrote NaN log-weights into the circuit and returned a loss
+    tensors, pc, x = em_models()
+    before, logits = weights_of(pc), [a.copy() for a in tensors.sum_logits]
+    with pytest.raises(ValueError, match="eta"):
+        em_step(pc, x, eta)
+    with pytest.raises(ValueError, match="eta"):
+        hclt_em_step(tensors, x, eta)
+    assert all(a is b for a, b in zip(weights_of(pc), before))
+    assert all(np.array_equal(a, b) for a, b in zip(tensors.sum_logits, logits))
+    for edge in (0.0, 1.0):
+        em_step(pc, x, edge)
+        hclt_em_step(tensors, x, edge)
+
+
+@pytest.mark.parametrize("step", ["em_step", "hclt_em_step", "hclt_adam_step", "train_pic_step"])
+def test_training_steps_refuse_an_empty_batch_before_anything_moves(step):
+    # train_pic_step and hclt_adam_step once raised ZeroDivisionError; the EM steps warned and returned NaN
+    tensors, pc, _ = em_models()
+    nets = ParamNets.for_tree(tree((None, 0), (0, 1, 1), "categorical", 3), "categorical", num_states=3, num_frequencies=2, hidden=(4,), decoder_hidden=(4,), seed=0)
+    params = {**tensors.param_arrays(), **{f"net.{k}": v for k, v in nets.param_arrays().items()}}
+    before, weights = {k: v.copy() for k, v in params.items()}, weights_of(pc)
+    empty = np.empty((0, 3))
+    calls = {
+        "em_step": lambda: em_step(pc, empty, 0.5),
+        "hclt_em_step": lambda: hclt_em_step(tensors, empty, 0.5),
+        "hclt_adam_step": lambda: hclt_adam_step(tensors, empty, Adam(tensors.param_arrays(), TrainConfig())),
+        "train_pic_step": lambda: train_pic_step(nets, empty, make_rule("trapezoidal", 4, -1.0, 1.0), Adam(nets.param_arrays(), TrainConfig())),
+    }
+    with pytest.raises(ValueError, match="^batch has no rows$"):
+        calls[step]()
+    assert all(np.array_equal(params[k], v) for k, v in before.items())
+    assert all(a is b for a, b in zip(weights_of(pc), weights))
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (2, 2), (3,)], ids=["extra-column", "missing-column", "one-row-1d"])
+def test_em_step_needs_one_column_per_variable(shape):
+    # an extra column was once silently ignored; a missing one or a 1-D row raised a bare IndexError
+    pc = mixed_circuit(32)
+    before = weights_of(pc)
+    with pytest.raises(ValueError, match=r"evidence of shape \(.*\) is not \(rows, 3\)"):
+        em_step(pc, np.zeros(shape), 0.5)
+    assert all(a is b for a, b in zip(weights_of(pc), before))
+
+
+def test_em_step_refuses_a_symbolic_circuit():
+    # it once raised numpy's AxisError
+    pic = bn_to_pic(tree((None, 0), (0, 1, 1), "categorical", 3))
+    with pytest.raises(UnsupportedStructureError, match="materialize the circuit first"):
+        em_step(pic, np.zeros((2, 3)), 0.5)
